@@ -43,14 +43,18 @@ from .exact import rat, rat_str, vec
 from .fiber import fibered_report, fiberwise_embed, instance_from_obj
 from .flats import point_to_image_distance_sq_lower
 from .nerve import cloud_from_csv, nerve_complex, refine_for_separation
-from .perturb import perturb_to_general_position, report_to_obj
+from .perturb import (
+    general_position_certificate,
+    perturb_to_general_position,
+    report_to_obj,
+)
 from .secant import (
     cover_certificate_to_obj,
     line_distance,
     pair_to_obj,
+    pairs_from_records,
     probe_region_samples,
     record_to_obj,
-    secant_pairs,
     secant_set,
     zero_dim_certificate,
 )
@@ -152,7 +156,7 @@ def cmd_analyze(args, argv) -> int:
     epsilon = float(rat(args.epsilon))
     k = rat(args.k)
     records = secant_set(h, z)
-    pairs = secant_pairs(h, z)
+    pairs = pairs_from_records(records)
     cover = zero_dim_certificate(records, epsilon, k)
     manifest = _manifest(
         "analyze",
@@ -181,13 +185,15 @@ def cmd_probe(args, argv) -> int:
     epsilon = float(rat(args.epsilon))
     k = rat(args.k)
     probes = probe_region_samples(h, k, args.samples, args.seed)
+    # one certificate serves every sample; with no samples nothing is certified
+    cert = general_position_certificate(h) if probes else None
     samples = []
     rows = []
     max_secants = 0
     min_line_dist = None
     valid = 0
     for index, probe in enumerate(probes):
-        records = secant_set(h, probe.z)
+        records = secant_set(h, probe.z, certificate=cert)
         cover = zero_dim_certificate(records, epsilon, k)
         if cover.valid:
             valid += 1

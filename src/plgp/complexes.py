@@ -60,14 +60,14 @@ class SimplicialComplex:
         return max(len(s) for s in self.simplices) - 1
 
     def maximal_simplices(self) -> list:
-        # face closure: contained in something bigger iff contained in a
-        # simplex exactly one larger, so only those need checking
-        out = [
-            s
-            for s in self.simplices
-            if not any(s < t for t in self.simplices if len(t) == len(s) + 1)
-        ]
-        return sorted(out, key=simplex_key)
+        # face closure: a face is non-maximal iff it is some face minus one
+        # vertex; computed once and stored on the (immutable) instance
+        tops = self.__dict__.get("_maximal")
+        if tops is None:
+            covered = {t - {v} for t in self.simplices if len(t) > 1 for v in t}
+            tops = tuple(sorted(self.simplices - covered, key=simplex_key))
+            object.__setattr__(self, "_maximal", tops)
+        return list(tops)
 
     def sorted_simplices(self) -> list:
         return sorted(self.simplices, key=simplex_key)

@@ -6,6 +6,17 @@ actually uses: every image simplex is nondegenerate, and for every pair of
 simplices the union of image vertices is affinely independent.  With
 dim K <= n and m >= 2n+1 each union has at most m+1 points, so the condition
 is both checkable and generically true.
+
+Exact ranks run only on the maximal simplices and on each unordered pair of
+distinct maximal simplices, vertex-sharing pairs included.  That decides
+every face and face pair: each face lies in a maximal simplex, so a face
+pair's vertex union lies in one maximal simplex or in a maximal pair's
+union, and subsets of an affinely independent set are independent; each
+maximal simplex and maximal pair is itself a face or face pair.  The
+per-face verdicts are lazy: a face or face pair is ranked only when its
+union lies inside a failing maximal union, and is independent otherwise.
+Ranks run on Python ints: every image is scaled by one common denominator,
+the lcm over the map, which leaves affine independence unchanged.
 """
 
 from __future__ import annotations
@@ -13,10 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
-from .complexes import PLMap, simplex_pairs, sorted_vertices
+from .complexes import PLMap, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
-from .exact import affinely_independent, norm_sq, rat, rat_str, sqrt_bracket, vec_add
+from .exact import _echelon_int, norm_sq, rat, rat_str, sqrt_bracket, vec_add
 
 GRID = 2 ** 32
 DEFAULT_MAX_ROUNDS = 32
@@ -24,8 +37,8 @@ DEFAULT_MAX_ROUNDS = 32
 
 @dataclass(frozen=True)
 class GeneralPositionCertificate:
-    simplex_verdicts: tuple  # ((simplex, ok), ...)
-    pair_verdicts: tuple     # ((s1, s2, ok), ...)
+    simplex_verdicts: object  # lazy ((simplex, ok), ...) over all faces
+    pair_verdicts: object     # lazy ((s1, s2, ok), ...) over all face pairs
     overall: bool
 
 
@@ -38,6 +51,81 @@ class PerturbationReport:
     certificate: GeneralPositionCertificate
 
 
+class MaximalVerdicts:
+    """Exact verdicts on the maximal simplices and on every pair of distinct ones."""
+
+    def __init__(self, h: PLMap):
+        scale = 1
+        for v in h.complex.vertices:
+            for x in h.images[v]:
+                scale = lcm(scale, x.denominator)
+        self.images = {
+            v: tuple(x.numerator * (scale // x.denominator) for x in h.images[v])
+            for v in h.complex.vertices
+        }
+        self.tops = h.complex.maximal_simplices()
+        self.bad_tops = [not self.independent(t) for t in self.tops]
+        bad = self.bad_tops
+        # one flag per pair, in combinations(tops, 2) order; a pair holding a
+        # failing simplex fails without a rank
+        self.bad_pairs = bytearray(
+            bad[i] or bad[j] or not self.independent(self.tops[i] | self.tops[j])
+            for i, j in combinations(range(len(self.tops)), 2)
+        )
+        self.overall = not any(bad) and 1 not in self.bad_pairs
+
+    def independent(self, vertices) -> bool:
+        """Affine independence of the vertices' images, by an integer rank."""
+        first, *rest = vertices
+        p0 = self.images[first]
+        if len(rest) > len(p0):
+            return False
+        rows = [[a - b for a, b in zip(self.images[v], p0)] for v in rest]
+        return len(_echelon_int(rows)) == len(rows)
+
+    def failing_unions(self):
+        """The failing maximal simplices, then the failing maximal pairs' unions."""
+        for t, bad in zip(self.tops, self.bad_tops):
+            if bad:
+                yield t
+        if 1 in self.bad_pairs:
+            for (t1, t2), bad in zip(combinations(self.tops, 2), self.bad_pairs):
+                if bad:
+                    yield t1 | t2
+
+
+class LazyVerdicts:
+    """Verdicts over faces or face pairs in canonical order, computed on iteration.
+
+    Iterating ranks a union only when it lies inside a failing maximal union;
+    every other union lies inside a passing one and is independent.
+    """
+
+    def __init__(self, groups, count: int, maximal: MaximalVerdicts):
+        self._groups = groups  # callable: iterable of simplex tuples, in order
+        self._count = count
+        self.maximal = maximal
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __eq__(self, other):
+        # value semantics, as for the tuples of verdicts these stand for
+        if not isinstance(other, LazyVerdicts):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __iter__(self):
+        failing = list(self.maximal.failing_unions())
+        for group in self._groups():
+            union = frozenset().union(*group)
+            ok = not any(union <= f for f in failing) or self.maximal.independent(union)
+            yield (*group, ok)
+
+
 def general_position_certificate(h: PLMap) -> GeneralPositionCertificate:
     c = h.complex
     n = c.dimension
@@ -45,32 +133,20 @@ def general_position_certificate(h: PLMap) -> GeneralPositionCertificate:
         raise PreconditionError(
             "certificate requires ambient dimension m >= 2*dim(K)+1"
         )
-    simplex_verdicts = []
-    for s in c.sorted_simplices():
-        ok = affinely_independent([h.images[v] for v in sorted_vertices(s)])
-        simplex_verdicts.append((s, ok))
-    pair_verdicts = []
-    for s1, s2, _ in simplex_pairs(c):
-        union = sorted_vertices(s1 | s2)
-        ok = affinely_independent([h.images[v] for v in union])
-        pair_verdicts.append((s1, s2, ok))
-    overall = all(ok for _, ok in simplex_verdicts) and all(
-        ok for _, _, ok in pair_verdicts
-    )
+    maximal = MaximalVerdicts(h)
+    f = len(c.simplices)
+    faces = c.sorted_simplices
     return GeneralPositionCertificate(
-        tuple(simplex_verdicts), tuple(pair_verdicts), overall
+        LazyVerdicts(lambda: ((s,) for s in faces()), f, maximal),
+        LazyVerdicts(lambda: combinations(faces(), 2), f * (f - 1) // 2, maximal),
+        maximal.overall,
     )
 
 
 def failed_vertices(cert: GeneralPositionCertificate) -> set:
-    bad = set()
-    for s, ok in cert.simplex_verdicts:
-        if not ok:
-            bad |= s
-    for s1, s2, ok in cert.pair_verdicts:
-        if not ok:
-            bad |= s1 | s2
-    return bad
+    """Vertices of every failing face and face pair: the same set as the
+    vertices of every failing maximal simplex and maximal pair union."""
+    return set().union(*cert.pair_verdicts.maximal.failing_unions())
 
 
 def _draw_displacement(rng, m, half, j_max):

@@ -177,7 +177,7 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     """
     z = vec(z)
     _require_valid_probe(h, z, certificate)
-    tops = sorted(h.complex.maximal_simplices(), key=simplex_key)
+    tops = h.complex.maximal_simplices()
     _assert_adjacent_secant_free(h, z, tops)
     if gamma is None:
         pairs = [
@@ -216,8 +216,8 @@ class ImagePointPair:
     line: object
 
 
-def secant_pairs(h: PLMap, z, certificate=None):
-    """The collinear image-point pairs with distinct preimages, one per secant."""
+def pairs_from_records(records):
+    """The collinear image-point pairs with distinct preimages, one per record."""
     return [
         ImagePointPair(
             y1=rec.witnesses[0][1],
@@ -226,8 +226,13 @@ def secant_pairs(h: PLMap, z, certificate=None):
             preimage2=rec.witnesses[1][2],
             line=rec.line,
         )
-        for rec in secant_set(h, z, certificate=certificate)
+        for rec in records
     ]
+
+
+def secant_pairs(h: PLMap, z, certificate=None):
+    """The collinear image-point pairs with distinct preimages, one per secant."""
+    return pairs_from_records(secant_set(h, z, certificate=certificate))
 
 
 def _chord(line, k):

@@ -10,6 +10,7 @@ from plgp.cli import main
 from plgp.complexes import plmap_from_obj
 from plgp.exact import rat
 from plgp.fiber import derive_seed
+from plgp.perturb import MaximalVerdicts
 
 FIXTURES = Path(plgp.__file__).parent / "fixtures"
 QUAD = str(FIXTURES / "quadrilateral.json")
@@ -23,6 +24,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_certificates(monkeypatch):
+    """Record the map of every general-position certificate built from now on."""
+    built = []
+    original = MaximalVerdicts.__init__
+
+    def counting(self, h):
+        built.append(h)
+        original(self, h)
+
+    monkeypatch.setattr(MaximalVerdicts, "__init__", counting)
+    return built
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +142,12 @@ class TestAnalyze:
         assert report["certificate"]["valid"] is True
         assert "zero_dim_certificate.valid" in report["certifies"]
 
+    def test_one_certificate_and_one_enumeration(self, capsys, quad_map, monkeypatch):
+        built = count_certificates(monkeypatch)
+        code, _, _ = run(capsys, "analyze", "--map", quad_map, "--z", "0,0,5")
+        assert code == 0
+        assert len(built) == 1
+
     def test_z_on_image_rejected(self, capsys, quad_map):
         images = json.loads(Path(quad_map).read_text())["images"]
         coords = ",".join(images["a"])
@@ -168,6 +188,14 @@ class TestProbe:
         assert rows[0][:2] == ["index", "z0"]
         assert len(rows) == 6
         assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3", "4"]
+
+    def test_one_certificate_for_all_samples(self, capsys, quad_map, monkeypatch):
+        built = count_certificates(monkeypatch)
+        code, _, _ = run(
+            capsys, "probe", "--map", quad_map, "--samples", "3", "--seed", "2"
+        )
+        assert code == 0
+        assert len(built) == 1
 
     def test_zero_samples(self, capsys, quad_map):
         code, text, _ = run(

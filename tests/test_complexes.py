@@ -65,6 +65,15 @@ class TestValidate:
         c = SimplicialComplex.from_maximal([("a", "b")], b1={"a"}, b2={"a"})
         assert any("overlap" in p for p in validate(c))
 
+    def test_maximal_simplices_canonical_and_fresh(self):
+        c = SimplicialComplex.from_maximal([("a", "b", "c"), ("c", "d"), ("e",)])
+        expected = [frozenset("e"), frozenset("cd"), frozenset("abc")]
+        first = c.maximal_simplices()
+        assert first == expected
+        first.clear()
+        assert c.maximal_simplices() == expected
+        assert SimplicialComplex((), frozenset()).maximal_simplices() == []
+
 
 class TestBarycentricSubdivide:
     def test_edge_becomes_path(self):

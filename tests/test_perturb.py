@@ -15,9 +15,11 @@ from plgp.complexes import (
     subdivide_until,
 )
 from plgp.errors import PerturbationBudgetError, PreconditionError
-from plgp.exact import Matrix, norm_sq, solve_affine, vec, vec_sub
+from plgp.exact import Matrix, affinely_independent, norm_sq, solve_affine, vec, vec_sub
 from plgp.flats import flats_skew, span_of_points
 from plgp.perturb import (
+    LazyVerdicts,
+    MaximalVerdicts,
     certificate_to_obj,
     failed_vertices,
     general_position_certificate,
@@ -93,6 +95,123 @@ class TestCertificate:
             general_position_certificate(generic_segments()), verbose=True
         )
         assert "pair_verdicts" in verbose
+
+
+def reference_certificate(h):
+    """Every face and every face pair ranked over Fractions: the oracle for
+    the maximal-pair certificate.  Returns (simplex verdicts, pair verdicts,
+    overall, failed vertices)."""
+    def independent(s):
+        return affinely_independent([h.images[v] for v in sorted_vertices(s)])
+
+    simplex_verdicts = [(s, independent(s)) for s in h.complex.sorted_simplices()]
+    pair_verdicts = [
+        (s1, s2, independent(s1 | s2)) for s1, s2, _ in simplex_pairs(h.complex)
+    ]
+    overall = all(ok for _, ok in simplex_verdicts) and all(
+        ok for _, _, ok in pair_verdicts
+    )
+    bad = set()
+    for s, ok in simplex_verdicts:
+        if not ok:
+            bad |= s
+    for s1, s2, ok in pair_verdicts:
+        if not ok:
+            bad |= s1 | s2
+    return simplex_verdicts, pair_verdicts, overall, bad
+
+
+def map_of(maximal, images, m):
+    c = SimplicialComplex.from_maximal(maximal)
+    return PLMap(c, m, {v: vec(images[v]) for v in c.vertices})
+
+
+def random_map(rng):
+    verts = "abcdefgh"[: rng.randrange(4, 9)]
+    n = rng.randrange(1, 3)
+    maximal = [
+        rng.sample(verts, rng.randrange(1, n + 2)) for _ in range(rng.randrange(2, 6))
+    ]
+    m = 2 * n + 1
+    # 0/1 cube corners make coincidences, coplanarities and flat simplices common
+    images = {v: [rng.randrange(2) for _ in range(m)] for v in verts}
+    return map_of(maximal, images, m)
+
+
+DEGENERATE_MAPS = {
+    "coplanar segments": coplanar_segments(),
+    "repeated vertex image": map_of(
+        [["a", "b"], ["c", "d"]],
+        {"a": [0, 0, 0], "b": [1, 0, 0], "c": [1, 0, 0], "d": [0, 1, 1]}, 3,
+    ),
+    "flat triangle": map_of(
+        [["a", "b", "c"], ["d", "e"]],
+        {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [2, 0, 0, 0, 0],
+         "d": [0, 1, 0, 0, 0], "e": [0, 0, 1, 0, 0]}, 5,
+    ),
+    "vertex-sharing maximal pairs": map_of(
+        [["a", "b", "c"], ["c", "d", "e"], ["a", "e"]],
+        {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [0, 1, 0, 0, 0],
+         "d": [0, 0, 1, 0, 0], "e": [1, 1, 0, 0, 0]}, 5,
+    ),
+    "isolated vertex beside a triangle": map_of(
+        [["a", "b", "c"], ["d"]],
+        {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [0, 1, 0, 0, 0],
+         "d": [F(1, 2), F(1, 2), 0, 0, 0]}, 5,
+    ),
+}
+
+
+class TestMaximalPairOracle:
+    def check(self, h):
+        simplex_verdicts, pair_verdicts, overall, bad = reference_certificate(h)
+        cert = general_position_certificate(h)
+        assert cert.overall == overall
+        assert list(cert.simplex_verdicts) == simplex_verdicts
+        assert list(cert.pair_verdicts) == pair_verdicts
+        assert len(cert.simplex_verdicts) == len(simplex_verdicts)
+        assert len(cert.pair_verdicts) == len(pair_verdicts)
+        assert failed_vertices(cert) == bad
+        assert general_position_certificate(h) == cert
+        return overall
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_MAPS))
+    def test_degenerate_maps(self, name):
+        assert not self.check(DEGENERATE_MAPS[name])
+
+    def test_generic_segments(self):
+        assert self.check(generic_segments())
+
+    def test_seeded_random_maps(self):
+        rng = random.Random(2010)
+        outcomes = {self.check(random_map(rng)) for _ in range(60)}
+        assert outcomes == {True, False}
+
+    def test_perturbed_subdivision(self):
+        h1 = subdivide_until(coplanar_segments(), F(1, 2))
+        assert not self.check(h1)
+        h, _ = perturb_to_general_position(h1, F(1, 2), seed=3)
+        assert self.check(h)
+
+    def test_clean_serialization_never_iterates_verdicts(self, monkeypatch):
+        cert = general_position_certificate(generic_segments())
+
+        def refuse(self):
+            raise AssertionError("verdicts iterated")
+
+        monkeypatch.setattr(LazyVerdicts, "__iter__", refuse)
+        obj = certificate_to_obj(cert)
+        assert obj == {"overall": True, "simplices_checked": 6, "pairs_checked": 15}
+
+    def test_passing_verdicts_rank_nothing(self, monkeypatch):
+        cert = general_position_certificate(generic_segments())
+
+        def refuse(self, vertices):
+            raise AssertionError("rank on a passing certificate")
+
+        monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
+        assert all(ok for _, _, ok in cert.pair_verdicts)
+        assert all(ok for _, ok in cert.simplex_verdicts)
 
 
 class TestPerturb:
