@@ -5,6 +5,12 @@ rank.  The transversal construction intersects the two joins span(z, f1) and
 span(z, f2) and keeps the result only when it is a line that actually meets
 both flats; the parallel and point-intersection branches return None, because
 downstream only existence matters.
+
+Secant enumeration no longer runs on this chain: it solves one integer
+system per simplex pair (see plgp.secant).  The transversal and
+line-simplex constructions here remain its independent oracle, in the tests
+and the acceptance gate, and its fallback on rank-deficient systems; the
+image distance and line canonical forms are still used directly.
 """
 
 from __future__ import annotations

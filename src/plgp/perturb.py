@@ -51,18 +51,26 @@ class PerturbationReport:
     certificate: GeneralPositionCertificate
 
 
+def integer_images(h: PLMap):
+    """(scale, images): every vertex image times scale, the lcm of all
+    coordinate denominators over the map, as a tuple of Python ints."""
+    scale = 1
+    for v in h.complex.vertices:
+        for x in h.images[v]:
+            scale = lcm(scale, x.denominator)
+    images = {
+        v: tuple(x.numerator * (scale // x.denominator) for x in h.images[v])
+        for v in h.complex.vertices
+    }
+    return scale, images
+
+
 class MaximalVerdicts:
     """Exact verdicts on the maximal simplices and on every pair of distinct ones."""
 
     def __init__(self, h: PLMap):
-        scale = 1
-        for v in h.complex.vertices:
-            for x in h.images[v]:
-                scale = lcm(scale, x.denominator)
-        self.images = {
-            v: tuple(x.numerator * (scale // x.denominator) for x in h.images[v])
-            for v in h.complex.vertices
-        }
+        self.map = h
+        self.scale, self.images = integer_images(h)
         self.tops = h.complex.maximal_simplices()
         self.bad_tops = [not self.independent(t) for t in self.tops]
         bad = self.bad_tops

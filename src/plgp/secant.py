@@ -8,7 +8,25 @@ covering maximal pair's unique transversal, and (ii) the analyzer asserts,
 exactly, that z is affinely independent of every maximal image simplex and of
 every vertex-sharing maximal pair's image union, which rules out secants whose
 covering maximal simplices coincide or share a vertex.  A violation of (ii) is
-degenerate input, not a miss.
+degenerate input, not a miss.  Those ranks also prove z off the image (every
+image point lies in the affine hull of a maximal simplex), so the exact
+distance to the image is computed only to word a failed rank.
+
+Each pair costs one exact solve.  For s1 = conv(v_i) and s2 = conv(w_j),
+the (m+1) x (|s1|+|s2|) system
+
+    sum nu_j w_j - sum alpha_i (v_i - z) = z,    sum nu_j = 1
+
+says p2 = sum nu_j w_j lies on aff(s2) and p2 - z = lambda (p1 - z), with
+lambda = sum alpha and p1 = sum mu_i v_i on aff(s1), mu = alpha / lambda.
+A line through z meeting both simplices is exactly a solution with
+nu >= 0, lambda != 0 and mu >= 0, and with full column rank it is unique,
+so the witnesses are read straight off mu and nu.  The system runs through
+fraction-free elimination on Python ints: the images and z are scaled by one
+common denominator per map and probe.  A rank-deficient system
+(z in aff(s1) + dir(s2), measure zero) is handed to the flats construction
+(joins, intersections, line-simplex solves), which also serves the tests as
+the oracle for the kernel.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
@@ -23,11 +41,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import PLMap, evaluate, simplex_key, sorted_vertices
+from .complexes import BarycentricPoint, PLMap, simplex_key, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
-from .exact import affinely_independent, norm_sq, rat, rat_str, vec, vec_add
+from .exact import _echelon_int, _exact_div, norm_sq, rat, rat_str, vec, vec_add
 from .flats import (
-    contains_point,
+    AffineFlat,
+    canonical_line,
     line_key,
     line_meets_simplex,
     line_to_obj,
@@ -35,7 +54,7 @@ from .flats import (
     span_of_points,
     transversal_line_through_point,
 )
-from .perturb import general_position_certificate
+from .perturb import general_position_certificate, integer_images
 
 GRID = 2 ** 32
 PROBE_BUDGET_FACTOR = 1000
@@ -85,29 +104,29 @@ class UscReport:
     baseline_count: int
 
 
-def _domain_point(bary):
-    # a point of |K| is its nonzero-weight support
-    return frozenset(
-        (v, w) for v, w in zip(bary.simplex, bary.weights) if w != 0
-    )
+def _integer_frame(h, z, cert):
+    """(scale, images, z) on one integer frame: the map's vertex images and z,
+    all multiplied by one common denominator, as tuples of Python ints.
+
+    The certificate's maximal verdicts already hold the map's integer images;
+    only z's denominators can widen the scale.
+    """
+    maximal = cert.pair_verdicts.maximal
+    if maximal.map is h:
+        scale, images = maximal.scale, maximal.images
+    else:
+        scale, images = integer_images(h)
+    wide = math.lcm(scale, *(x.denominator for x in z))
+    if wide != scale:
+        f = wide // scale
+        images = {v: tuple(f * x for x in p) for v, p in images.items()}
+    zi = tuple(x.numerator * (wide // x.denominator) for x in z)
+    return wide, images, zi
 
 
-def _record(h, z, line, s1, hit1, s2, hit2):
-    point1, bary1 = hit1
-    point2, bary2 = hit2
-    assert contains_point(line, z)
-    assert contains_point(line, point1) and contains_point(line, point2)
-    assert evaluate(h, bary1) == point1 and evaluate(h, bary2) == point2
-    assert _domain_point(bary1) != _domain_point(bary2)
-    return SecantRecord(
-        line=line,
-        z=z,
-        witnesses=((s1, point1, bary1), (s2, point2, bary2)),
-        pair=(s1, s2),
-    )
-
-
-def _pair_records(h, z, s1, s2):
+def _flats_pair_records(h, z, s1, s2):
+    """The pair's secant through z by the flats construction: the oracle for
+    _pair_records, and its fallback on rank-deficient systems."""
     f1 = span_of_points(h.simplex_images(s1))
     f2 = span_of_points(h.simplex_images(s2))
     line = transversal_line_through_point(z, f1, f2)
@@ -119,34 +138,105 @@ def _pair_records(h, z, s1, s2):
     hit2 = line_meets_simplex(line, h, s2)
     if hit2 is None:
         return []
-    return [_record(h, z, line, s1, hit1, s2, hit2)]
+    return [
+        SecantRecord(
+            line=line,
+            z=z,
+            witnesses=((s1,) + hit1, (s2,) + hit2),
+            pair=(s1, s2),
+        )
+    ]
 
 
-def _require_valid_probe(h, z, certificate):
+def _pair_records(h, frame, z, s1, s2):
+    """Secant records for one vertex-disjoint simplex pair (length <= 1), by
+    the one integer solve described in the module docstring; a rank-deficient
+    system goes to the flats construction."""
+    scale, images, zi = frame
+    verts1 = sorted_vertices(s1)
+    verts2 = sorted_vertices(s2)
+    k1 = len(verts1)
+    n = k1 + len(verts2)
+    # columns alpha_1..alpha_k1, nu_1..nu_k2, then the right-hand side
+    rows = [
+        [c - images[v][r] for v in verts1] + [images[w][r] for w in verts2] + [c]
+        for r, c in enumerate(zi)
+    ]
+    rows.append([0] * k1 + [1] * (n - k1) + [1])
+    if len(_echelon_int(rows, pivot_col_limit=n)) < n:
+        return _flats_pair_records(h, z, s1, s2)
+    if any(row[n] for row in rows[n:]):
+        return []
+    # full column rank: pivots sit on the diagonal, and by Cramer's rule the
+    # solution times the last pivot d is integral
+    d = rows[n - 1][n - 1]
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = d * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = _exact_div(acc, row[i])
+    if d < 0:
+        d = -d
+        x = [-t for t in x]
+    alpha, nu = x[:k1], x[k1:]
+    lam = sum(alpha)  # lambda times d
+    if lam == 0 or any(t < 0 for t in nu) or any(t * lam < 0 for t in alpha):
+        return []
+    # scale * d * (p2 - z) and scale * lam * (p1 - z): equal and nonzero
+    # exactly when p2 - z = lambda (p1 - z) with p1 != z
+    num2 = [sum(t * images[w][r] for t, w in zip(nu, verts2)) for r in range(h.m)]
+    num1 = [sum(t * images[v][r] for t, v in zip(alpha, verts1)) for r in range(h.m)]
+    gap = [a - d * c for a, c in zip(num2, zi)]
+    assert gap == [a - lam * c for a, c in zip(num1, zi)] and any(gap)
+    line = canonical_line(AffineFlat(h.m, z, (tuple(gap),)))
+    point1 = tuple(Fraction(a, lam * scale) for a in num1)
+    point2 = tuple(Fraction(a, d * scale) for a in num2)
+    bary1 = BarycentricPoint(verts1, tuple(Fraction(t, lam) for t in alpha))
+    bary2 = BarycentricPoint(verts2, tuple(Fraction(t, d) for t in nu))
+    return [
+        SecantRecord(
+            line=line,
+            z=z,
+            witnesses=((s1, point1, bary1), (s2, point2, bary2)),
+            pair=(s1, s2),
+        )
+    ]
+
+
+def _certified(h, certificate):
     cert = certificate
     if cert is None:
         cert = general_position_certificate(h)
     if not cert.overall:
         raise PreconditionError("map is not in certified general position")
-    d2 = point_to_image_distance_sq_lower(z, h)
-    if d2 == 0:
-        raise PreconditionError("probe point lies on the image")
     return cert
 
 
-def _assert_adjacent_secant_free(h, z, tops):
+def _assert_adjacent_secant_free(h, z, frame, tops):
+    """z is affinely independent of every maximal image simplex and of every
+    vertex-sharing maximal pair's image union, by integer ranks on the frame.
+
+    Passing ranks also put z off the image, which lies in the union of the
+    maximal simplices' affine hulls; the exact distance is computed only to
+    word a failure.
+    """
+    _, images, zi = frame
+
+    def independent(vertices):
+        rows = [[a - c for a, c in zip(images[v], zi)] for v in vertices]
+        return len(rows) <= len(zi) and len(_echelon_int(rows)) == len(rows)
+
+    def fail(message):
+        if point_to_image_distance_sq_lower(z, h) == 0:
+            raise PreconditionError("probe point lies on the image")
+        raise DegenerateGeometryError(message)
+
     for i, s1 in enumerate(tops):
-        if not affinely_independent(h.simplex_images(s1) + [z]):
-            raise DegenerateGeometryError(
-                "probe point affinely dependent with a maximal simplex image"
-            )
+        if not independent(s1):
+            fail("probe point affinely dependent with a maximal simplex image")
         for s2 in tops[i + 1:]:
-            if not (s1 & s2):
-                continue
-            union = sorted_vertices(s1 | s2)
-            pts = [h.images[v] for v in union] + [z]
-            if not affinely_independent(pts):
-                raise DegenerateGeometryError(
+            if s1 & s2 and not independent(s1 | s2):
+                fail(
                     "probe point affinely dependent with an adjacent pair's image union"
                 )
 
@@ -160,8 +250,10 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
         raise ValueError("unknown simplex")
     if s1 & s2:
         raise PreconditionError("simplex pair shares vertices")
-    _require_valid_probe(h, z, certificate)
-    return _pair_records(h, z, s1, s2)
+    cert = _certified(h, certificate)
+    if point_to_image_distance_sq_lower(z, h) == 0:
+        raise PreconditionError("probe point lies on the image")
+    return _pair_records(h, _integer_frame(h, z, cert), z, s1, s2)
 
 
 def _maximal_among(simplices):
@@ -176,9 +268,14 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     simplex inside each marked vertex set.
     """
     z = vec(z)
-    _require_valid_probe(h, z, certificate)
+    cert = _certified(h, certificate)
+    if len(z) != h.m:
+        raise ValueError("ambient dimension mismatch")
     tops = h.complex.maximal_simplices()
-    _assert_adjacent_secant_free(h, z, tops)
+    if not tops:
+        raise ValueError("empty complex has no image")
+    frame = _integer_frame(h, z, cert)
+    _assert_adjacent_secant_free(h, z, frame, tops)
     if gamma is None:
         pairs = [
             (s1, s2)
@@ -198,7 +295,7 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     records = []
     seen = set()
     for s1, s2 in pairs:
-        for rec in _pair_records(h, z, s1, s2):
+        for rec in _pair_records(h, frame, z, s1, s2):
             key = line_key(rec.line)
             if key not in seen:
                 seen.add(key)

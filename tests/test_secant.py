@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from plgp.complexes import PLMap, SimplicialComplex
+import plgp.secant as secant_module
+from plgp.complexes import PLMap, SimplicialComplex, sorted_vertices
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from plgp.exact import norm_sq, vec
 from plgp.flats import AffineFlat, line_key
@@ -12,6 +13,9 @@ from plgp.perturb import general_position_certificate
 from plgp.secant import (
     CoverCertificate,
     ProbePoint,
+    _flats_pair_records,
+    _integer_frame,
+    _pair_records,
     cover_certificate_to_obj,
     line_distance,
     probe_region_samples,
@@ -213,6 +217,42 @@ class TestSecantSet:
         assert len(obj["witnesses"]) == 2
         assert set(obj["witnesses"][0]) == {"simplex", "point", "weights"}
 
+    def test_clean_probe_skips_the_image_distance(self, monkeypatch):
+        h = quad_map()
+        z, _, _ = self.quad_z()
+
+        def forbidden(*args):
+            raise AssertionError("distance computed on the success path")
+
+        monkeypatch.setattr(secant_module, "point_to_image_distance_sq_lower", forbidden)
+        assert secant_set(h, z)
+
+    def test_z_on_image_rejected_by_secant_set(self):
+        h = quad_map()
+        with pytest.raises(PreconditionError, match="lies on the image"):
+            secant_set(h, [F(1, 2), 0, 0])
+
+    def test_z_in_a_maximal_hull_off_image_is_degenerate(self):
+        h = quad_map()
+        with pytest.raises(DegenerateGeometryError, match="maximal simplex image"):
+            secant_set(h, [5, 0, 0])
+
+    def test_wrong_dimension_and_empty_complex_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            secant_set(quad_map(), [1, 2])
+        empty = PLMap(SimplicialComplex((), frozenset()), 3, {})
+        with pytest.raises(ValueError, match="empty complex"):
+            secant_set(empty, [1, 2, 3])
+
+    def test_certificate_of_another_map_keeps_this_maps_frame(self):
+        h = quad_map()
+        z, _, _ = self.quad_z()
+        other = PLMap(h.complex, 3, {v: tuple(2 * x for x in p) for v, p in h.images.items()})
+        other_cert = general_position_certificate(other)
+        assert [line_key(r.line) for r in secant_set(h, z, certificate=other_cert)] == [
+            line_key(r.line) for r in secant_set(h, z)
+        ]
+
 
 class TestZeroDimCertificate:
     def test_empty_set_valid(self):
@@ -312,3 +352,206 @@ class TestUscProbe:
         assert report.baseline_count == 0
         assert report.emergent == 0
         assert report.max_drift == 0.0
+
+
+def random_certified_map(rng, maximal, m, denom=4):
+    """A map of the complex with small grid images, redrawn until certified."""
+    c = SimplicialComplex.from_maximal(maximal)
+    while True:
+        images = {
+            v: vec([F(rng.randrange(-2 * denom, 2 * denom + 1), denom) for _ in range(m)])
+            for v in c.vertices
+        }
+        h = PLMap(c, m, images)
+        cert = general_position_certificate(h)
+        if cert.overall:
+            return h, cert
+
+
+def combination(h, simplex, weights):
+    """sum w_i image(v_i) over the simplex's vertices in canonical order."""
+    out = [F(0)] * h.m
+    for v, w in zip(sorted_vertices(simplex), weights):
+        out = [a + w * b for a, b in zip(out, h.images[v])]
+    return tuple(out)
+
+
+def affine_weights(rng, count, convex):
+    """Weights summing to 1: nonnegative when convex, else some negative."""
+    raw = [F(rng.randrange(1, 9)) for _ in range(count)]
+    if not convex and count > 1:
+        # the total becomes -raw[0], so w_0 = (raw[0] + rest) / raw[0] > 1
+        raw[0] = -raw[0] - sum(raw[1:])
+    total = sum(raw)
+    return [w / total for w in raw]
+
+
+def z_near_a_chord(rng, h, s1, s2):
+    """A point on the line through a point of each simplex, beyond one end or
+    between them; now and then nudged off it, or drawn at random instead."""
+    draw = rng.random()
+    if draw < 0.3:
+        return vec([F(rng.randrange(-96, 97), 32) for _ in range(h.m)])
+    p = combination(h, s1, affine_weights(rng, len(s1), True))
+    q = combination(h, s2, affine_weights(rng, len(s2), True))
+    t = rng.choice([F(-3, 2), F(-1, 3), F(1, 2), F(4, 3), F(5, 2)])
+    z = [a + t * (b - a) for a, b in zip(p, q)]
+    if draw < 0.5:
+        z[rng.randrange(h.m)] += F(1, 16)
+    return tuple(z)
+
+
+class TestKernelOracle:
+    """The one-solve pair kernel against the retained flats construction:
+    the same line, witness points, weights and pair, or the same exception."""
+
+    @pytest.fixture(autouse=True)
+    def count_fallbacks(self, monkeypatch):
+        self.fallbacks = 0
+
+        def counting(*args):
+            self.fallbacks += 1
+            return _flats_pair_records(*args)
+
+        monkeypatch.setattr(secant_module, "_flats_pair_records", counting)
+
+    def both(self, h, cert, z, s1, s2):
+        z = vec(z)
+        s1, s2 = frozenset(s1), frozenset(s2)
+
+        def outcome(run):
+            try:
+                records = run()
+            except Exception as exc:  # noqa: BLE001 - compared by type
+                return type(exc)
+            return [(line_key(r.line), r.witnesses, r.pair) for r in records]
+
+        kernel = outcome(
+            lambda: _pair_records(h, _integer_frame(h, z, cert), z, s1, s2)
+        )
+        oracle = outcome(lambda: _flats_pair_records(h, z, s1, s2))
+        assert kernel == oracle
+        return kernel
+
+    def test_segments_m3(self):
+        rng = random.Random(31)
+        found = 0
+        for _ in range(150):
+            h, cert = random_certified_map(rng, [["a", "b"], ["c", "d"]], 3)
+            z = vec([F(rng.randrange(-96, 97), 32) for _ in range(3)])
+            found += len(self.both(h, cert, z, {"a", "b"}, {"c", "d"}))
+            found += len(self.both(h, cert, z, {"c", "d"}, {"a", "b"}))
+        assert found >= 20
+
+    def test_triangles_m5(self):
+        rng = random.Random(32)
+        s1, s2 = {"a", "b", "c"}, {"d", "e", "f"}
+        found = 0
+        for _ in range(60):
+            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2)], 5)
+            z = z_near_a_chord(rng, h, s1, s2)
+            found += len(self.both(h, cert, z, s1, s2))
+            found += len(self.both(h, cert, z, s2, s1))
+        assert found >= 20
+
+    def test_mixed_faces_m5(self):
+        # every vertex-disjoint face pair, vertex/edge/triangle in both roles
+        rng = random.Random(33)
+        found = 0
+        for _ in range(4):
+            h, cert = random_certified_map(rng, [["a", "b", "c"], ["d", "e"], ["f"]], 5)
+            faces = h.complex.sorted_simplices()
+            for s1 in faces:
+                for s2 in faces:
+                    if not (s1 & s2):
+                        z = z_near_a_chord(rng, h, s1, s2)
+                        found += len(self.both(h, cert, z, s1, s2))
+        assert found >= 20
+
+    def test_z_in_affine_hull_of_either_simplex(self):
+        rng = random.Random(34)
+        s1, s2 = {"a", "b", "c"}, {"d", "e"}
+        for _ in range(10):
+            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2)], 5)
+            z1 = combination(h, s1, affine_weights(rng, 3, False))
+            assert self.both(h, cert, z1, s1, s2) == []
+            assert self.both(h, cert, z1, s2, s1) == []
+            z2 = combination(h, s2, affine_weights(rng, 2, False))
+            assert self.both(h, cert, z2, s1, s2) == []
+            assert self.both(h, cert, z2, s2, s1) == []
+
+    def test_z_on_the_image(self):
+        rng = random.Random(35)
+        s1, s2, s3 = {"a", "b"}, {"c", "d"}, {"e", "f"}
+        for _ in range(10):
+            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2), sorted(s3)], 3)
+            on1 = combination(h, s1, affine_weights(rng, 2, True))
+            on3 = combination(h, s3, affine_weights(rng, 2, True))
+            assert self.both(h, cert, on1, s1, s2) == []
+            assert self.both(h, cert, on1, s2, s1) == []
+            self.both(h, cert, on3, s1, s2)
+            for z in (on1, on3):
+                with pytest.raises(PreconditionError):
+                    secants_for_pair(h, z, s1, s2, certificate=cert)
+                with pytest.raises(PreconditionError):
+                    secant_set(h, z, certificate=cert)
+
+    def test_rank_deficient_system_takes_the_fallback(self):
+        # z in aff(s1) + dir(s2) but off aff(s1): the alpha columns and the
+        # direction space of s2 share a vector
+        rng = random.Random(36)
+        s1, s2 = {"a", "b", "c"}, {"d", "e", "f"}
+        for _ in range(10):
+            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2)], 5)
+            q = combination(h, s1, affine_weights(rng, 3, rng.random() < 0.5))
+            u = tuple(
+                a - b for a, b in zip(combination(h, s2, affine_weights(rng, 3, True)),
+                                      combination(h, s2, affine_weights(rng, 3, True)))
+            )
+            if not any(u):
+                continue
+            z = tuple(a + b for a, b in zip(q, u))
+            before = self.fallbacks
+            self.both(h, cert, z, s1, s2)
+            assert self.fallbacks == before + 1
+
+    def test_line_parallel_to_first_simplex_has_no_secant(self):
+        # z = p2 - u with p2 on s2 and u in dir(s1): the unique solution has
+        # lambda = 0, a line through z parallel to aff(s1)
+        rng = random.Random(37)
+        s1, s2 = {"a", "b"}, {"c", "d"}
+        for _ in range(10):
+            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2)], 3)
+            p2 = combination(h, s2, affine_weights(rng, 2, True))
+            f = rng.randrange(1, 4)
+            u = tuple(f * (a - b) for a, b in zip(h.images["a"], h.images["b"]))
+            z = tuple(a - b for a, b in zip(p2, u))
+            before = self.fallbacks
+            assert self.both(h, cert, z, s1, s2) == []
+            assert self.fallbacks == before
+
+    def test_secant_set_matches_the_flats_enumeration(self, monkeypatch):
+        rng = random.Random(38)
+        maximal = [["a", "b"], ["b", "c"], ["d", "e"], ["f", "g"], ["g", "h"]]
+        total = 0
+        for _ in range(8):
+            h, cert = random_certified_map(rng, maximal, 3)
+            z = vec([F(rng.randrange(-96, 97), 32) for _ in range(3)])
+            try:
+                fast = secant_set(h, z, certificate=cert)
+            except (DegenerateGeometryError, PreconditionError) as exc:
+                fast = type(exc)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    secant_module,
+                    "_pair_records",
+                    lambda h, frame, z, s1, s2: _flats_pair_records(h, z, s1, s2),
+                )
+                try:
+                    slow = secant_set(h, z, certificate=cert)
+                except (DegenerateGeometryError, PreconditionError) as exc:
+                    slow = type(exc)
+            assert fast == slow
+            total += len(fast) if isinstance(fast, list) else 0
+        assert total >= 5
+
