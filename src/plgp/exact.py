@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Rational = Fraction
 
@@ -73,6 +73,19 @@ def norm_sq(a) -> Fraction:
 
 def dist_sq(a, b) -> Fraction:
     return norm_sq(vec_sub(a, b))
+
+
+def integer_points(points):
+    """(scale, rows): every point times scale, the lcm of all coordinate
+    denominators over the list, as a list of tuples of Python ints.
+
+    One common scale keeps affine relations and ratios of squared distances,
+    so exact predicates can run on the rows instead of the Fractions.
+    """
+    scale = lcm(*{x.denominator for p in points for x in p})
+    return scale, [
+        tuple(x.numerator * (scale // x.denominator) for x in p) for p in points
+    ]
 
 
 @dataclass(frozen=True)

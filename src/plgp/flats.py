@@ -15,7 +15,7 @@ image distance and line canonical forms are still used directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +41,8 @@ class AffineFlat:
     m: int
     base: tuple        # point in R^m
     directions: tuple  # linearly independent direction vectors
+    # set by canonical_line only: a line already in canonical form
+    canonical: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.base) != self.m:
@@ -179,13 +181,16 @@ def transversal_line_through_point(z, f1: AffineFlat, f2: AffineFlat):
 
 def canonical_line(line: AffineFlat) -> AffineFlat:
     """Canonical representative: primitive positive-leading direction, base the
-    point of the line closest to the origin (always rational)."""
+    point of the line closest to the origin (always rational).  A line this
+    function returned is returned as it is."""
+    if line.canonical:
+        return line
     if line.d != 1:
         raise ValueError("canonical form is defined for lines only")
     direction = primitive_vector(line.directions[0])
     t = -vec_dot(line.base, direction) / vec_dot(direction, direction)
     foot = vec_add(line.base, vec_scale(t, direction))
-    return AffineFlat(line.m, foot, (direction,))
+    return AffineFlat(line.m, foot, (direction,), canonical=True)
 
 
 def line_key(line: AffineFlat) -> tuple:

@@ -5,6 +5,13 @@ they share a sample point: nerve simplices are the incidence sets of sample
 points and their faces.  That keeps the nerve combinatorial and exact, makes
 every canonical-map carrier a simplex by construction, and bounds the nerve
 dimension by the maximum incidence count minus one.
+
+Incidence is decided on an integer frame: the cloud is scaled once by the
+lcm D of all its coordinate denominators, and a point pair at scaled squared
+distance d2 lies within radius r = num/den of each other exactly when
+d2 * den^2 <= num^2 * D^2.  Each unordered pair is tested once, on Python
+ints, and fills both incidence lists; refinement takes the squared distance
+between the marked sets on the same frame.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from fractions import Fraction
 
 from .complexes import BarycentricPoint, SimplicialComplex
 from .errors import PreconditionError, SeparationError
-from .exact import dist_sq, rat, sqrt_bracket, vec
+from .exact import dist_sq, integer_points, rat, sqrt_bracket, vec
 
 WEIGHT_DENOM = 2 ** 20
 
@@ -55,32 +62,37 @@ class Cover:
     radius: Fraction
 
 
+def _int_dist_sq(p, q) -> int:
+    d = 0
+    for a, b in zip(p, q):
+        d += (a - b) * (a - b)
+    return d
+
+
 def build_cover(cloud: PointCloud, radius) -> Cover:
     radius = rat(radius)
     if radius <= 0:
         raise PreconditionError("cover radius must be positive")
-    r_sq = radius * radius
-    centers = cloud.points
-    incidence = []
-    for p in cloud.points:
-        incidence.append(
-            tuple(
-                i for i, c in enumerate(centers) if dist_sq(p, c) <= r_sq
-            )
-        )
-    member_of = [set() for _ in centers]
-    for idx, inc in enumerate(incidence):
-        for i in inc:
-            member_of[i].add(idx)
-    b1_elements = frozenset(
-        i for i, members in enumerate(member_of) if members & cloud.b1
-    )
-    b2_elements = frozenset(
-        i for i, members in enumerate(member_of) if members & cloud.b2
-    )
+    scale, points = integer_points(cloud.points)
+    # dist(p, q) <= r  iff  |scale p - scale q|^2 * r.den^2 <= (r.num * scale)^2
+    den_sq = radius.denominator ** 2
+    bound = (radius.numerator * scale) ** 2
+    incidence = [[] for _ in points]
+    for i, p in enumerate(points):
+        # each list receives lower indices first, then itself, then higher
+        # ones, so it comes out sorted
+        incidence[i].append(i)
+        for j, q in enumerate(points[i + 1:], i + 1):
+            if _int_dist_sq(p, q) * den_sq <= bound:
+                incidence[i].append(j)
+                incidence[j].append(i)
+    # incidence is symmetric (centers are the points), so element i meets
+    # exactly the points of incidence[i]
+    b1_elements = frozenset(i for idx in cloud.b1 for i in incidence[idx])
+    b2_elements = frozenset(i for idx in cloud.b2 for i in incidence[idx])
     return Cover(
-        elements=tuple((c, radius) for c in centers),
-        incidence=tuple(incidence),
+        elements=tuple((c, radius) for c in cloud.points),
+        incidence=tuple(map(tuple, incidence)),
         b1_elements=b1_elements,
         b2_elements=b2_elements,
         separated=not (b1_elements & b2_elements),
@@ -107,10 +119,10 @@ def refine_for_separation(cloud: PointCloud, radius) -> Cover:
     cover = build_cover(cloud, radius)
     if not cloud.b1 or not cloud.b2:
         return cover
-    d_sq = min(
-        dist_sq(cloud.points[i], cloud.points[j])
-        for i in cloud.b1
-        for j in cloud.b2
+    scale, points = integer_points(cloud.points)
+    d_sq = Fraction(
+        min(_int_dist_sq(points[i], points[j]) for i in cloud.b1 for j in cloud.b2),
+        scale * scale,
     )
     if d_sq == 0:
         raise SeparationError("marked sets touch; no separating radius exists")

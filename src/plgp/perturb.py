@@ -25,11 +25,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .complexes import PLMap, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
-from .exact import _echelon_int, norm_sq, rat, rat_str, sqrt_bracket, vec_add
+from .exact import (
+    _echelon_int,
+    integer_points,
+    norm_sq,
+    rat,
+    rat_str,
+    sqrt_bracket,
+    vec_add,
+)
 
 GRID = 2 ** 32
 DEFAULT_MAX_ROUNDS = 32
@@ -53,16 +60,11 @@ class PerturbationReport:
 
 def integer_images(h: PLMap):
     """(scale, images): every vertex image times scale, the lcm of all
-    coordinate denominators over the map, as a tuple of Python ints."""
-    scale = 1
-    for v in h.complex.vertices:
-        for x in h.images[v]:
-            scale = lcm(scale, x.denominator)
-    images = {
-        v: tuple(x.numerator * (scale // x.denominator) for x in h.images[v])
-        for v in h.complex.vertices
-    }
-    return scale, images
+    coordinate denominators over the map, as tuples of Python ints keyed by
+    vertex."""
+    vertices = list(h.complex.vertices)
+    scale, rows = integer_points([h.images[v] for v in vertices])
+    return scale, dict(zip(vertices, rows))
 
 
 class MaximalVerdicts:

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .complexes import BarycentricPoint, PLMap, simplex_key, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
-from .exact import _echelon_int, _exact_div, norm_sq, rat, rat_str, vec, vec_add
+from .exact import _echelon_int, _exact_div, norm_sq, rat, rat_str, vec
 from .flats import (
     AffineFlat,
     canonical_line,
@@ -93,15 +93,6 @@ class CoverCertificate:
     @property
     def valid(self) -> bool:
         return self.mesh_ok and self.disjoint_ok
-
-
-@dataclass(frozen=True)
-class UscReport:
-    trials: int
-    skipped: int
-    max_drift: float
-    emergent: int
-    baseline_count: int
 
 
 def _integer_frame(h, z, cert):
@@ -292,16 +283,11 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
         pairs = [
             (s1, s2) for s1 in side1 for s2 in side2 if not (s1 & s2)
         ]
-    records = []
-    seen = set()
+    by_key = {}
     for s1, s2 in pairs:
         for rec in _pair_records(h, frame, z, s1, s2):
-            key = line_key(rec.line)
-            if key not in seen:
-                seen.add(key)
-                records.append(rec)
-    records.sort(key=lambda r: line_key(r.line))
-    return records
+            by_key.setdefault(line_key(rec.line), rec)
+    return [by_key[key] for key in sorted(by_key)]
 
 
 @dataclass(frozen=True)
@@ -437,56 +423,6 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
             continue
         out.append(ProbePoint(z, k, d2))
     return out
-
-
-def usc_probe(h: PLMap, probe: ProbePoint, scale, trials: int, seed: int):
-    """Numerical stability probe: jitter vertex images and z, watch the secants.
-
-    Reports how far perturbed secant lines drift from the baseline set, and
-    counts lines that emerge with no baseline at all.  A trial whose jitter
-    breaks the certificate or lands z on the image is skipped and counted.
-    """
-    scale = rat(scale)
-    if scale < 0:
-        raise PreconditionError("scale must be nonnegative")
-    baseline = secant_set(h, probe.z)
-    clip = probe.k + scale
-    rng = random.Random(seed)
-    skipped = 0
-    emergent = 0
-    max_drift = 0.0
-
-    def jitter_vec():
-        return tuple(
-            scale * Fraction(rng.randrange(-GRID, GRID + 1), GRID)
-            for _ in range(h.m)
-        )
-
-    for _ in range(trials):
-        images = {
-            v: vec_add(h.images[v], jitter_vec())
-            for v in sorted(h.complex.vertices, key=str)
-        }
-        zp = vec_add(probe.z, jitter_vec())
-        hp = PLMap(h.complex, h.m, images)
-        cert = general_position_certificate(hp)
-        if not cert.overall or point_to_image_distance_sq_lower(zp, hp) == 0:
-            skipped += 1
-            continue
-        try:
-            perturbed = secant_set(hp, zp, certificate=cert)
-        except DegenerateGeometryError:
-            skipped += 1
-            continue
-        for rec in perturbed:
-            if baseline:
-                drift = min(
-                    line_distance(rec.line, b.line, clip) for b in baseline
-                )
-                max_drift = max(max_drift, drift)
-            else:
-                emergent += 1
-    return UscReport(trials, skipped, max_drift, emergent, len(baseline))
 
 
 def record_to_obj(rec: SecantRecord) -> dict:

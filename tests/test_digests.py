@@ -1,4 +1,4 @@
-"""Report bytes stay put: seed 1 of two benchmark workloads against the
+"""Report bytes stay put: seed 1 of every benchmark workload against the
 reference stdout digests in bench/digests.json.
 
 Inputs come from bench/workloads.py, so each command sees exactly the files
@@ -7,10 +7,8 @@ and relative paths the benchmark gives it; nothing under bench/ is written.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,17 +20,6 @@ BENCH = ROOT / "bench"
 SEED = 1
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", BENCH / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their defining module up in sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def _stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -40,15 +27,18 @@ def _stdout(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("workload", ["probe-sweep", "fibered-octafiber"])
-def test_stdout_matches_reference_digests(workload, tmp_path, monkeypatch):
-    workloads = _workloads()
+@pytest.mark.parametrize(
+    "workload", ["embed-ladder", "probe-sweep", "fibered-octafiber", "nerve-cloud"]
+)
+def test_stdout_matches_reference_digests(
+    workload, bench_workloads, tmp_path, monkeypatch
+):
     reference = json.loads((BENCH / "digests.json").read_text())[workload][str(SEED)]
-    workloads.write_inputs(workload, SEED, str(ROOT), str(tmp_path))
+    bench_workloads.write_inputs(workload, SEED, str(ROOT), str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    for argv in workloads.setup_argv(workload, SEED):
+    for argv in bench_workloads.setup_argv(workload, SEED):
         assert _stdout(argv)[0] == 0
-    commands = workloads.commands(workload, SEED)
+    commands = bench_workloads.commands(workload, SEED)
     assert {c.case for c in commands} == set(reference)
     for command in commands:
         code, text = _stdout(command.argv)

@@ -17,6 +17,7 @@ from plgp.exact import (
     Matrix,
     affinely_independent,
     det,
+    integer_points,
     primitive_vector,
     rank,
     rat,
@@ -83,6 +84,12 @@ class TestRationals:
             rat("1/0")
         with pytest.raises(ValueError):
             rat("one half")
+
+    def test_integer_points_share_one_scale(self):
+        scale, rows = integer_points([vec(["1/2", "-2/3"]), vec(["5", "0.25"])])
+        assert scale == 12
+        assert rows == [(6, -8), (60, 3)]
+        assert integer_points([]) == (1, [])
 
 
 class TestDet:

@@ -302,6 +302,15 @@ class TestCanonicalLine:
         assert line_key(back) == line_key(line)
         assert obj["direction"] == ["0", "1", "-2"]
 
+    def test_canonical_line_is_kept_and_compares_by_value(self):
+        c = canonical_line(AffineFlat(3, vec([1, 2, 3]), (vec([0, -2, 4]),)))
+        assert canonical_line(c) is c
+        plain = AffineFlat(c.m, c.base, c.directions)
+        assert not plain.canonical
+        assert plain == c and hash(plain) == hash(c)
+        # the canonical form is a fixed point, so trusting the flag is sound
+        assert canonical_line(plain) == c
+
 
 class TestPointToImageDistance:
     def test_foot_inside_segment(self):

@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from plgp.complexes import validate
+from plgp.complexes import complex_to_obj, validate
 from plgp.errors import PreconditionError, SeparationError
+from plgp.exact import dist_sq
 from plgp.nerve import (
     Cover,
     PointCloud,
@@ -99,6 +101,123 @@ class TestRefineForSeparation:
         assert not witness_violation(cover)
         nerve = nerve_complex(cover)
         assert not validate(nerve)
+
+
+def oracle_cover(cloud, radius):
+    """The Fraction definition of the cover: point p meets ball i iff
+    dist_sq(p, centers[i]) <= r^2, and element i meets a marked set iff one
+    of its member points is marked."""
+    radius = Fraction(radius)
+    centers = cloud.points
+    incidence = tuple(
+        tuple(i for i, c in enumerate(centers) if dist_sq(p, c) <= radius * radius)
+        for p in cloud.points
+    )
+    members = [
+        {idx for idx, inc in enumerate(incidence) if i in inc}
+        for i in range(len(centers))
+    ]
+    b1 = frozenset(i for i, mem in enumerate(members) if mem & cloud.b1)
+    b2 = frozenset(i for i, mem in enumerate(members) if mem & cloud.b2)
+    return Cover(
+        elements=tuple((c, radius) for c in centers),
+        incidence=incidence,
+        b1_elements=b1,
+        b2_elements=b2,
+        separated=not (b1 & b2),
+        radius=radius,
+    )
+
+
+def oracle_refine(cloud, radius):
+    """Halving refinement over oracle covers, with a Fraction distance."""
+    cover = oracle_cover(cloud, radius)
+    if not cloud.b1 or not cloud.b2:
+        return cover
+    d_sq = min(
+        dist_sq(cloud.points[i], cloud.points[j])
+        for i in cloud.b1
+        for j in cloud.b2
+    )
+    if d_sq == 0:
+        raise SeparationError("marked sets touch")
+    if cover.separated and not witness_violation(cover):
+        return cover
+    r = Fraction(radius)
+    while 4 * r * r >= d_sq:
+        r /= 2
+    cover = oracle_cover(cloud, r)
+    while witness_violation(cover):
+        r /= 2
+        cover = oracle_cover(cloud, r)
+    return cover
+
+
+RADII = (F(3, 7), F(5, 7), F(1), F(5, 2))
+
+
+def random_cloud(rng, m, radius):
+    """Points with mixed denominators and signs, a duplicate, and a pair at
+    distance exactly radius (offset radius * (3/5, 4/5, 0, ...))."""
+    points = [
+        [F(rng.randint(-3 * d, 3 * d), d) for d in rng.choices((1, 2, 3, 7, 256), k=m)]
+        for _ in range(rng.randint(2, 14))
+    ]
+    points.append(list(rng.choice(points)))
+    base = rng.choice(points)
+    offset = [radius * F(3, 5), radius * F(4, 5)] if m > 1 else [radius]
+    offset += [F(0)] * (m - len(offset))
+    points.append([a + b for a, b in zip(base, offset)])
+    rng.shuffle(points)
+    marked = rng.sample(range(len(points)), rng.randint(0, len(points)))
+    cut = rng.randint(0, len(marked))
+    return point_cloud(points, marked[:cut], marked[cut:])
+
+
+def cover_fields(cover):
+    return (
+        cover.radius,
+        cover.incidence,
+        cover.b1_elements,
+        cover.b2_elements,
+        cover.separated,
+    )
+
+
+class TestIntegerCoverOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_random_clouds_match_fraction_definition(self, m):
+        rng = random.Random(m)
+        for _ in range(12):
+            for radius in RADII:
+                cloud = random_cloud(rng, m, radius)
+                got = build_cover(cloud, radius)
+                assert cover_fields(got) == cover_fields(oracle_cover(cloud, radius))
+                try:
+                    expected = oracle_refine(cloud, radius)
+                except SeparationError:
+                    with pytest.raises(SeparationError):
+                        refine_for_separation(cloud, radius)
+                    continue
+                got = refine_for_separation(cloud, radius)
+                assert cover_fields(got) == cover_fields(expected)
+
+    def test_boundary_pair_at_non_dyadic_radius(self):
+        just_outside = [F(3, 7), F(4, 7) + F(1, 10**9)]
+        cloud = point_cloud([[0, 0], [F(3, 7), F(4, 7)], just_outside])
+        cover = build_cover(cloud, F(5, 7))
+        assert cover.incidence == ((0, 1), (0, 1, 2), (1, 2))
+        assert cover_fields(cover) == cover_fields(oracle_cover(cloud, F(5, 7)))
+
+    def test_benchmark_cloud_refines_like_the_oracle(self, bench_workloads):
+        rows, b1, b2 = bench_workloads.cloud_rows(1)
+        cloud = point_cloud(rows, b1, b2)
+        got = refine_for_separation(cloud, 2)
+        expected = oracle_refine(cloud, 2)
+        assert cover_fields(got) == cover_fields(expected)
+        assert complex_to_obj(nerve_complex(got)) == complex_to_obj(
+            nerve_complex(expected)
+        )
 
 
 class TestNerveComplex:

@@ -23,7 +23,6 @@ from plgp.secant import (
     secant_pairs,
     secant_set,
     secants_for_pair,
-    usc_probe,
     zero_dim_certificate,
 )
 
@@ -324,34 +323,6 @@ class TestProbeRegion:
             ProbePoint((F(3), F(0), F(0)), F(2), F(9))
         with pytest.raises(ValueError):
             ProbePoint((F(1), F(0), F(0)), F(2), F(1, 100))
-
-
-class TestUscProbe:
-    def test_zero_scale_zero_drift(self):
-        h = quad_map()
-        z = (F(1, 2), 2, F(10, 21))
-        probe = ProbePoint(z, F(3), F(1))  # distance bound checked separately
-        report = usc_probe(h, probe, 0, trials=5, seed=3)
-        assert report.max_drift == 0.0
-        assert report.skipped == 0
-        assert report.emergent == 0
-        assert report.baseline_count >= 1
-
-    def test_small_scale_small_drift(self):
-        h = quad_map()
-        z = (F(1, 2), 2, F(10, 21))
-        probe = ProbePoint(z, F(3), F(1))
-        report = usc_probe(h, probe, F(1, 10 ** 6), trials=10, seed=3)
-        assert report.max_drift < 1e-3
-        assert report.trials == 10
-
-    def test_empty_baseline_stays_empty(self):
-        h = two_segments_map()
-        probe = ProbePoint((F(1), F(1), F(1)), F(3), F(1))
-        report = usc_probe(h, probe, F(1, 10 ** 6), trials=10, seed=5)
-        assert report.baseline_count == 0
-        assert report.emergent == 0
-        assert report.max_drift == 0.0
 
 
 def random_certified_map(rng, maximal, m, denom=4):
