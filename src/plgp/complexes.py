@@ -32,6 +32,17 @@ def sorted_vertices(simplex):
     return tuple(sorted(simplex, key=str))
 
 
+def maximal_faces(faces) -> list:
+    """The maximal members of a face-closed family, in simplex_key order.
+
+    In a face-closed family a face is non-maximal iff it is some member
+    minus one vertex, so one pass over the members decides every face.
+    """
+    faces = set(faces)
+    covered = {t - {v} for t in faces if len(t) > 1 for v in t}
+    return sorted(faces - covered, key=simplex_key)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     vertices: tuple          # all vertex ids, canonical order
@@ -60,12 +71,10 @@ class SimplicialComplex:
         return max(len(s) for s in self.simplices) - 1
 
     def maximal_simplices(self) -> list:
-        # face closure: a face is non-maximal iff it is some face minus one
-        # vertex; computed once and stored on the (immutable) instance
+        # computed once and stored on the (immutable) instance
         tops = self.__dict__.get("_maximal")
         if tops is None:
-            covered = {t - {v} for t in self.simplices if len(t) > 1 for v in t}
-            tops = tuple(sorted(self.simplices - covered, key=simplex_key))
+            tops = tuple(maximal_faces(self.simplices))
             object.__setattr__(self, "_maximal", tops)
         return list(tops)
 

@@ -88,6 +88,15 @@ def integer_points(points):
     ]
 
 
+def widen_frame(scale, point):
+    """(wide, ints): wide is the lcm of scale and the point's coordinate
+    denominators, and ints the point times wide, as a list of Python ints.
+    Integer points on scale join the frame when multiplied by wide // scale.
+    """
+    wide = lcm(scale, *(x.denominator for x in point))
+    return wide, [x.numerator * (wide // x.denominator) for x in point]
+
+
 @dataclass(frozen=True)
 class Matrix:
     rows: int
@@ -180,6 +189,42 @@ def _echelon_int(rows, pivot_col_limit=None):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _solve_echelon_int(rows, n):
+    """(d, columns) for a system of full column rank n that _echelon_int has
+    put in echelon form: d > 0, and one integer column x per augmented
+    column b with A x = d b.
+
+    d is the absolute value of the last pivot, which is +-det of the leading
+    n x n subsystem, so d times the solution is integral by Cramer's rule and
+    every division below is exact.
+    """
+    d = rows[n - 1][n - 1]
+    sign = 1 if d > 0 else -1
+    columns = []
+    for b in range(n, len(rows[0])):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            acc = d * row[b] - sum(row[j] * x[j] for j in range(i + 1, n))
+            x[i] = _exact_div(acc, row[i])
+        columns.append([sign * t for t in x])
+    return sign * d, columns
+
+
+def inverse_int(matrix):
+    """(d, X) for a square integer matrix A given as rows: d = |det A| and
+    X = d A^-1, both in integers, by one Bareiss solve of [A | I]; None when
+    A is singular."""
+    n = len(matrix)
+    if n == 0:
+        return 1, []
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    if len(_echelon_int(rows, pivot_col_limit=n)) < n:
+        return None
+    d, columns = _solve_echelon_int(rows, n)
+    return d, [list(r) for r in zip(*columns)]
 
 
 def det(m: Matrix) -> Fraction:

@@ -9,20 +9,26 @@ downstream only existence matters.
 Secant enumeration no longer runs on this chain: it solves one integer
 system per simplex pair (see plgp.secant).  The transversal and
 line-simplex constructions here remain its independent oracle, in the tests
-and the acceptance gate, and its fallback on rank-deficient systems; the
-image distance and line canonical forms are still used directly.
+and the acceptance gate, and its fallback on rank-deficient systems; line
+canonical forms are still used directly.
+
+The exact distance from a point to the image polyhedron (ImageDistance) is
+an integer computation over a table built once per map: every face is
+visited once, on images scaled by one common denominator, and each point
+costs integer dot products per face plus one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DegenerateGeometryError, PreconditionError
 from .exact import (
     Matrix,
     affinely_independent,
+    inverse_int,
     primitive_vector,
     rank,
     rat_str,
@@ -32,8 +38,10 @@ from .exact import (
     vec_dot,
     vec_scale,
     vec_sub,
+    widen_frame,
 )
 from .complexes import BarycentricPoint, PLMap, sorted_vertices
+from .perturb import integer_images
 
 
 @dataclass(frozen=True)
@@ -50,9 +58,12 @@ class AffineFlat:
         for d in self.directions:
             if len(d) != self.m:
                 raise ValueError("direction has wrong ambient dimension")
-        if self.directions:
-            if rank(Matrix.from_rows(self.directions)) != len(self.directions):
-                raise ValueError("directions are linearly dependent")
+        if len(self.directions) == 1:
+            independent = any(self.directions[0])
+        else:
+            independent = rank(Matrix.from_rows(self.directions)) == self.d
+        if not independent:
+            raise ValueError("directions are linearly dependent")
         if self.d > self.m:
             raise ValueError("flat dimension exceeds ambient dimension")
 
@@ -187,10 +198,16 @@ def canonical_line(line: AffineFlat) -> AffineFlat:
         return line
     if line.d != 1:
         raise ValueError("canonical form is defined for lines only")
-    direction = primitive_vector(line.directions[0])
-    t = -vec_dot(line.base, direction) / vec_dot(direction, direction)
-    foot = vec_add(line.base, vec_scale(t, direction))
-    return AffineFlat(line.m, foot, (direction,), canonical=True)
+    return line_through(line.base, line.directions[0])
+
+
+def line_through(z, direction) -> AffineFlat:
+    """The canonical line through the point z along a nonzero direction of
+    rationals or ints."""
+    direction = primitive_vector(direction)
+    t = -vec_dot(z, direction) / vec_dot(direction, direction)
+    foot = vec_add(z, vec_scale(t, direction))
+    return AffineFlat(len(z), foot, (direction,), canonical=True)
 
 
 def line_key(line: AffineFlat) -> tuple:
@@ -251,58 +268,85 @@ def line_meets_simplex(line: AffineFlat, h: PLMap, simplex):
     return point, BarycentricPoint(verts, tuple(weights))
 
 
-def point_to_simplex_distance_sq(z, imgs) -> Fraction:
-    """Exact squared distance from z to the convex hull of the given points.
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
-    Enumerates the affine hull projection of every vertex subset; skips
-    affinely dependent subsets (their hulls are covered by independent ones).
+
+class _Face(NamedTuple):
+    """One nondegenerate face on the integer frame: the differences of its
+    other vertex images from the first, and det G > 0 and adj G of their
+    Gram matrix G."""
+
+    diffs: list
+    det: int
+    adj: list
+
+    def gap(self, u, uu, f):
+        """det * (wide * distance from z to the closed face)^2, or None when
+        the foot of z on the face's affine hull lies outside the face.
+
+        u = wide * (z - w0) and uu = |u|^2, with wide = f * scale.  With
+        r = diffs . u, the foot's weights on the differences are
+        lambda = adj r / (det f), so it lies in the closed face iff every
+        lambda >= 0 and sum lambda <= 1.
+        """
+        r = [_dot(d, u) for d in self.diffs]
+        lam = [_dot(row, r) for row in self.adj]
+        if any(t < 0 for t in lam) or sum(lam) > self.det * f:
+            return None
+        return uu * self.det - _dot(r, lam)
+
+
+class ImageDistance:
+    """Exact squared distance from points of R^m to the image polyhedron of h.
+
+    Built once per map.  The vertex images are scaled by one common
+    denominator, and every face of the (face-closed) complex, which is every
+    vertex subset of a maximal simplex, is visited once: its Gram matrix is
+    inverted fraction-free, and a degenerate face (det G = 0) is skipped, its
+    hull being covered by nondegenerate faces.  Calling the table on z widens
+    the scale by z's denominators and takes the squared distance from z to
+    the foot of z on each face's affine hull, for the faces that contain
+    their foot; the nearest point of the image is one of these feet.  The
+    minimum is found by integer cross-multiplication and returned as one
+    Fraction.
     """
-    z = vec(z)
-    best = None
-    n = len(imgs)
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            pts = [imgs[i] for i in subset]
-            w0 = pts[0]
-            if size == 1:
-                cand = vec_sub(z, w0)
-                d = vec_dot(cand, cand)
-                if best is None or d < best:
-                    best = d
-                continue
-            diffs = [vec_sub(p, w0) for p in pts[1:]]
-            gram = Matrix.from_rows(
-                [[vec_dot(a, b) for b in diffs] for a in diffs]
-            )
-            rhs = [vec_dot(a, vec_sub(z, w0)) for a in diffs]
-            sol = solve_affine(gram, rhs)
-            if sol is None or sol.kernel:
-                continue
-            lam = sol.particular
-            mu0 = 1 - sum(lam, Fraction(0))
-            if mu0 < 0 or any(x < 0 for x in lam):
-                continue
-            proj = w0
-            for t, dvec in zip(lam, diffs):
-                proj = vec_add(proj, vec_scale(t, dvec))
-            gap = vec_sub(z, proj)
-            d = vec_dot(gap, gap)
-            if best is None or d < best:
-                best = d
-    return best
+
+    def __init__(self, h: PLMap):
+        if not h.complex.simplices:
+            raise ValueError("empty complex has no image")
+        self.m = h.m
+        self.scale, images = integer_images(h)
+        groups = {}
+        for s in h.complex.simplices:
+            first, *rest = sorted_vertices(s)
+            w0 = images[first]
+            diffs = [tuple(a - b for a, b in zip(images[v], w0)) for v in rest]
+            inverse = inverse_int([[_dot(a, b) for b in diffs] for a in diffs])
+            if inverse is not None:
+                groups.setdefault(first, []).append(_Face(diffs, *inverse))
+        # faces grouped by first vertex, so z - w0 is formed once per vertex
+        self.groups = [(images[v], faces) for v, faces in groups.items()]
+
+    def __call__(self, z) -> Fraction:
+        z = vec(z)
+        if len(z) != self.m:
+            raise ValueError("ambient dimension mismatch")
+        wide, zi = widen_frame(self.scale, z)
+        f = wide // self.scale
+        best, best_det = None, 1
+        for w0, faces in self.groups:
+            u = [a - f * b for a, b in zip(zi, w0)]
+            uu = _dot(u, u)
+            for face in faces:
+                gap = face.gap(u, uu, f)
+                if gap is not None and (best is None or gap * best_det < best * face.det):
+                    best, best_det = gap, face.det
+        return Fraction(best, best_det * wide * wide)
 
 
 def point_to_image_distance_sq_lower(z, h: PLMap) -> Fraction:
-    """Exact squared distance from z to the image polyhedron."""
-    z = vec(z)
-    if len(z) != h.m:
-        raise ValueError("ambient dimension mismatch")
-    tops = h.complex.maximal_simplices()
-    if not tops:
-        raise ValueError("empty complex has no image")
-    best = None
-    for s in tops:
-        d = point_to_simplex_distance_sq(z, h.simplex_images(s))
-        if best is None or d < best:
-            best = d
-    return best
+    """Exact squared distance from z to the image polyhedron, on the integer
+    frame one face at a time: builds the map's ImageDistance and evaluates
+    it once.  Callers with many points build the table once themselves."""
+    return ImageDistance(h)(z)

@@ -41,14 +41,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import BarycentricPoint, PLMap, simplex_key, sorted_vertices
+from .complexes import BarycentricPoint, PLMap, maximal_faces, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
-from .exact import _echelon_int, _exact_div, norm_sq, rat, rat_str, vec
+from .exact import (
+    _echelon_int,
+    _solve_echelon_int,
+    norm_sq,
+    rat,
+    rat_str,
+    vec,
+    widen_frame,
+)
 from .flats import (
-    AffineFlat,
-    canonical_line,
+    ImageDistance,
     line_key,
     line_meets_simplex,
+    line_through,
     line_to_obj,
     point_to_image_distance_sq_lower,
     span_of_points,
@@ -107,12 +115,11 @@ def _integer_frame(h, z, cert):
         scale, images = maximal.scale, maximal.images
     else:
         scale, images = integer_images(h)
-    wide = math.lcm(scale, *(x.denominator for x in z))
+    wide, zi = widen_frame(scale, z)
     if wide != scale:
         f = wide // scale
         images = {v: tuple(f * x for x in p) for v, p in images.items()}
-    zi = tuple(x.numerator * (wide // x.denominator) for x in z)
-    return wide, images, zi
+    return wide, images, tuple(zi)
 
 
 def _flats_pair_records(h, z, s1, s2):
@@ -158,17 +165,8 @@ def _pair_records(h, frame, z, s1, s2):
         return _flats_pair_records(h, z, s1, s2)
     if any(row[n] for row in rows[n:]):
         return []
-    # full column rank: pivots sit on the diagonal, and by Cramer's rule the
-    # solution times the last pivot d is integral
-    d = rows[n - 1][n - 1]
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = d * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
-        x[i] = _exact_div(acc, row[i])
-    if d < 0:
-        d = -d
-        x = [-t for t in x]
+    # full column rank: the solution times d is integral
+    d, (x,) = _solve_echelon_int(rows, n)
     alpha, nu = x[:k1], x[k1:]
     lam = sum(alpha)  # lambda times d
     if lam == 0 or any(t < 0 for t in nu) or any(t * lam < 0 for t in alpha):
@@ -179,7 +177,7 @@ def _pair_records(h, frame, z, s1, s2):
     num1 = [sum(t * images[v][r] for t, v in zip(alpha, verts1)) for r in range(h.m)]
     gap = [a - d * c for a, c in zip(num2, zi)]
     assert gap == [a - lam * c for a, c in zip(num1, zi)] and any(gap)
-    line = canonical_line(AffineFlat(h.m, z, (tuple(gap),)))
+    line = line_through(z, gap)
     point1 = tuple(Fraction(a, lam * scale) for a in num1)
     point2 = tuple(Fraction(a, d * scale) for a in num2)
     bary1 = BarycentricPoint(verts1, tuple(Fraction(t, lam) for t in alpha))
@@ -247,11 +245,6 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
     return _pair_records(h, _integer_frame(h, z, cert), z, s1, s2)
 
 
-def _maximal_among(simplices):
-    items = sorted(simplices, key=simplex_key)
-    return [s for s in items if not any(s < t for t in items)]
-
-
 def secant_set(h: PLMap, z, gamma=None, certificate=None):
     """All secant records through z, deduplicated by canonical line.
 
@@ -278,8 +271,9 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
         b1, b2 = gamma
         b1 = frozenset(b1)
         b2 = frozenset(b2)
-        side1 = _maximal_among([s for s in h.complex.simplices if s <= b1])
-        side2 = _maximal_among([s for s in h.complex.simplices if s <= b2])
+        # the faces inside a marked set are face-closed, like the complex
+        side1 = maximal_faces([s for s in h.complex.simplices if s <= b1])
+        side2 = maximal_faces([s for s in h.complex.simplices if s <= b2])
         pairs = [
             (s1, s2) for s1 in side1 for s2 in side2 if not (s1 & s2)
         ]
@@ -402,6 +396,7 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
     rng = random.Random(seed)
     k_sq = k * k
     min_d2 = 1 / k_sq
+    distance_sq = ImageDistance(h)
     budget = PROBE_BUDGET_FACTOR * count
     draws = 0
     out = []
@@ -418,7 +413,7 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
         )
         if norm_sq(z) > k_sq:
             continue
-        d2 = point_to_image_distance_sq_lower(z, h)
+        d2 = distance_sq(z)
         if d2 < min_d2:
             continue
         out.append(ProbePoint(z, k, d2))

@@ -1,5 +1,6 @@
-"""Report bytes stay put: seed 1 of every benchmark workload against the
-reference stdout digests in bench/digests.json.
+"""Report bytes stay put: seed 1 of every benchmark workload, and seed 2 of
+the two workloads that draw probe points, against the reference stdout
+digests in bench/digests.json.
 
 Inputs come from bench/workloads.py, so each command sees exactly the files
 and relative paths the benchmark gives it; nothing under bench/ is written.
@@ -17,7 +18,9 @@ from plgp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
-SEED = 1
+WORKLOADS = ("embed-ladder", "probe-sweep", "fibered-octafiber", "nerve-cloud")
+# more probe draws and rejection decisions pinned by bytes
+PROBING = ("probe-sweep", "fibered-octafiber")
 
 
 def _stdout(argv):
@@ -28,17 +31,19 @@ def _stdout(argv):
 
 
 @pytest.mark.parametrize(
-    "workload", ["embed-ladder", "probe-sweep", "fibered-octafiber", "nerve-cloud"]
+    "workload, seed",
+    [pytest.param(w, 1, id=w) for w in WORKLOADS]
+    + [pytest.param(w, 2, id=f"{w}-seed2") for w in PROBING],
 )
 def test_stdout_matches_reference_digests(
-    workload, bench_workloads, tmp_path, monkeypatch
+    workload, seed, bench_workloads, tmp_path, monkeypatch
 ):
-    reference = json.loads((BENCH / "digests.json").read_text())[workload][str(SEED)]
-    bench_workloads.write_inputs(workload, SEED, str(ROOT), str(tmp_path))
+    reference = json.loads((BENCH / "digests.json").read_text())[workload][str(seed)]
+    bench_workloads.write_inputs(workload, seed, str(ROOT), str(tmp_path))
     monkeypatch.chdir(tmp_path)
-    for argv in bench_workloads.setup_argv(workload, SEED):
+    for argv in bench_workloads.setup_argv(workload, seed):
         assert _stdout(argv)[0] == 0
-    commands = bench_workloads.commands(workload, SEED)
+    commands = bench_workloads.commands(workload, seed)
     assert {c.case for c in commands} == set(reference)
     for command in commands:
         code, text = _stdout(command.argv)

@@ -18,6 +18,7 @@ from plgp.exact import (
     affinely_independent,
     det,
     integer_points,
+    inverse_int,
     primitive_vector,
     rank,
     rat,
@@ -26,6 +27,7 @@ from plgp.exact import (
     sqrt_bracket,
     sqrt_upper,
     vec,
+    widen_frame,
 )
 
 
@@ -91,6 +93,10 @@ class TestRationals:
         assert rows == [(6, -8), (60, 3)]
         assert integer_points([]) == (1, [])
 
+    def test_widen_frame_takes_in_the_point_denominators(self):
+        assert widen_frame(12, vec(["1/8", "-2/3", "5"])) == (24, [3, -16, 120])
+        assert widen_frame(12, vec(["1/4", "7"])) == (12, [3, 84])
+
 
 class TestDet:
     def test_identity_3x3(self):
@@ -118,6 +124,39 @@ class TestDet:
     @given(square_matrices())
     def test_matches_cofactor_oracle(self, rows):
         assert det(Matrix.from_rows(rows)) == cofactor_det(rows)
+
+
+class TestInverseInt:
+    def check(self, rows):
+        """d = |det A| by the cofactor oracle, and A X = d I."""
+        d, x = inverse_int(rows)
+        n = len(rows)
+        assert d == abs(cofactor_det(rows)) > 0
+        product = [
+            [sum(rows[i][k] * x[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+    def test_negative_determinant_and_row_swaps(self):
+        # det -2 leaves a negative last pivot; d = 2 and X = -adj A
+        assert inverse_int([[1, 2], [3, 4]]) == (2, [[-4, 2], [3, -1]])
+        # det -1 and -10 with zero leading entries: the elimination swaps rows
+        assert inverse_int([[0, 1], [1, 0]]) == (1, [[0, 1], [1, 0]])
+        self.check([[0, 0, 1], [0, 2, 0], [5, 0, 0]])
+
+    def test_empty_and_singular(self):
+        assert inverse_int([]) == (1, [])
+        assert inverse_int([[1, 2], [2, 4]]) is None
+        assert inverse_int([[0, 0], [0, 0]]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_matches_cofactor_oracle(self, rows):
+        if cofactor_det(rows) == 0:
+            assert inverse_int(rows) is None
+        else:
+            self.check(rows)
 
 
 class TestRank:

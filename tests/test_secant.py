@@ -188,6 +188,25 @@ class TestSecantSet:
         assert line_key(restricted[0].line) in {line_key(r.line) for r in full}
         assert secant_set(h, z, gamma=({"a", "b"}, set())) == []
 
+    def test_gamma_side_maximal_face_need_not_be_a_top(self):
+        # B1 holds only the edge ab of the triangle abc: the maximal face
+        # inside B1 is that edge, which is not a maximal simplex
+        rng = random.Random(5)
+        h, cert = random_certified_map(
+            rng, [["a", "b", "c"], ["d", "e", "f"]], 5
+        )
+        edge, far = frozenset("ab"), frozenset("def")
+        p = combination(h, edge, [F(1, 3), F(2, 3)])
+        q = combination(h, far, [F(1, 2), F(1, 4), F(1, 4)])
+        z = tuple(2 * b - a for a, b in zip(p, q))
+        restricted = secant_set(h, z, gamma=({"a", "b"}, far), certificate=cert)
+        assert [r.pair for r in restricted] == [(edge, far)]
+        assert restricted == secants_for_pair(h, z, edge, far, certificate=cert)
+        assert {p, q} == {w[1] for w in restricted[0].witnesses}
+        # with the whole triangle marked, its top takes the edge's place
+        whole = secant_set(h, z, gamma=({"a", "b", "c"}, far), certificate=cert)
+        assert [r.pair for r in whole] == [(frozenset("abc"), far)]
+
     def test_adjacent_collinearity_is_degenerate(self):
         h = quad_map()
         # z on the line through the images of a and c, which live in a
