@@ -18,7 +18,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import PreconditionError, SubdivisionCapError
-from .exact import dist_sq, rat, rat_str, sqrt_upper, vec, vec_add, vec_scale, vec_sub
+from .exact import (
+    dist_sq,
+    integer_points,
+    rat,
+    rat_str,
+    sqrt_upper,
+    vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 SUBDIVIDE_ROUND_CAP = 30
 
@@ -174,6 +184,27 @@ def image_diameter_sq(h: PLMap, simplex) -> Fraction:
     return best
 
 
+def max_image_diameter_sq(h: PLMap) -> Fraction:
+    """Max of image_diameter_sq over every simplex of h, read off its edges.
+
+    A simplex's image diameter is attained at a pair of its vertices, and in
+    a face-closed complex each such pair is an edge, so the edges decide.
+    Squared lengths are taken on Python ints, the images scaled once by
+    their common denominator; 0 when there are no edges.
+    """
+    vertices = h.complex.vertices
+    scale, rows = integer_points([h.images[v] for v in vertices])
+    ints = dict(zip(vertices, rows))
+    best = 0
+    for s in h.complex.simplices:
+        if len(s) == 2:
+            a, b = s
+            d = sum((x - y) ** 2 for x, y in zip(ints[a], ints[b]))
+            if d > best:
+                best = d
+    return Fraction(best, scale * scale)
+
+
 def _barycenter_id(simplex):
     if len(simplex) == 1:
         return next(iter(simplex))
@@ -228,11 +259,7 @@ def subdivide_until(h: PLMap, delta, max_rounds: int = SUBDIVIDE_ROUND_CAP) -> P
     threshold = (delta / 2) ** 2
     current = h
     for round_index in range(max_rounds + 1):
-        worst = Fraction(0)
-        for s in current.complex.simplices:
-            d = image_diameter_sq(current, s)
-            if d > worst:
-                worst = d
+        worst = max_image_diameter_sq(current)
         if worst < threshold:
             return current
         if round_index == max_rounds:
@@ -269,12 +296,7 @@ def closeness_bound(h0: PLMap, h: PLMap) -> Fraction:
         d = dist_sq(h0.images[v], h.images[v])
         if d > disp:
             disp = d
-    diam = Fraction(0)
-    for s in h0.complex.simplices:
-        d = image_diameter_sq(h0, s)
-        if d > diam:
-            diam = d
-    return sqrt_upper(disp) + sqrt_upper(diam)
+    return sqrt_upper(disp) + sqrt_upper(max_image_diameter_sq(h0))
 
 
 # ---------------------------------------------------------------------------

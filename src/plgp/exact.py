@@ -161,7 +161,8 @@ def _echelon_int(rows, pivot_col_limit=None):
     """Fraction-free (Bareiss) forward elimination in place.
 
     Pivots are searched left to right up to pivot_col_limit columns; the update
-    is applied across the full row width, so augmented columns ride along.
+    runs from the pivot column to the end of the row, so augmented columns
+    ride along (the columns left of the pivot are already zero below it).
     Returns the list of pivot columns; rows is modified to echelon form whose
     entries are (up to sign bookkeeping) minors of the input.
     """
@@ -178,17 +179,52 @@ def _echelon_int(rows, pivot_col_limit=None):
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
+        rr = rows[r]
+        piv = rr[c]
         for i in range(r + 1, nrows):
-            f = rows[i][c]
             ri = rows[i]
-            rr = rows[r]
-            for j in range(ncols):
-                ri[j] = _exact_div(piv * ri[j] - f * rr[j], prev)
+            f = ri[c]
+            for j in range(c, ncols):
+                q, rem = divmod(piv * ri[j] - f * rr[j], prev)
+                if rem:
+                    raise ArithmeticError(
+                        "non-exact division in fraction-free elimination"
+                    )
+                ri[j] = q
         prev = piv
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _reduce_int(echelon, pivots, row):
+    """One more row reduced against rows that _echelon_int put in echelon
+    form with these pivot columns: the same Bareiss steps replayed on it.
+    Returns its entries in the non-pivot columns, in column order.
+
+    By Sylvester's identity each replayed entry is a minor of the echelon's
+    input rows plus this row, so every division is exact; the result is the
+    last pivot times the row's remainder modulo the echelon rows.  So rows
+    reduced this way have full rank iff the echelon's input rows with them
+    do.  Pivot columns would come out zero and are neither updated after
+    their own step nor returned.
+    """
+    row = list(row)
+    free = [j for j in range(len(row)) if j not in pivots]
+    prev = 1
+    for k, c in enumerate(pivots):
+        e = echelon[k]
+        piv = e[c]
+        f = row[c]
+        for j in free + pivots[k + 1:]:
+            q, rem = divmod(piv * row[j] - f * e[j], prev)
+            if rem:
+                raise ArithmeticError(
+                    "non-exact division in fraction-free elimination"
+                )
+            row[j] = q
+        prev = piv
+    return [row[j] for j in free]
 
 
 def _solve_echelon_int(rows, n):

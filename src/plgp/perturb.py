@@ -7,16 +7,25 @@ simplices the union of image vertices is affinely independent.  With
 dim K <= n and m >= 2n+1 each union has at most m+1 points, so the condition
 is both checkable and generically true.
 
-Exact ranks run only on the maximal simplices and on each unordered pair of
-distinct maximal simplices, vertex-sharing pairs included.  That decides
-every face and face pair: each face lies in a maximal simplex, so a face
-pair's vertex union lies in one maximal simplex or in a maximal pair's
+Exact verdicts are taken only on the maximal simplices and on each unordered
+pair of distinct maximal simplices, vertex-sharing pairs included.  That
+decides every face and face pair: each face lies in a maximal simplex, so a
+face pair's vertex union lies in one maximal simplex or in a maximal pair's
 union, and subsets of an affinely independent set are independent; each
 maximal simplex and maximal pair is itself a face or face pair.  The
 per-face verdicts are lazy: a face or face pair is ranked only when its
 union lies inside a failing maximal union, and is independent otherwise.
-Ranks run on Python ints: every image is scaled by one common denominator,
-the lcm over the map, which leaves affine independence unchanged.
+
+Each maximal simplex sigma is ranked once.  If it passes, its difference
+rows from its first vertex p0 are eliminated once (Bareiss), and those same
+steps are replayed on v - p0 for every vertex v of a later maximal simplex,
+once per v.  A pair (sigma, tau) is then independent iff the reduced rows of
+the vertices tau - sigma have full rank: rank [S; T] = rank S + rank of T
+reduced against S.  Those rows have only the m - dim(sigma) non-pivot
+columns, so a pair with more extra vertices fails without a rank, as does a
+pair holding a failing simplex.  All of it runs on Python ints: every image
+is scaled by one common denominator, the lcm over the map, which leaves
+affine independence unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .complexes import PLMap, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
     _echelon_int,
+    _reduce_int,
     integer_points,
     norm_sq,
     rat,
@@ -75,14 +85,42 @@ class MaximalVerdicts:
         self.scale, self.images = integer_images(h)
         self.tops = h.complex.maximal_simplices()
         self.bad_tops = [not self.independent(t) for t in self.tops]
-        bad = self.bad_tops
-        # one flag per pair, in combinations(tops, 2) order; a pair holding a
-        # failing simplex fails without a rank
-        self.bad_pairs = bytearray(
-            bad[i] or bad[j] or not self.independent(self.tops[i] | self.tops[j])
-            for i, j in combinations(range(len(self.tops)), 2)
-        )
-        self.overall = not any(bad) and 1 not in self.bad_pairs
+        self.bad_pairs = self._pair_flags()
+        self.overall = not any(self.bad_tops) and 1 not in self.bad_pairs
+
+    def _pair_flags(self) -> bytearray:
+        """One flag per pair of tops, in combinations(tops, 2) order, set
+        iff the pair's union is affinely dependent: one elimination per
+        passing top sigma, reused by all of its pairs with later tops (see
+        the module docstring)."""
+        tops, bad, images = self.tops, self.bad_tops, self.images
+        m = self.map.m
+        flags = bytearray()
+        for i, sigma in enumerate(tops):
+            if bad[i]:
+                flags.extend(b"\x01" * (len(tops) - i - 1))
+                continue
+            first, *rest = sigma
+            p0 = images[first]
+            echelon = [[a - b for a, b in zip(images[v], p0)] for v in rest]
+            pivots = _echelon_int(echelon)
+            free = m - len(pivots)
+            reduced = {}
+            for tau, bad_tau in zip(tops[i + 1:], bad[i + 1:]):
+                extra = tau - sigma
+                if bad_tau or len(extra) > free:
+                    flags.append(1)
+                    continue
+                rows = []
+                for v in extra:
+                    row = reduced.get(v)
+                    if row is None:
+                        row = reduced[v] = _reduce_int(
+                            echelon, pivots, [a - b for a, b in zip(images[v], p0)]
+                        )
+                    rows.append(list(row))  # _echelon_int works in place
+                flags.append(len(_echelon_int(rows)) < len(rows))
+        return flags
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""

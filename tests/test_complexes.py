@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from plgp.complexes import (
     complex_to_obj,
     evaluate,
     image_diameter_sq,
+    max_image_diameter_sq,
     plmap_from_obj,
     plmap_to_obj,
     simplex_pairs,
@@ -222,6 +224,48 @@ class TestImageDiameter:
     def test_right_triangle_hypotenuse(self):
         h = triangle_map((0, 0), (1, 0), (0, 1))
         assert image_diameter_sq(h, frozenset({"a", "b", "c"})) == 2
+
+
+def random_complex_map(rng):
+    """A seeded map with mixed denominators, negative coordinates and, often,
+    repeated vertex images."""
+    verts = "abcdefg"[: rng.randrange(1, 8)]
+    maximal = [
+        rng.sample(verts, rng.randrange(1, min(4, len(verts)) + 1))
+        for _ in range(rng.randrange(1, 5))
+    ]
+    c = SimplicialComplex.from_maximal(maximal)
+    m = rng.randrange(1, 5)
+    pool = [
+        tuple(Fraction(rng.randrange(-20, 21), rng.choice((1, 2, 3, 7, 256)))
+              for _ in range(m))
+        for _ in range(rng.randrange(1, len(c.vertices) + 1))
+    ]
+    return PLMap(c, m, {v: rng.choice(pool) for v in c.vertices})
+
+
+class TestMaxImageDiameter:
+    def oracle(self, h):
+        return max(image_diameter_sq(h, s) for s in h.complex.simplices)
+
+    def test_seeded_random_maps(self):
+        rng = random.Random(2024)
+        for _ in range(150):
+            h = random_complex_map(rng)
+            got = max_image_diameter_sq(h)
+            assert got == self.oracle(h)
+            assert isinstance(got, Fraction)
+
+    def test_zero_complex_and_repeated_images(self):
+        c = SimplicialComplex.from_maximal([("a",), ("b",)])
+        h = PLMap(c, 2, {"a": vec(["1/3", "-2"]), "b": vec(["5", "1/7"])})
+        assert max_image_diameter_sq(h) == 0 == self.oracle(h)
+        same = triangle_map(("1/2", "-1"), ("1/2", "-1"), ("1/2", "-1"))
+        assert max_image_diameter_sq(same) == 0 == self.oracle(same)
+
+    def test_longest_edge_decides(self):
+        h = triangle_map(("-1/2", "0"), ("1/3", "0"), ("0", "-7/256"))
+        assert max_image_diameter_sq(h) == Fraction(25, 36) == self.oracle(h)
 
 
 class TestSimplexPairs:

@@ -6,6 +6,7 @@ independently of the Bareiss implementation under test.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from plgp.exact import (
     AffineSolution,
+    _echelon_int,
+    _reduce_int,
     Matrix,
     affinely_independent,
     det,
@@ -44,6 +47,30 @@ def cofactor_det(rows):
         term = Fraction(rows[0][j]) * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def gauss_rref(rows):
+    """Independent elimination oracle: Gauss-Jordan over Fractions.
+
+    Returns (rref, pivots): the reduced row echelon form, zero rows kept at
+    the bottom, and its pivot columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
 
 
 small_int = st.integers(min_value=-9, max_value=9)
@@ -294,3 +321,116 @@ class TestPrimitiveVector:
 
     def test_vec_coercion(self):
         assert vec(["1/2", 1, "0.5"]) == (Fraction(1, 2), Fraction(1), Fraction(1, 2))
+
+
+def seeded_int_matrices(seed, count, max_side=5):
+    """Random integer matrices, some with zero columns and repeated rows."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r, c = rng.randrange(1, max_side + 1), rng.randrange(1, max_side + 1)
+        rows = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
+        if c > 2 and rng.random() < 0.3:
+            zero = rng.randrange(1, c - 1)
+            for row in rows:
+                row[zero] = 0
+        if r > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * x for x in rows[0]]
+        out.append(rows)
+    return out
+
+
+# column 1 is zero throughout, between the pivot columns 0 and 2
+ZERO_COLUMN_BETWEEN_PIVOTS = [[2, 0, 1, 3], [4, 0, 5, 1], [6, 0, 6, 5]]
+
+
+class TestEchelonAgainstGauss:
+    def check_rank_and_solve(self, rows, rhs):
+        rref, pivots = gauss_rref(rows)
+        echelon = [list(r) for r in rows]
+        assert _echelon_int(echelon) == pivots
+        m = Matrix.from_rows(rows)
+        assert rank(m) == len(pivots)
+        sol = solve_affine(m, rhs)
+        aug_rref, aug_pivots = gauss_rref([r + [b] for r, b in zip(rows, rhs)])
+        n = len(rows[0])
+        if n in aug_pivots:
+            assert sol is None
+            return
+        free = [c for c in range(n) if c not in pivots]
+        particular = [Fraction(0)] * n
+        for row, c in zip(aug_rref, pivots):
+            particular[c] = row[n]
+        assert sol.particular == tuple(particular)
+        kernel = []
+        for f in free:
+            x = [Fraction(0)] * n
+            x[f] = Fraction(1)
+            for row, c in zip(rref, pivots):
+                x[c] = -row[f]
+            kernel.append(primitive_vector(x))
+        assert sol.kernel == tuple(kernel)
+
+    def check_inverse(self, rows):
+        _, pivots = gauss_rref(rows)
+        n = len(rows)
+        if len(pivots) < n:
+            assert inverse_int(rows) is None
+            return
+        d, x = inverse_int(rows)
+        inv, _ = gauss_rref(
+            [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+        )
+        assert d == abs(cofactor_det(rows))
+        assert x == [[d * v for v in row[n:]] for row in inv]
+
+    def test_zero_column_between_pivots(self):
+        rows = ZERO_COLUMN_BETWEEN_PIVOTS
+        assert gauss_rref(rows)[1] == [0, 2, 3]
+        self.check_rank_and_solve(rows, [1, 2, 3])
+        self.check_rank_and_solve([r[:3] for r in rows], [1, 2, 3])
+        self.check_rank_and_solve([r[:3] for r in rows], [1, 2, 4])
+        self.check_inverse([r[:3] for r in rows])
+        # the last two rows become zero in column 1 only after the first step
+        self.check_rank_and_solve([[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 1, 5]], [1, 0, 2])
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(61)
+        for rows in seeded_int_matrices(60, 200):
+            self.check_rank_and_solve(rows, [rng.randrange(-9, 10) for _ in rows])
+            if len(rows) <= len(rows[0]):
+                self.check_inverse([r[: len(rows)] for r in rows])
+
+
+class TestReduceInt:
+    def check(self, rows, extra):
+        """Each reduced row is the last pivot times the row's remainder
+        modulo the echelon rows, on the non-pivot columns, and the ranks add."""
+        echelon = [list(r) for r in rows]
+        pivots = _echelon_int(echelon)
+        d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
+        rref, gauss_pivots = gauss_rref(rows)
+        assert pivots == gauss_pivots
+        free = [c for c in range(len(rows[0])) if c not in pivots]
+        reduced = [_reduce_int(echelon, pivots, row) for row in extra]
+        for row, got in zip(extra, reduced):
+            rest = [Fraction(x) for x in row]
+            for r, c in zip(rref, pivots):
+                f = rest[c]
+                rest = [x - f * y for x, y in zip(rest, r)]
+            assert got == [d * rest[c] for c in free]
+        rank_all = len(gauss_rref(rows + extra)[1])
+        assert len(pivots) + len(gauss_rref(reduced)[1]) == rank_all
+        return reduced
+
+    def test_zero_column_between_pivots(self):
+        rows = ZERO_COLUMN_BETWEEN_PIVOTS[:2]
+        assert self.check(rows, [[1, 7, 2, 0], [0, 0, 1, 1], [2, 0, 1, 3]])[2] == [0, 0]
+
+    def test_no_pivots(self):
+        assert self.check([[0, 0, 0]], [[1, -2, 3]]) == [[1, -2, 3]]
+
+    def test_seeded_random_rows(self):
+        for rows in seeded_int_matrices(62, 200):
+            if len(rows) > 1:
+                self.check(rows[: len(rows) // 2], rows[len(rows) // 2 :])

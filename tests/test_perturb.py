@@ -1,15 +1,20 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import plgp.perturb
 from plgp.complexes import (
     BarycentricPoint,
     PLMap,
     SimplicialComplex,
+    barycentric_subdivide,
     closeness_bound,
     evaluate,
+    plmap_from_obj,
     simplex_pairs,
     sorted_vertices,
     subdivide_until,
@@ -29,6 +34,7 @@ from plgp.perturb import (
 
 
 F = Fraction
+FIXTURES = Path(plgp.perturb.__file__).parent / "fixtures"
 
 
 def two_segments(p1, p2, q1, q2):
@@ -212,6 +218,133 @@ class TestMaximalPairOracle:
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         assert all(ok for _, _, ok in cert.pair_verdicts)
         assert all(ok for _, ok in cert.simplex_verdicts)
+
+
+def per_pair_flags(mv):
+    """The per-pair union rank over the integer images: the oracle for the
+    per-top elimination behind bad_pairs."""
+    bad = mv.bad_tops
+    return bytes(
+        bad[i] or bad[j] or not mv.independent(mv.tops[i] | mv.tops[j])
+        for i, j in combinations(range(len(mv.tops)), 2)
+    )
+
+
+def reference_pair_flags(h, tops):
+    """bad_pairs read off reference_certificate's Fraction face-pair ranks."""
+    _, pair_verdicts, _, _ = reference_certificate(h)
+    ok = {frozenset((s1, s2)): ok for s1, s2, ok in pair_verdicts}
+    return bytes(not ok[frozenset((t1, t2))] for t1, t2 in combinations(tops, 2))
+
+
+def seeded_complex_map(rng, n, m, repeat):
+    """A random n-complex in R^m on a coarse integer grid, subdivided once.
+
+    repeat gives one vertex of the first top the image of another vertex
+    of that top ("inside": its subdivided tops are flat) or of a vertex off
+    it ("outside"), or None.  The grid makes dependent pairs common;
+    subdivision adds tops sharing 1..n vertices, and tops inside one old
+    simplex whose unions are dependent.
+    """
+    verts = "abcdefgh"[: rng.randrange(n + 3, n + 6)]
+    maximal = [rng.sample(verts, n + 1) for _ in range(rng.randrange(2, 4))]
+    maximal.append(rng.sample(verts, rng.randrange(1, n + 1)))
+    images = {v: [rng.randrange(-1, 2) for _ in range(m)] for v in verts}
+    first = maximal[0]
+    if repeat == "inside":
+        images[first[1]] = images[first[0]]
+    elif repeat == "outside":
+        images[next(v for v in verts if v not in first)] = images[first[0]]
+    return barycentric_subdivide(map_of(maximal, images, m))
+
+
+def shared_sizes(mv):
+    return {len(t1 & t2) for t1, t2 in combinations(mv.tops, 2)}
+
+
+class TestPerTopCertificate:
+    """bad_pairs from one elimination per top against the per-pair union rank."""
+
+    CORPUS = {(1, 3): (71, 9), (2, 5): (72, 6), (3, 7): (73, 3)}
+
+    def check(self, h, reference=False):
+        mv = MaximalVerdicts(h)
+        flags = bytes(mv.bad_pairs)
+        assert flags == per_pair_flags(mv)
+        if reference:
+            assert flags == reference_pair_flags(h, mv.tops)
+        return mv
+
+    @pytest.mark.parametrize("n,m", sorted(CORPUS))
+    def test_subdivided_and_perturbed_maps(self, n, m):
+        seed, count = self.CORPUS[(n, m)]
+        rng = random.Random(seed)
+        bad_tops = bad_pairs = good_pairs = 0
+        shared = set()
+        for k in range(count):
+            h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3])
+            small = len(h1.complex.simplices) <= 30
+            mv = self.check(h1, reference=small)
+            bad_tops += sum(mv.bad_tops)
+            bad_pairs += sum(mv.bad_pairs)
+            good_pairs += mv.bad_pairs.count(0)
+            shared |= shared_sizes(mv)
+            h, report = perturb_to_general_position(h1, F(1, 2), seed=k)
+            assert report.rounds >= 1
+            assert not any(self.check(h, reference=small).bad_pairs)
+        assert bad_tops and bad_pairs and good_pairs
+        assert set(range(n + 1)) <= shared
+
+    def test_flat_top_and_repeated_image_across_tops(self):
+        # ghi is flat, e repeats b's image; the edges share 0 or 1 vertex
+        e = [[int(i == j) for j in range(5)] for i in range(5)]
+        h = map_of(
+            [["a", "b"], ["b", "c"], ["c", "d"], ["e", "f"], ["g", "h", "i"]],
+            {"a": [0] * 5, "b": e[0], "c": e[1], "d": e[2], "e": e[0], "f": e[3],
+             "g": e[4], "h": [0, 0, 0, 0, 2], "i": [0, 0, 0, 0, 3]}, 5,
+        )
+        mv = self.check(h, reference=True)
+        assert mv.bad_tops == [False, False, False, False, True]
+        assert bytes(mv.bad_pairs) == bytes([0, 0, 1, 1, 0, 1, 1, 0, 1, 1])
+
+    def test_more_extra_vertices_than_free_columns(self):
+        # triangles in R^3 (below the certificate's m >= 2n+1): a pair needs
+        # at least two vertices beyond a triangle, which leaves one free column
+        h = map_of(
+            [["a", "b", "c"], ["c", "d", "e"], ["f", "g", "h"]],
+            {"a": [0, 0, 0], "b": [1, 0, 0], "c": [0, 1, 0], "d": [0, 0, 1],
+             "e": [1, 1, 1], "f": [2, 0, 1], "g": [0, 3, 1], "h": [1, 1, 5]}, 3,
+        )
+        mv = self.check(h, reference=True)
+        assert mv.bad_tops == [False, False, False]
+        assert bytes(mv.bad_pairs) == b"\x01\x01\x01"
+
+    def test_failing_top_fails_its_pairs_without_a_rank(self, monkeypatch):
+        # the passing edge ab sorts before the flat triangle cde
+        h = map_of(
+            [["a", "b"], ["c", "d", "e"]],
+            {"a": [0, 0, 1, 0, 0], "b": [0, 0, 0, 1, 0], "c": [0] * 5,
+             "d": [1, 0, 0, 0, 0], "e": [2, 0, 0, 0, 0]}, 5,
+        )
+
+        def refuse(*args):
+            raise AssertionError("reduced a row against a pair with a failing top")
+
+        monkeypatch.setattr(plgp.perturb, "_reduce_int", refuse)
+        mv = MaximalVerdicts(h)
+        assert mv.bad_tops == [False, True]
+        assert bytes(mv.bad_pairs) == b"\x01"
+
+    @pytest.mark.parametrize(
+        "name,delta", [("triangles5", F(1, 2)), ("hexagon", F(1, 4))]
+    )
+    def test_fixture_maps(self, name, delta):
+        h0 = plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
+        h1 = subdivide_until(h0, delta)
+        mv = self.check(h1)
+        h, report = perturb_to_general_position(h1, delta, seed=1)
+        assert not any(self.check(h).bad_pairs)
+        assert report.rounds == (1 if any(mv.bad_pairs) else 0)
 
 
 class TestPerturb:
