@@ -13,7 +13,7 @@ simplices; subdivision refines the complex without moving the geometric map.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -27,7 +27,6 @@ from .exact import (
     vec,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 
 SUBDIVIDE_ROUND_CAP = 30
@@ -270,14 +269,6 @@ def subdivide_until(h: PLMap, delta, max_rounds: int = SUBDIVIDE_ROUND_CAP) -> P
             )
         current = barycentric_subdivide(current)
     raise AssertionError("unreachable")
-
-
-def simplex_pairs(c: SimplicialComplex) -> list:
-    """All unordered simplex pairs, each flagged for vertex-set disjointness."""
-    ordered = c.sorted_simplices()
-    return [
-        (s1, s2, not (s1 & s2)) for s1, s2 in combinations(ordered, 2)
-    ]
 
 
 def closeness_bound(h0: PLMap, h: PLMap) -> Fraction:

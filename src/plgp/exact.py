@@ -413,17 +413,13 @@ def sqrt_bracket(x: Fraction, slack: Fraction = SQRT_SLACK) -> tuple:
     if rn * rn == num and rd * rd == den:
         r = Fraction(rn, rd)
         return r, r
-    # sqrt(num/den) = sqrt(num*den)/den; the isqrt gives a width-1/den bracket
-    s = isqrt(num * den)
-    lo = Fraction(s, den)
-    hi = Fraction(s + 1, den)
-    while hi - lo > slack:
-        mid = (lo + hi) / 2
-        if mid * mid <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    # sqrt(x) is irrational, so it lies strictly inside one cell of the grid
+    # of step 1/(den 2^k), k the least with step <= slack; the cell starts at
+    # isqrt(num den 4^k) / (den 2^k), since sqrt(x) den 2^k = sqrt(num den 4^k)
+    ratio = -(-slack.denominator // (den * slack.numerator))
+    k = (ratio - 1).bit_length()
+    g = isqrt(num * den << 2 * k)
+    return Fraction(g, den << k), Fraction(g + 1, den << k)
 
 
 def sqrt_upper(x: Fraction, slack: Fraction = SQRT_SLACK) -> Fraction:

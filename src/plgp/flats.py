@@ -6,11 +6,11 @@ span(z, f2) and keeps the result only when it is a line that actually meets
 both flats; the parallel and point-intersection branches return None, because
 downstream only existence matters.
 
-Secant enumeration no longer runs on this chain: it solves one integer
-system per simplex pair (see plgp.secant).  The transversal and
-line-simplex constructions here remain its independent oracle, in the tests
-and the acceptance gate, and its fallback on rank-deficient systems; line
-canonical forms are still used directly.
+Secant enumeration does not run on this chain: it solves one integer system
+per simplex pair (see plgp.secant), and a rank-deficient system carries no
+secant.  The transversal and line-simplex constructions here remain its
+independent oracle, in the tests and the acceptance gate; line canonical
+forms are used directly.
 
 The exact distance from a point to the image polyhedron (ImageDistance) is
 an integer computation over a table built once per map: every face is
@@ -222,12 +222,6 @@ def line_to_obj(line: AffineFlat) -> dict:
         "base": [rat_str(x) for x in c.base],
         "direction": [rat_str(x) for x in c.directions[0]],
     }
-
-
-def line_from_obj(obj) -> AffineFlat:
-    return canonical_line(
-        AffineFlat(len(obj["base"]), vec(obj["base"]), (vec(obj["direction"]),))
-    )
 
 
 def line_meets_simplex(line: AffineFlat, h: PLMap, simplex):

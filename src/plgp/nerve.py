@@ -3,8 +3,8 @@
 The cloud is the whole space here, so cover elements intersect exactly when
 they share a sample point: nerve simplices are the incidence sets of sample
 points and their faces.  That keeps the nerve combinatorial and exact, makes
-every canonical-map carrier a simplex by construction, and bounds the nerve
-dimension by the maximum incidence count minus one.
+the incidence set of every sample point a nerve simplex by construction, and
+bounds the nerve dimension by the maximum incidence count minus one.
 
 Incidence is decided on an integer frame: the cloud is scaled once by the
 lcm D of all its coordinate denominators, and a point pair at scaled squared
@@ -21,11 +21,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import BarycentricPoint, SimplicialComplex
+from .complexes import SimplicialComplex
 from .errors import PreconditionError, SeparationError
-from .exact import dist_sq, integer_points, rat, sqrt_bracket, vec
-
-WEIGHT_DENOM = 2 ** 20
+from .exact import integer_points, rat, vec
 
 
 @dataclass(frozen=True)
@@ -163,53 +161,6 @@ def nerve_complex(cover: Cover) -> SimplicialComplex:
                 "nerve simplex contains marked vertices from both sides"
             )
     return c
-
-
-def canonical_map(cloud: PointCloud, cover: Cover) -> list:
-    """Partition-of-unity barycentric coordinates, one entry per sample point.
-
-    Weights are proportional to max(0, radius - distance to center) with the
-    square root bracketed rationally, then rounded to the 2^-20 grid with a
-    largest-remainder correction so they sum to exactly 1.
-    """
-    out = []
-    for idx, x in enumerate(cloud.points):
-        inc = cover.incidence[idx]
-        if not inc:
-            raise PreconditionError(
-                "sample point %d is covered by no element" % idx
-            )
-        raw = []
-        for i in inc:
-            center, radius = cover.elements[i]
-            lo, hi = sqrt_bracket(dist_sq(x, center))
-            mid = (lo + hi) / 2
-            raw.append(max(Fraction(0), radius - mid))
-        total = sum(raw, Fraction(0))
-        if total == 0:
-            raw = [Fraction(1) for _ in inc]
-            total = Fraction(len(inc))
-        floors = []
-        remainders = []
-        for w in raw:
-            scaled = w / total * WEIGHT_DENOM
-            n = scaled.numerator // scaled.denominator
-            floors.append(n)
-            remainders.append(scaled - n)
-        missing = WEIGHT_DENOM - sum(floors)
-        order = sorted(range(len(raw)), key=lambda i: (-remainders[i], i))
-        for i in order[:missing]:
-            floors[i] += 1
-        named = sorted(
-            zip((element_name(i) for i in inc), floors), key=lambda t: t[0]
-        )
-        out.append(
-            BarycentricPoint(
-                tuple(name for name, _ in named),
-                tuple(Fraction(n, WEIGHT_DENOM) for _, n in named),
-            )
-        )
-    return out
 
 
 def cloud_from_csv(points_path, marks_path=None) -> PointCloud:

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from .complexes import PLMap, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
@@ -198,25 +199,28 @@ def failed_vertices(cert: GeneralPositionCertificate) -> set:
 
 
 def _draw_displacement(rng, m, half, j_max):
-    # box draws on the 2^-32 grid, rejected until strictly inside the
-    # open Euclidean ball of radius delta/2
-    bound = half * half
+    # box draws j / GRID, rejected until strictly inside the open Euclidean
+    # ball of radius delta/2: sum j^2 * half.den^2 < (half.num * GRID)^2
+    scale = half.denominator ** 2
+    bound = (half.numerator * GRID) ** 2
     while True:
-        r = tuple(Fraction(rng.randrange(-j_max, j_max + 1), GRID) for _ in range(m))
-        if norm_sq(r) < bound:
-            return r
+        j = [rng.randrange(-j_max, j_max + 1) for _ in range(m)]
+        if sum(t * t for t in j) * scale < bound:
+            return tuple(Fraction(t, GRID) for t in j)
 
 
 def _displacement_bound(d2, half):
-    """Rational upper bound on sqrt(d2), tightened below half (d2 < half^2)."""
+    """Rational upper bound on sqrt(d2), tightened below half (d2 < half^2).
+
+    An inexact sqrt_bracket is one cell of width 1/cell around the root; the
+    cell is halved, one isqrt each, until its upper end drops below half.
+    """
     assert d2 < half * half
     lo, hi = sqrt_bracket(d2)
+    cell = (hi - lo).denominator
     while hi >= half:
-        mid = (lo + hi) / 2
-        if mid * mid >= d2:
-            hi = mid
-        else:
-            lo = mid
+        cell *= 2
+        hi = Fraction(isqrt(d2.numerator * cell * cell // d2.denominator) + 1, cell)
     return hi
 
 

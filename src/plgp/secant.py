@@ -23,10 +23,20 @@ A line through z meeting both simplices is exactly a solution with
 nu >= 0, lambda != 0 and mu >= 0, and with full column rank it is unique,
 so the witnesses are read straight off mu and nu.  The system runs through
 fraction-free elimination on Python ints: the images and z are scaled by one
-common denominator per map and probe.  A rank-deficient system
-(z in aff(s1) + dir(s2), measure zero) is handed to the flats construction
-(joins, intersections, line-simplex solves), which also serves the tests as
-the oracle for the kernel.
+common denominator per map and probe.
+
+A rank-deficient system carries no secant, by the certificate alone.  It
+makes s1 u s2 affinely independent, so aff(s1) misses aff(s2), and the joins
+J1 = aff(z u s1) and J2 = aff(z u s2), which hold every secant through z,
+share at most a line.  If z lies in aff(s1), a secant through z and a point
+p1 of s1 lies in aff(s1), which misses s2, unless p1 = z puts z on the image
+(which callers reject).  Otherwise the v_i - z are linearly independent,
+and the w_j affinely, so a kernel vector (alpha, nu) gives a nonzero
+d = sum alpha_i (v_i - z) = sum nu_j w_j with sum nu = 0.  Then d lies in
+dir J1 and in dir(s2), so the only candidate is z + Rd.  It is parallel to
+aff(s2), so it meets aff(s2) only if z lies in aff(s2), and the first case
+with the roles swapped leaves no secant.  The flats construction (joins,
+intersections, line-simplex solves) is the kernel's oracle in the tests.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
@@ -55,16 +65,12 @@ from .exact import (
 from .flats import (
     ImageDistance,
     line_key,
-    line_meets_simplex,
     line_through,
     line_to_obj,
     point_to_image_distance_sq_lower,
-    span_of_points,
-    transversal_line_through_point,
 )
-from .perturb import general_position_certificate, integer_images
+from .perturb import GRID, general_position_certificate, integer_images
 
-GRID = 2 ** 32
 PROBE_BUDGET_FACTOR = 1000
 
 
@@ -122,34 +128,10 @@ def _integer_frame(h, z, cert):
     return wide, images, tuple(zi)
 
 
-def _flats_pair_records(h, z, s1, s2):
-    """The pair's secant through z by the flats construction: the oracle for
-    _pair_records, and its fallback on rank-deficient systems."""
-    f1 = span_of_points(h.simplex_images(s1))
-    f2 = span_of_points(h.simplex_images(s2))
-    line = transversal_line_through_point(z, f1, f2)
-    if line is None:
-        return []
-    hit1 = line_meets_simplex(line, h, s1)
-    if hit1 is None:
-        return []
-    hit2 = line_meets_simplex(line, h, s2)
-    if hit2 is None:
-        return []
-    return [
-        SecantRecord(
-            line=line,
-            z=z,
-            witnesses=((s1,) + hit1, (s2,) + hit2),
-            pair=(s1, s2),
-        )
-    ]
-
-
 def _pair_records(h, frame, z, s1, s2):
     """Secant records for one vertex-disjoint simplex pair (length <= 1), by
     the one integer solve described in the module docstring; a rank-deficient
-    system goes to the flats construction."""
+    system carries no secant."""
     scale, images, zi = frame
     verts1 = sorted_vertices(s1)
     verts2 = sorted_vertices(s2)
@@ -162,7 +144,7 @@ def _pair_records(h, frame, z, s1, s2):
     ]
     rows.append([0] * k1 + [1] * (n - k1) + [1])
     if len(_echelon_int(rows, pivot_col_limit=n)) < n:
-        return _flats_pair_records(h, z, s1, s2)
+        return []
     if any(row[n] for row in rows[n:]):
         return []
     # full column rank: the solution times d is integral
@@ -305,11 +287,6 @@ def pairs_from_records(records):
         )
         for rec in records
     ]
-
-
-def secant_pairs(h: PLMap, z, certificate=None):
-    """The collinear image-point pairs with distinct preimages, one per secant."""
-    return pairs_from_records(secant_set(h, z, certificate=certificate))
 
 
 def _chord(line, k):

@@ -23,7 +23,6 @@ from plgp.complexes import (
     max_image_diameter_sq,
     plmap_from_obj,
     plmap_to_obj,
-    simplex_pairs,
     sorted_vertices,
     subdivide_until,
     validate,
@@ -266,31 +265,6 @@ class TestMaxImageDiameter:
     def test_longest_edge_decides(self):
         h = triangle_map(("-1/2", "0"), ("1/3", "0"), ("0", "-7/256"))
         assert max_image_diameter_sq(h) == Fraction(25, 36) == self.oracle(h)
-
-
-class TestSimplexPairs:
-    def test_two_disjoint_edges(self):
-        c = SimplicialComplex.from_maximal([("a", "b"), ("c", "d")])
-        pairs = simplex_pairs(c)
-        edge_pairs = [
-            (s1, s2, dj) for s1, s2, dj in pairs if len(s1) == 2 and len(s2) == 2
-        ]
-        assert len(edge_pairs) == 1
-        assert edge_pairs[0][2] is True
-
-    def test_lone_triangle_vertex_edge_flags(self):
-        c = SimplicialComplex.from_maximal([("a", "b", "c")])
-        pairs = simplex_pairs(c)
-        assert len(pairs) == 21  # 7 simplices
-        disjoint = [(s1, s2) for s1, s2, dj in pairs if dj]
-        # three vertex-vertex pairs and three vertex vs opposite edge pairs
-        assert len(disjoint) == 6
-        assert (frozenset({"a"}), frozenset({"b", "c"})) in disjoint
-        # no disjoint pair of top simplices
-        assert not any(len(s1) == 3 or len(s2) == 3 for s1, s2 in disjoint)
-
-    def test_empty_complex(self):
-        assert simplex_pairs(SimplicialComplex((), frozenset())) == []
 
 
 class TestClosenessBound:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,32 @@ class TestSqrtBounds:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sqrt_bracket(Fraction(-1))
+
+    def test_bracket_matches_bisection(self):
+        # the width-1/den isqrt bracket bisected down to the slack: the cell
+        # the direct isqrt must land on
+        def bisection(x, slack):
+            num, den = x.numerator, x.denominator
+            if isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+                r = Fraction(isqrt(num), isqrt(den))
+                return r, r
+            s = isqrt(num * den)
+            lo, hi = Fraction(s, den), Fraction(s + 1, den)
+            while hi - lo > slack:
+                mid = (lo + hi) / 2
+                if mid * mid <= x:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo, hi
+
+        rng = random.Random(5)
+        slacks = (Fraction(1, 2**20), Fraction(1), Fraction(1, 3), Fraction(3, 2**40))
+        for slack in slacks:
+            for _ in range(500):
+                x = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 15)),
+                             rng.randrange(1, 10 ** rng.randrange(1, 9)))
+                assert sqrt_bracket(x, slack) == bisection(x, slack)
 
     @settings(max_examples=200, deadline=None)
     @given(st.fractions(min_value=0, max_value=1000))

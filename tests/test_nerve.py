@@ -11,7 +11,6 @@ from plgp.nerve import (
     Cover,
     PointCloud,
     build_cover,
-    canonical_map,
     cloud_from_csv,
     nerve_complex,
     point_cloud,
@@ -255,48 +254,6 @@ class TestNerveComplex:
         cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
         with pytest.raises(SeparationError):
             nerve_complex(build_cover(cloud, 2))
-
-
-class TestCanonicalMap:
-    def test_isolated_center_gets_weight_one(self):
-        cloud = point_cloud([[0, 0], [10, 0]])
-        cover = build_cover(cloud, 1)
-        points = canonical_map(cloud, cover)
-        assert points[0].simplex == ("U0",)
-        assert points[0].weights == (F(1),)
-
-    def test_symmetric_overlap_splits_evenly(self):
-        cloud = point_cloud([[0], [2], [4]])
-        cover = build_cover(cloud, 2)
-        middle = canonical_map(cloud, cover)[1]
-        assert middle.simplex == ("U0", "U1", "U2")
-        # ends have weight max(0, 2-2) = 0, center keeps everything
-        assert middle.weights == (F(0), F(1), F(0))
-
-    def test_two_ball_midpoint(self):
-        cloud = point_cloud([[0], [1], [F(1, 2)]])
-        cover = build_cover(cloud, F(3, 4))
-        mid = canonical_map(cloud, cover)[2]
-        assert mid.simplex == ("U0", "U1", "U2")
-        assert mid.weights[0] == mid.weights[1]
-        assert sum(mid.weights) == 1
-
-    def test_chain_middle_point(self):
-        cover = build_cover(chain_cloud(), F(3, 4))
-        middle = canonical_map(chain_cloud(), cover)[1]
-        assert middle.simplex == ("U1",)
-        assert middle.weights == (F(1),)
-
-    def test_weights_exact_and_carried_by_nerve(self):
-        cloud = point_cloud(
-            [[0, 0], [1, 0], [F(1, 2), F(1, 3)], [3, 3]]
-        )
-        cover = build_cover(cloud, F(5, 4))
-        nerve = nerve_complex(cover)
-        for p in canonical_map(cloud, cover):
-            assert sum(p.weights, F(0)) == 1
-            assert all(w >= 0 for w in p.weights)
-            assert frozenset(p.simplex) in nerve.simplices
 
 
 class TestCsvInput:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +16,6 @@ from plgp.complexes import (
     closeness_bound,
     evaluate,
     plmap_from_obj,
-    simplex_pairs,
     sorted_vertices,
     subdivide_until,
 )
@@ -23,8 +23,11 @@ from plgp.errors import PerturbationBudgetError, PreconditionError
 from plgp.exact import Matrix, affinely_independent, norm_sq, solve_affine, vec, vec_sub
 from plgp.flats import flats_skew, span_of_points
 from plgp.perturb import (
+    GRID,
     LazyVerdicts,
     MaximalVerdicts,
+    _displacement_bound,
+    _draw_displacement,
     certificate_to_obj,
     failed_vertices,
     general_position_certificate,
@@ -112,7 +115,8 @@ def reference_certificate(h):
 
     simplex_verdicts = [(s, independent(s)) for s in h.complex.sorted_simplices()]
     pair_verdicts = [
-        (s1, s2, independent(s1 | s2)) for s1, s2, _ in simplex_pairs(h.complex)
+        (s1, s2, independent(s1 | s2))
+        for s1, s2 in combinations(h.complex.sorted_simplices(), 2)
     ]
     overall = all(ok for _, ok in simplex_verdicts) and all(
         ok for _, _, ok in pair_verdicts
@@ -415,6 +419,60 @@ class TestPerturb:
         assert ok >= 99
 
 
+def fraction_draw(rng, m, half, j_max):
+    """Box draws as Fractions on the 2^-32 grid, rejected by their Fraction
+    norm: the oracle for the integer rejection in _draw_displacement."""
+    while True:
+        r = tuple(F(rng.randrange(-j_max, j_max + 1), GRID) for _ in range(m))
+        if norm_sq(r) < half * half:
+            return r
+
+
+def bisection_bound(d2, half):
+    """sqrt(d2)'s bracket from the width-1/den isqrt cell, bisected down to
+    width 2^-20 and on until its upper end is below half."""
+    num, den = d2.numerator, d2.denominator
+    if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
+        return F(math.isqrt(num), math.isqrt(den))
+    s = math.isqrt(num * den)
+    lo, hi = F(s, den), F(s + 1, den)
+    while hi - lo > F(1, 2 ** 20) or hi >= half:
+        mid = (lo + hi) / 2
+        if mid * mid >= d2:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestDisplacementArithmetic:
+    def test_integer_rejection_keeps_draws_and_stream(self):
+        for k, half in enumerate((F(1, 2), F(1, 8), F(1, 20), F(3, 7), F(1, 2 ** 20))):
+            j_max = max(0, (half.numerator * GRID - 1) // half.denominator)
+            for m in (1, 3, 5):
+                fast, slow = random.Random(k * 10 + m), random.Random(k * 10 + m)
+                for _ in range(200):
+                    assert _draw_displacement(fast, m, half, j_max) == fraction_draw(
+                        slow, m, half, j_max
+                    )
+                assert fast.getstate() == slow.getstate()
+
+    def test_bound_matches_bisection(self):
+        # half just above sqrt(d2), down to 80 halvings below the isqrt cell,
+        # so the cell is halved well past the 2^-20 bracket
+        rng = random.Random(7)
+        cases = [(F(0), F(1, 2)), ((F(99, 200)) ** 2, F(1, 2))]
+        for _ in range(400):
+            d2 = F(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 4))
+            cell = d2.denominator << rng.randrange(0, 80)
+            root = math.isqrt(d2.numerator * cell * cell // d2.denominator)
+            cases.append((d2, F(root + rng.randrange(1, 3), cell)))
+        for d2, half in cases:
+            bound = _displacement_bound(d2, half)
+            assert bound == bisection_bound(d2, half)
+            assert bound * bound >= d2 and bound < half
+
+
 def hull_overlap_system(imgs1, imgs2, m):
     # mu-combination of imgs1 equals nu-combination of imgs2, both affine
     rows = []
@@ -436,8 +494,8 @@ class TestCertificateSoundness:
 
     def test_disjoint_pairs_have_disjoint_closed_images(self):
         h = self.perturbed()
-        for s1, s2, disjoint in simplex_pairs(h.complex):
-            if not disjoint:
+        for s1, s2 in combinations(h.complex.sorted_simplices(), 2):
+            if s1 & s2:
                 continue
             imgs1 = h.simplex_images(s1)
             imgs2 = h.simplex_images(s2)

@@ -7,20 +7,26 @@ import pytest
 import plgp.secant as secant_module
 from plgp.complexes import PLMap, SimplicialComplex, sorted_vertices
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
-from plgp.exact import norm_sq, vec
-from plgp.flats import AffineFlat, line_key
+from plgp.exact import Matrix, norm_sq, rank, vec
+from plgp.flats import (
+    AffineFlat,
+    line_key,
+    line_meets_simplex,
+    span_of_points,
+    transversal_line_through_point,
+)
 from plgp.perturb import general_position_certificate
 from plgp.secant import (
     CoverCertificate,
     ProbePoint,
-    _flats_pair_records,
+    SecantRecord,
     _integer_frame,
     _pair_records,
     cover_certificate_to_obj,
     line_distance,
+    pairs_from_records,
     probe_region_samples,
     record_to_obj,
-    secant_pairs,
     secant_set,
     secants_for_pair,
     zero_dim_certificate,
@@ -219,7 +225,7 @@ class TestSecantSet:
         h = quad_map()
         z, p, q = self.quad_z()
         recs = secant_set(h, z)
-        pairs = secant_pairs(h, z)
+        pairs = pairs_from_records(secant_set(h, z))
         assert len(pairs) == len(recs)
         for rec, pair in zip(recs, pairs):
             assert pair.y1 == rec.witnesses[0][1]
@@ -344,6 +350,43 @@ class TestProbeRegion:
             ProbePoint((F(1), F(0), F(0)), F(2), F(1, 100))
 
 
+def flats_pair_records(h, z, s1, s2):
+    """The pair's secant through z by the flats construction: the transversal
+    of the two affine hulls through z, kept when it meets both simplices.
+    The oracle for the one-solve kernel."""
+    f1 = span_of_points(h.simplex_images(s1))
+    f2 = span_of_points(h.simplex_images(s2))
+    line = transversal_line_through_point(z, f1, f2)
+    if line is None:
+        return []
+    hit1 = line_meets_simplex(line, h, s1)
+    if hit1 is None:
+        return []
+    hit2 = line_meets_simplex(line, h, s2)
+    if hit2 is None:
+        return []
+    return [
+        SecantRecord(
+            line=line,
+            z=z,
+            witnesses=((s1,) + hit1, (s2,) + hit2),
+            pair=(s1, s2),
+        )
+    ]
+
+
+def kernel_system_rank(h, z, s1, s2):
+    """Rank of the kernel's system over Fractions: columns z - v_i over the
+    first simplex and w_j over the second, then the row sum nu = 1."""
+    verts1, verts2 = sorted_vertices(s1), sorted_vertices(s2)
+    rows = [
+        [c - h.images[v][r] for v in verts1] + [h.images[w][r] for w in verts2]
+        for r, c in enumerate(z)
+    ]
+    rows.append([0] * len(verts1) + [1] * len(verts2))
+    return rank(Matrix.from_rows(rows))
+
+
 def random_certified_map(rng, maximal, m, denom=4):
     """A map of the complex with small grid images, redrawn until certified."""
     c = SimplicialComplex.from_maximal(maximal)
@@ -392,18 +435,8 @@ def z_near_a_chord(rng, h, s1, s2):
 
 
 class TestKernelOracle:
-    """The one-solve pair kernel against the retained flats construction:
-    the same line, witness points, weights and pair, or the same exception."""
-
-    @pytest.fixture(autouse=True)
-    def count_fallbacks(self, monkeypatch):
-        self.fallbacks = 0
-
-        def counting(*args):
-            self.fallbacks += 1
-            return _flats_pair_records(*args)
-
-        monkeypatch.setattr(secant_module, "_flats_pair_records", counting)
+    """The one-solve pair kernel against the flats construction: the same
+    line, witness points, weights and pair, or the same exception."""
 
     def both(self, h, cert, z, s1, s2):
         z = vec(z)
@@ -419,7 +452,7 @@ class TestKernelOracle:
         kernel = outcome(
             lambda: _pair_records(h, _integer_frame(h, z, cert), z, s1, s2)
         )
-        oracle = outcome(lambda: _flats_pair_records(h, z, s1, s2))
+        oracle = outcome(lambda: flats_pair_records(h, z, s1, s2))
         assert kernel == oracle
         return kernel
 
@@ -486,24 +519,34 @@ class TestKernelOracle:
                 with pytest.raises(PreconditionError):
                     secant_set(h, z, certificate=cert)
 
-    def test_rank_deficient_system_takes_the_fallback(self):
-        # z in aff(s1) + dir(s2) but off aff(s1): the alpha columns and the
-        # direction space of s2 share a vector
-        rng = random.Random(36)
-        s1, s2 = {"a", "b", "c"}, {"d", "e", "f"}
-        for _ in range(10):
-            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2)], 5)
-            q = combination(h, s1, affine_weights(rng, 3, rng.random() < 0.5))
-            u = tuple(
-                a - b for a, b in zip(combination(h, s2, affine_weights(rng, 3, True)),
-                                      combination(h, s2, affine_weights(rng, 3, True)))
-            )
-            if not any(u):
-                continue
-            z = tuple(a + b for a, b in zip(q, u))
-            before = self.fallbacks
-            self.both(h, cert, z, s1, s2)
-            assert self.fallbacks == before + 1
+    @pytest.mark.parametrize("dim1, dim2, m", [
+        (1, 1, 3), (2, 2, 5), (2, 1, 5), (1, 2, 5), (3, 2, 7),
+    ])
+    def test_rank_deficient_system_has_no_secant(self, dim1, dim2, m):
+        # z in aff(a), or z = q + u with q in aff(a) and 0 != u in dir(b):
+        # the system for the pair (a, b) loses rank, and carries no secant
+        rng = random.Random(36 + 10 * dim1 + dim2)
+        verts = "abcdefgh"
+        s1 = frozenset(verts[:dim1 + 1])
+        s2 = frozenset(verts[dim1 + 1:dim1 + dim2 + 2])
+        systems = 0
+        for _ in range(8):
+            h, cert = random_certified_map(rng, [sorted(s1), sorted(s2)], m)
+            for a, b in ((s1, s2), (s2, s1)):
+                q = combination(h, a, affine_weights(rng, len(a), rng.random() < 0.3))
+                u = tuple(
+                    x - y
+                    for x, y in zip(
+                        combination(h, b, affine_weights(rng, len(b), True)),
+                        combination(h, b, affine_weights(rng, len(b), True)),
+                    )
+                )
+                # u = 0 when the two draws on b coincide
+                for z in [q] + [tuple(x + y for x, y in zip(q, u))] * any(u):
+                    assert kernel_system_rank(h, z, a, b) < len(a) + len(b)
+                    assert self.both(h, cert, z, a, b) == []
+                    systems += 1
+        assert systems >= 24
 
     def test_line_parallel_to_first_simplex_has_no_secant(self):
         # z = p2 - u with p2 on s2 and u in dir(s1): the unique solution has
@@ -516,9 +559,8 @@ class TestKernelOracle:
             f = rng.randrange(1, 4)
             u = tuple(f * (a - b) for a, b in zip(h.images["a"], h.images["b"]))
             z = tuple(a - b for a, b in zip(p2, u))
-            before = self.fallbacks
+            assert kernel_system_rank(h, z, s1, s2) == 4
             assert self.both(h, cert, z, s1, s2) == []
-            assert self.fallbacks == before
 
     def test_secant_set_matches_the_flats_enumeration(self, monkeypatch):
         rng = random.Random(38)
@@ -535,7 +577,7 @@ class TestKernelOracle:
                 patch.setattr(
                     secant_module,
                     "_pair_records",
-                    lambda h, frame, z, s1, s2: _flats_pair_records(h, z, s1, s2),
+                    lambda h, frame, z, s1, s2: flats_pair_records(h, z, s1, s2),
                 )
                 try:
                     slow = secant_set(h, z, certificate=cert)
