@@ -50,7 +50,6 @@ from .perturb import (
 )
 from .secant import (
     cover_certificate_to_obj,
-    line_distance,
     pair_to_obj,
     pairs_from_records,
     probe_region_samples,
@@ -198,11 +197,9 @@ def cmd_probe(args, argv) -> int:
         if cover.valid:
             valid += 1
         max_secants = max(max_secants, len(records))
-        for i in range(len(records)):
-            for j in range(i + 1, len(records)):
-                d = line_distance(records[i].line, records[j].line, k)
-                if min_line_dist is None or d < min_line_dist:
-                    min_line_dist = d
+        d = cover.min_distance
+        if d is not None and (min_line_dist is None or d < min_line_dist):
+            min_line_dist = d
         samples.append(
             {
                 "index": index,

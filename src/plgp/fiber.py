@@ -169,17 +169,24 @@ def eta_secant_set(embeddings: dict, inst: FiberedInstance, label, z, eta) -> li
         raise ValueError(f"no embedding for fiber label {label!r}")
     emb = embeddings[label]
     records = secant_set(emb.map, vec(z), certificate=emb.report.certificate)
-    return _filter_by_eta(emb, records, eta)
+    return _filter_by_eta(records, _fiber_distances(emb, records), eta)
 
 
-def _filter_by_eta(emb, records, eta):
+def _fiber_distances(emb, records):
+    """The exact squared fiber distance between each record's two preimages."""
+    return [
+        fiber_distance_sq(emb, rec.witnesses[0][2], rec.witnesses[1][2])
+        for rec in records
+    ]
+
+
+def _filter_by_eta(records, distances, eta):
     eta_sq = eta * eta
-    out = []
-    for rec in records:
-        d2 = fiber_distance_sq(emb, rec.witnesses[0][2], rec.witnesses[1][2])
-        if d2 >= eta_sq:
-            out.append(EtaSecantRecord(rec, d2, eta))
-    return out
+    return [
+        EtaSecantRecord(rec, d2, eta)
+        for rec, d2 in zip(records, distances)
+        if d2 >= eta_sq
+    ]
 
 
 def u_map_fine_enough(emb: FiberEmbedding, eta) -> bool:
@@ -244,9 +251,10 @@ def fibered_report(
                 "records": [record_to_obj(rec) for rec in records],
             }
             if etas:
+                distances = _fiber_distances(emb, records)
                 by_eta = {}
                 for eta in etas:
-                    kept = _filter_by_eta(emb, records, eta)
+                    kept = _filter_by_eta(records, distances, eta)
                     cover = zero_dim_certificate(
                         [er.record for er in kept], epsilon, k
                     )

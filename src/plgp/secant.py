@@ -12,8 +12,8 @@ degenerate input, not a miss.  Those ranks also prove z off the image (every
 image point lies in the affine hull of a maximal simplex), so the exact
 distance to the image is computed only to word a failed rank.
 
-Each pair costs one exact solve.  For s1 = conv(v_i) and s2 = conv(w_j),
-the (m+1) x (|s1|+|s2|) system
+Each pair that passes the prune below costs one exact solve.  For
+s1 = conv(v_i) and s2 = conv(w_j), the (m+1) x (|s1|+|s2|) system
 
     sum nu_j w_j - sum alpha_i (v_i - z) = z,    sum nu_j = 1
 
@@ -38,6 +38,47 @@ aff(s2), so it meets aff(s2) only if z lies in aff(s2), and the first case
 with the roles swapped leaves no secant.  The flats construction (joins,
 intersections, line-simplex solves) is the kernel's oracle in the tests.
 
+The prune decides each pair from two small systems, one elimination per
+simplex per probe.  Subtracting z times the last row from the others turns
+the system into the equivalent
+
+    sum nu_j (w_j - z) - sum alpha_i (v_i - z) = 0,    sum nu_j = 1.
+
+The analyzer's ranks make the v_i - z linearly independent.  Their rows are
+put in echelon form once per probe (Bareiss), and replaying those steps on a
+row x gives R1(x), its entries in the m - |s1| non-pivot columns: a linear
+map whose kernel is exactly the span of the v_i - z.  Applying R1 leaves
+the small system
+
+    sum nu_j R1(w_j - z) = 0,    sum nu_j = 1
+
+of m - |s1| + 1 rows in the |s2| unknowns nu, and each of its solutions
+extends to exactly one solution (alpha, nu) of the full system, since
+sum nu_j (w_j - z) then lies in the span of the independent v_i - z.  So
+the full system is rank-deficient or inconsistent exactly when the small
+one is, and otherwise both have the same nu.  A pair whose small system is
+rank-deficient, inconsistent or has some nu_j < 0 carries no secant.  Most
+pairs fail before any elimination: a row of the small system whose entries
+R1(w_j - z) are all positive, or all negative, has no solution with nu >= 0
+and sum nu = 1.  A secant of (s1, s2) is a secant of (s2, s1) with mu and
+nu exchanged, so the same test with the roles swapped (R2 from s2's
+echelon, unknowns mu) must pass too.  With m = |s1| the map R1 has no
+columns and the small system is sum nu = 1 alone, of full rank only when
+s2 is a vertex.
+
+The prune is exact: a pair passing both tests has a secant.  The first
+small system puts p2 = sum nu_j w_j on s2 and, as p2 - z lies in the span
+of the v_i - z, on J1; the second puts p1 = sum mu_i v_i on s1 and on J2.
+Neither point is z, which is off the image, so J1 and J2 share the line L
+through z and p2, which holds p1 as well and meets both simplices.  So
+every full solve finds its pair's record, byte for byte the record of the
+unpruned enumeration, which stays as the test oracle.  The reduced rows
+R1(w - z) are cached per (simplex, vertex) for the probe; the rank of a
+vertex-sharing pair's union with z reads the same reductions, as |s1| plus
+the rank of the rows R1(w - z) for w in s2 - s1.  The echelons of the
+maximal faces of gamma's sides, which need not be maximal simplices, are
+built on first use.
+
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
 documented 1e-9 tolerance, and certificate radii are shrunk by a factor 3 to
@@ -55,6 +96,7 @@ from .complexes import BarycentricPoint, PLMap, maximal_faces, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
     _echelon_int,
+    _reduce_int,
     _solve_echelon_int,
     norm_sq,
     rat,
@@ -103,6 +145,8 @@ class CoverCertificate:
     assignment: tuple     # record index -> ball index
     mesh_ok: bool
     disjoint_ok: bool
+    # least pairwise line distance, None below two lines; not serialized
+    min_distance: float | None = None
 
     @property
     def valid(self) -> bool:
@@ -183,19 +227,69 @@ def _certified(h, certificate):
     return cert
 
 
-def _assert_adjacent_secant_free(h, z, frame, tops):
+class _ProbeEchelons:
+    """One probe's eliminations on the integer frame: each simplex's rows
+    v - z in echelon form, and each vertex's row w - z reduced against a
+    simplex's echelon, each built on first use and kept for the probe."""
+
+    def __init__(self, frame):
+        _, self.images, self.zi = frame
+        self._echelons = {}
+        self._reduced = {}
+
+    def _row(self, v):
+        return [a - c for a, c in zip(self.images[v], self.zi)]
+
+    def echelon(self, s):
+        """(rows, pivots): s's rows v - z after one Bareiss elimination; z is
+        affinely independent of s's image iff len(pivots) == len(s)."""
+        e = self._echelons.get(s)
+        if e is None:
+            rows = [self._row(v) for v in s]
+            e = self._echelons[s] = (rows, _echelon_int(rows))
+        return e
+
+    def reduced(self, s, w):
+        """R_s(w - z): the row w - z reduced against s's echelon, in its
+        non-pivot columns; zero iff w - z lies in the span of s's rows."""
+        key = (s, w)
+        row = self._reduced.get(key)
+        if row is None:
+            rows, pivots = self.echelon(s)
+            row = self._reduced[key] = _reduce_int(rows, pivots, self._row(w))
+        return row
+
+    def may_meet(self, s1, s2):
+        """Whether the small system sum nu_j R_s1(w_j - z) = 0, sum nu = 1
+        over the vertices w_j of s2 has full rank, is consistent and has
+        nu >= 0; when it fails the pair carries no secant (module docstring)."""
+        columns = [self.reduced(s1, w) for w in s2]
+        n = len(columns)
+        reduced_rows = list(zip(*columns))
+        # a row sum nu_j r_j = 0 with nu >= 0, sum nu = 1 needs an r_j <= 0
+        # and an r_j >= 0: this exact test settles most pairs without a solve
+        if any(min(r) > 0 or max(r) < 0 for r in reduced_rows):
+            return False
+        # the row sum nu = 1 first: its pivot 1 keeps the elimination small
+        rows = [[1] * (n + 1)] + [[*r, 0] for r in reduced_rows]
+        if len(_echelon_int(rows, pivot_col_limit=n)) < n:
+            return False
+        if any(row[n] for row in rows[n:]):
+            return False
+        _, (nu,) = _solve_echelon_int(rows, n)
+        return all(t >= 0 for t in nu)
+
+
+def _assert_adjacent_secant_free(h, z, echelons, tops):
     """z is affinely independent of every maximal image simplex and of every
     vertex-sharing maximal pair's image union, by integer ranks on the frame.
 
-    Passing ranks also put z off the image, which lies in the union of the
-    maximal simplices' affine hulls; the exact distance is computed only to
-    word a failure.
+    A pair's union with z has full rank iff the rows of s2 - s1 reduced
+    against s1's echelon do; those have m - |s1| columns, so more extra
+    vertices than that fail.  Passing ranks also put z off the image, which
+    lies in the union of the maximal simplices' affine hulls; the exact
+    distance is computed only to word a failure.
     """
-    _, images, zi = frame
-
-    def independent(vertices):
-        rows = [[a - c for a, c in zip(images[v], zi)] for v in vertices]
-        return len(rows) <= len(zi) and len(_echelon_int(rows)) == len(rows)
 
     def fail(message):
         if point_to_image_distance_sq_lower(z, h) == 0:
@@ -203,10 +297,15 @@ def _assert_adjacent_secant_free(h, z, frame, tops):
         raise DegenerateGeometryError(message)
 
     for i, s1 in enumerate(tops):
-        if not independent(s1):
+        _, pivots = echelons.echelon(s1)
+        if len(pivots) < len(s1):
             fail("probe point affinely dependent with a maximal simplex image")
         for s2 in tops[i + 1:]:
-            if s1 & s2 and not independent(s1 | s2):
+            if not s1 & s2:
+                continue
+            # copies: the reductions are cached and _echelon_int works in place
+            rows = [list(echelons.reduced(s1, w)) for w in s2 - s1]
+            if len(_echelon_int(rows)) < len(rows):
                 fail(
                     "probe point affinely dependent with an adjacent pair's image union"
                 )
@@ -241,7 +340,8 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     if not tops:
         raise ValueError("empty complex has no image")
     frame = _integer_frame(h, z, cert)
-    _assert_adjacent_secant_free(h, z, frame, tops)
+    echelons = _ProbeEchelons(frame)
+    _assert_adjacent_secant_free(h, z, echelons, tops)
     if gamma is None:
         pairs = [
             (s1, s2)
@@ -261,6 +361,9 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
         ]
     by_key = {}
     for s1, s2 in pairs:
+        # a pair failing either side's small system carries no secant
+        if not (echelons.may_meet(s1, s2) and echelons.may_meet(s2, s1)):
+            continue
         for rec in _pair_records(h, frame, z, s1, s2):
             by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
@@ -355,12 +458,15 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
         for i in range(len(records))
         for j in range(i + 1, len(records))
     ]
+    min_distance = min(pairwise, default=None)
     radius = min([eps] + pairwise) / 3
     balls = tuple((r.line, radius) for r in records)
     assignment = tuple(range(len(records)))
     mesh_ok = 2 * radius < eps
     disjoint_ok = all(d > 2 * radius for d in pairwise)
-    return CoverCertificate(balls, eps, 0, assignment, mesh_ok, disjoint_ok)
+    return CoverCertificate(
+        balls, eps, 0, assignment, mesh_ok, disjoint_ok, min_distance
+    )
 
 
 def probe_region_samples(h: PLMap, k, count: int, seed: int):

@@ -1,5 +1,6 @@
-"""Report bytes stay put: seeds 1 and 2 of every benchmark workload against
-the reference stdout digests in bench/digests.json.
+"""Report bytes stay put: seeds 1 and 2 of every benchmark workload, and
+all ten recorded seeds of the two that enumerate secants, against the
+reference stdout digests in bench/digests.json.
 
 Inputs come from bench/workloads.py, so each command sees exactly the files
 and relative paths the benchmark gives it; nothing under bench/ is written.
@@ -18,6 +19,7 @@ from plgp.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 WORKLOADS = ("embed-ladder", "probe-sweep", "fibered-octafiber", "nerve-cloud")
+SECANT_WORKLOADS = ("probe-sweep", "fibered-octafiber")
 
 
 def _stdout(argv):
@@ -30,7 +32,12 @@ def _stdout(argv):
 @pytest.mark.parametrize(
     "workload, seed",
     [pytest.param(w, 1, id=w) for w in WORKLOADS]
-    + [pytest.param(w, 2, id=f"{w}-seed2") for w in WORKLOADS],
+    + [pytest.param(w, 2, id=f"{w}-seed2") for w in WORKLOADS]
+    + [
+        pytest.param(w, seed, id=f"{w}-seed{seed}")
+        for w in SECANT_WORKLOADS
+        for seed in range(3, 11)
+    ],
 )
 def test_stdout_matches_reference_digests(
     workload, seed, bench_workloads, tmp_path, monkeypatch

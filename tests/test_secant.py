@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import plgp.secant as secant_module
-from plgp.complexes import PLMap, SimplicialComplex, sorted_vertices
+from plgp.complexes import PLMap, SimplicialComplex, maximal_faces, sorted_vertices
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from plgp.exact import Matrix, norm_sq, rank, vec
 from plgp.flats import (
@@ -22,6 +22,7 @@ from plgp.secant import (
     SecantRecord,
     _integer_frame,
     _pair_records,
+    _ProbeEchelons,
     cover_certificate_to_obj,
     line_distance,
     pairs_from_records,
@@ -587,3 +588,150 @@ class TestKernelOracle:
             total += len(fast) if isinstance(fast, list) else 0
         assert total >= 5
 
+
+def candidate_pairs(h, gamma=None):
+    """The vertex-disjoint pairs secant_set enumerates: maximal simplices, or
+    with gamma the maximal faces inside each marked vertex set."""
+    if gamma is None:
+        tops = h.complex.maximal_simplices()
+        return [
+            (s1, s2) for i, s1 in enumerate(tops) for s2 in tops[i + 1:] if not s1 & s2
+        ]
+    side1, side2 = (
+        maximal_faces([s for s in h.complex.simplices if s <= frozenset(b)])
+        for b in gamma
+    )
+    return [(s1, s2) for s1 in side1 for s2 in side2 if not s1 & s2]
+
+
+def unpruned_secant_set(h, z, cert, gamma=None):
+    """secant_set without the prune: one full solve for every candidate pair.
+    The oracle for the pruned enumeration."""
+    secant_set(h, z, gamma, cert)  # the same checks, or their exception
+    frame = _integer_frame(h, vec(z), cert)
+    by_key = {}
+    for s1, s2 in candidate_pairs(h, gamma):
+        for rec in _pair_records(h, frame, vec(z), s1, s2):
+            by_key.setdefault(line_key(rec.line), rec)
+    return [by_key[key] for key in sorted(by_key)]
+
+
+PRUNE_COMPLEXES = {
+    # (n, m): maximal simplices of mixed dimension, vertex-sharing and not
+    (0, 1): [["a"], ["b"], ["c"], ["d"], ["e"]],
+    (1, 3): [["a", "b"], ["b", "c"], ["d", "e"], ["f", "g"], ["g", "h"], ["i"]],
+    (2, 5): [["a", "b", "c"], ["b", "c", "d"], ["d", "e", "f"], ["g", "h", "i"],
+             ["i", "j"], ["k"]],
+    (3, 7): [["a", "b", "c", "d"], ["b", "c", "d", "e"], ["f", "g", "h", "i"],
+             ["e", "j"], ["k"]],
+}
+
+
+class TestPairPrune:
+    """Each pair is tested on two small reduced systems before its full
+    solve: the pruned enumeration against the unpruned one, and every
+    dropped pair against the full solve and the flats construction."""
+
+    def probes(self, rng, h, count):
+        """Points near chords of random candidate pairs, or at random."""
+        pairs = candidate_pairs(h)
+        return [z_near_a_chord(rng, h, *rng.choice(pairs)) for _ in range(count)]
+
+    def outcome(self, run):
+        try:
+            return run()
+        except (DegenerateGeometryError, PreconditionError) as exc:
+            return type(exc)
+
+    def check_pairs(self, h, cert, z, gamma=None):
+        """(dropped, records): every pair the prune drops has no secant by the
+        full solve or by flats; every pair it keeps has exactly one."""
+        z = vec(z)
+        frame = _integer_frame(h, z, cert)
+        echelons = _ProbeEchelons(frame)
+        dropped = records = 0
+        for s1, s2 in candidate_pairs(h, gamma):
+            kept = echelons.may_meet(s1, s2) and echelons.may_meet(s2, s1)
+            solved = _pair_records(h, frame, z, s1, s2)
+            assert len(solved) == kept, (s1, s2)
+            if not kept:
+                assert flats_pair_records(h, z, s1, s2) == []
+                dropped += 1
+            records += len(solved)
+        return dropped, records
+
+    @pytest.mark.parametrize(
+        "n, m", [pytest.param(n, m, id=f"n{n}-m{m}") for n, m in sorted(PRUNE_COMPLEXES)]
+    )
+    def test_pruned_equals_unpruned_and_drops_only_empty_pairs(self, n, m, monkeypatch):
+        rng = random.Random(40 + n)
+        dropped = records = 0
+        solves = []
+
+        def solve(*args):
+            solves.append(_pair_records(*args))
+            return solves[-1]
+
+        # the prune is exact, so every solve secant_set runs finds a record
+        monkeypatch.setattr(secant_module, "_pair_records", solve)
+        for _ in range(3):
+            h, cert = random_certified_map(rng, PRUNE_COMPLEXES[n, m], m)
+            for z in self.probes(rng, h, 10):
+                pruned = self.outcome(lambda: secant_set(h, z, certificate=cert))
+                assert pruned == self.outcome(
+                    lambda: unpruned_secant_set(h, z, cert)
+                )
+                if isinstance(pruned, list):
+                    d, r = self.check_pairs(h, cert, z)
+                    dropped, records = dropped + d, records + r
+        assert records >= 15
+        assert solves and all(len(found) == 1 for found in solves)
+        if n > 0:  # in R^1 every pair of points has a line through z
+            assert dropped >= 3 * records
+
+    def test_gamma_sides_with_faces_that_are_not_tops(self):
+        # B1 = {a, b, d}: its maximal faces are the edges ab and bd, neither a
+        # top; B2's are the top def and the edge gh of the top ghi
+        rng = random.Random(45)
+        h, cert = random_certified_map(rng, PRUNE_COMPLEXES[2, 5], 5)
+        gamma = ({"a", "b", "d"}, {"d", "e", "f", "g", "h"})
+        side1 = {s for s, _ in candidate_pairs(h, gamma)}
+        assert frozenset("ab") in side1 and not set(side1) & set(h.complex.maximal_simplices())
+        dropped = records = 0
+        for _ in range(12):
+            s1 = rng.choice([frozenset("ab"), frozenset("bd")])
+            s2 = rng.choice([frozenset("def"), frozenset("gh"), frozenset("ef")])
+            z = z_near_a_chord(rng, h, s1, s2 - s1)
+            pruned = self.outcome(lambda: secant_set(h, z, gamma, certificate=cert))
+            assert pruned == self.outcome(
+                lambda: unpruned_secant_set(h, z, cert, gamma)
+            )
+            if isinstance(pruned, list):
+                d, r = self.check_pairs(h, cert, z, gamma)
+                dropped, records = dropped + d, records + r
+        assert records >= 5 and dropped >= records
+
+    @pytest.mark.parametrize("sigma, tau", [("abc", "bcd"), ("bcd", "def")])
+    def test_z_in_a_vertex_sharing_union_is_degenerate(self, sigma, tau):
+        # z in aff(sigma u tau) with weight on tau - sigma, so off aff(sigma)
+        # and aff(tau) alone; the ranks of sigma u tau with z must catch it
+        rng = random.Random(46)
+        h, cert = random_certified_map(rng, PRUNE_COMPLEXES[2, 5], 5)
+        union = frozenset(sigma) | frozenset(tau)
+        for _ in range(5):
+            weights = affine_weights(rng, len(union), False)
+            z = combination(h, union, weights)
+            with pytest.raises(DegenerateGeometryError, match="adjacent pair"):
+                secant_set(h, z, certificate=cert)
+
+    def test_more_extra_vertices_than_free_columns_is_degenerate(self):
+        # the quadrilateral in the plane, passed a certificate of its image in
+        # R^3: each edge's row with z has full rank, but an adjacent pair has
+        # one vertex beyond the edge and m - 2 = 0 free columns
+        c = quad_map().complex
+        h = PLMap(c, 2, {
+            "a": vec([0, 0]), "b": vec([1, 0]), "c": vec([1, 1]), "d": vec([0, 1]),
+        })
+        cert = general_position_certificate(quad_map())
+        with pytest.raises(DegenerateGeometryError, match="adjacent pair"):
+            secant_set(h, [3, 5], certificate=cert)
