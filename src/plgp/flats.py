@@ -6,11 +6,11 @@ span(z, f2) and keeps the result only when it is a line that actually meets
 both flats; the parallel and point-intersection branches return None, because
 downstream only existence matters.
 
-Secant enumeration does not run on this chain: it solves one integer system
-per simplex pair (see plgp.secant), and a rank-deficient system carries no
-secant.  The transversal and line-simplex constructions here remain its
-independent oracle, in the tests and the acceptance gate; line canonical
-forms are used directly.
+Secant enumeration does not run on this chain: it reads each pair's record
+off two small integer systems, one per side (see plgp.secant).  The
+transversal and line-simplex constructions here remain its independent
+oracle, in the tests and the acceptance gate; line canonical forms are used
+directly.
 
 The exact distance from a point to the image polyhedron (ImageDistance) is
 an integer computation over a table built once per map: every face is

@@ -12,72 +12,51 @@ degenerate input, not a miss.  Those ranks also prove z off the image (every
 image point lies in the affine hull of a maximal simplex), so the exact
 distance to the image is computed only to word a failed rank.
 
-Each pair that passes the prune below costs one exact solve.  For
-s1 = conv(v_i) and s2 = conv(w_j), the (m+1) x (|s1|+|s2|) system
+Each vertex-disjoint pair is decided, and its record built, from two small
+systems on Python ints: the images and z are scaled by one common
+denominator per map and probe.  For s1 = conv(v_i) and s2 = conv(w_j), a
+secant through z is points p1 = sum mu_i v_i and p2 = sum nu_j w_j, with
+mu >= 0 and nu >= 0 each summing to 1, such that p1 - z and p2 - z are
+nonzero and parallel.  The rows v_i - z are put in echelon form once per
+probe (Bareiss), and replaying those steps on a row x gives R1(x), its
+entries in the non-pivot columns: a linear map whose kernel is exactly the
+span of the v_i - z, the direction space of the join J1 = aff(z u s1).  So
+p2 lies on J1 exactly when nu solves
 
-    sum nu_j w_j - sum alpha_i (v_i - z) = z,    sum nu_j = 1
+    sum nu_j R1(w_j - z) = 0,    sum nu_j = 1,
 
-says p2 = sum nu_j w_j lies on aff(s2) and p2 - z = lambda (p1 - z), with
-lambda = sum alpha and p1 = sum mu_i v_i on aff(s1), mu = alpha / lambda.
-A line through z meeting both simplices is exactly a solution with
-nu >= 0, lambda != 0 and mu >= 0, and with full column rank it is unique,
-so the witnesses are read straight off mu and nu.  The system runs through
-fraction-free elimination on Python ints: the images and z are scaled by one
-common denominator per map and probe.
+and p1 lies on J2 = aff(z u s2) exactly when mu solves the same system with
+the roles swapped (R2 from s2's echelon).  A pair carries no secant when
+either system is rank-deficient, inconsistent or has a weight < 0.  Most
+pairs fail before any elimination: a row of a small system whose entries
+R1(w_j - z) are all positive, or all negative, has no solution with
+nu >= 0 and sum nu = 1.  When R1 has no columns the small system is
+sum nu = 1 alone, of full rank only when s2 is a vertex.
 
-A rank-deficient system carries no secant, by the certificate alone.  It
-makes s1 u s2 affinely independent, so aff(s1) misses aff(s2), and the joins
-J1 = aff(z u s1) and J2 = aff(z u s2), which hold every secant through z,
-share at most a line.  If z lies in aff(s1), a secant through z and a point
-p1 of s1 lies in aff(s1), which misses s2, unless p1 = z puts z on the image
-(which callers reject).  Otherwise the v_i - z are linearly independent,
-and the w_j affinely, so a kernel vector (alpha, nu) gives a nonzero
-d = sum alpha_i (v_i - z) = sum nu_j w_j with sum nu = 0.  Then d lies in
-dir J1 and in dir(s2), so the only candidate is z + Rd.  It is parallel to
-aff(s2), so it meets aff(s2) only if z lies in aff(s2), and the first case
-with the roles swapped leaves no secant.  The flats construction (joins,
-intersections, line-simplex solves) is the kernel's oracle in the tests.
+The test is exact.  The certificate makes s1 u s2 affinely independent, so
+aff(s1) misses aff(s2), and J1 and J2, which hold every secant through z,
+share at most a line.  A pair passing both systems has a secant: p2 lies on
+s2 and J1, p1 on s1 and J2, and neither is z, which is off the image, so
+the line L through z and p2 lies in both joins and holds p1 as well.  The
+record is read straight off the two solutions: the witnesses p1 and p2,
+their weights mu and nu, and L, the canonical line through z along p2 - z.
+Conversely a secant's weights solve both systems, so a system of full rank
+has them as its unique solution, and a rank-deficient one carries no
+secant: a kernel vector nu' of the first has sum nu' = 0, so
+u = sum nu'_j w_j is nonzero, in dir(s2) and in dir J1, so J1 and J2
+share just the line z + Ru.  It is parallel to aff(s2), so it meets
+aff(s2) only if z lies in aff(s2).  That case needs no branch of its own: the line
+through z and a point of s2 lies in aff(s2), which misses s1, and R2's
+kernel is then dir(s2), so the second system would put p1 on aff(s2) and
+is inconsistent.  The same holds for z in aff(s1), with the roles swapped.
+The flats construction (joins, intersections, line-simplex solves) is the
+kernel's oracle in the tests.
 
-The prune decides each pair from two small systems, one elimination per
-simplex per probe.  Subtracting z times the last row from the others turns
-the system into the equivalent
-
-    sum nu_j (w_j - z) - sum alpha_i (v_i - z) = 0,    sum nu_j = 1.
-
-The analyzer's ranks make the v_i - z linearly independent.  Their rows are
-put in echelon form once per probe (Bareiss), and replaying those steps on a
-row x gives R1(x), its entries in the m - |s1| non-pivot columns: a linear
-map whose kernel is exactly the span of the v_i - z.  Applying R1 leaves
-the small system
-
-    sum nu_j R1(w_j - z) = 0,    sum nu_j = 1
-
-of m - |s1| + 1 rows in the |s2| unknowns nu, and each of its solutions
-extends to exactly one solution (alpha, nu) of the full system, since
-sum nu_j (w_j - z) then lies in the span of the independent v_i - z.  So
-the full system is rank-deficient or inconsistent exactly when the small
-one is, and otherwise both have the same nu.  A pair whose small system is
-rank-deficient, inconsistent or has some nu_j < 0 carries no secant.  Most
-pairs fail before any elimination: a row of the small system whose entries
-R1(w_j - z) are all positive, or all negative, has no solution with nu >= 0
-and sum nu = 1.  A secant of (s1, s2) is a secant of (s2, s1) with mu and
-nu exchanged, so the same test with the roles swapped (R2 from s2's
-echelon, unknowns mu) must pass too.  With m = |s1| the map R1 has no
-columns and the small system is sum nu = 1 alone, of full rank only when
-s2 is a vertex.
-
-The prune is exact: a pair passing both tests has a secant.  The first
-small system puts p2 = sum nu_j w_j on s2 and, as p2 - z lies in the span
-of the v_i - z, on J1; the second puts p1 = sum mu_i v_i on s1 and on J2.
-Neither point is z, which is off the image, so J1 and J2 share the line L
-through z and p2, which holds p1 as well and meets both simplices.  So
-every full solve finds its pair's record, byte for byte the record of the
-unpruned enumeration, which stays as the test oracle.  The reduced rows
-R1(w - z) are cached per (simplex, vertex) for the probe; the rank of a
-vertex-sharing pair's union with z reads the same reductions, as |s1| plus
-the rank of the rows R1(w - z) for w in s2 - s1.  The echelons of the
-maximal faces of gamma's sides, which need not be maximal simplices, are
-built on first use.
+The reduced rows R1(w - z) are cached per (simplex, vertex) for the probe;
+the rank of a vertex-sharing pair's union with z reads the same
+reductions, as |s1| plus the rank of the rows R1(w - z) for w in s2 - s1.
+The echelons of the maximal faces of gamma's sides, which need not be
+maximal simplices, are built on first use.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
@@ -153,71 +132,6 @@ class CoverCertificate:
         return self.mesh_ok and self.disjoint_ok
 
 
-def _integer_frame(h, z, cert):
-    """(scale, images, z) on one integer frame: the map's vertex images and z,
-    all multiplied by one common denominator, as tuples of Python ints.
-
-    The certificate's maximal verdicts already hold the map's integer images;
-    only z's denominators can widen the scale.
-    """
-    maximal = cert.pair_verdicts.maximal
-    if maximal.map is h:
-        scale, images = maximal.scale, maximal.images
-    else:
-        scale, images = integer_images(h)
-    wide, zi = widen_frame(scale, z)
-    if wide != scale:
-        f = wide // scale
-        images = {v: tuple(f * x for x in p) for v, p in images.items()}
-    return wide, images, tuple(zi)
-
-
-def _pair_records(h, frame, z, s1, s2):
-    """Secant records for one vertex-disjoint simplex pair (length <= 1), by
-    the one integer solve described in the module docstring; a rank-deficient
-    system carries no secant."""
-    scale, images, zi = frame
-    verts1 = sorted_vertices(s1)
-    verts2 = sorted_vertices(s2)
-    k1 = len(verts1)
-    n = k1 + len(verts2)
-    # columns alpha_1..alpha_k1, nu_1..nu_k2, then the right-hand side
-    rows = [
-        [c - images[v][r] for v in verts1] + [images[w][r] for w in verts2] + [c]
-        for r, c in enumerate(zi)
-    ]
-    rows.append([0] * k1 + [1] * (n - k1) + [1])
-    if len(_echelon_int(rows, pivot_col_limit=n)) < n:
-        return []
-    if any(row[n] for row in rows[n:]):
-        return []
-    # full column rank: the solution times d is integral
-    d, (x,) = _solve_echelon_int(rows, n)
-    alpha, nu = x[:k1], x[k1:]
-    lam = sum(alpha)  # lambda times d
-    if lam == 0 or any(t < 0 for t in nu) or any(t * lam < 0 for t in alpha):
-        return []
-    # scale * d * (p2 - z) and scale * lam * (p1 - z): equal and nonzero
-    # exactly when p2 - z = lambda (p1 - z) with p1 != z
-    num2 = [sum(t * images[w][r] for t, w in zip(nu, verts2)) for r in range(h.m)]
-    num1 = [sum(t * images[v][r] for t, v in zip(alpha, verts1)) for r in range(h.m)]
-    gap = [a - d * c for a, c in zip(num2, zi)]
-    assert gap == [a - lam * c for a, c in zip(num1, zi)] and any(gap)
-    line = line_through(z, gap)
-    point1 = tuple(Fraction(a, lam * scale) for a in num1)
-    point2 = tuple(Fraction(a, d * scale) for a in num2)
-    bary1 = BarycentricPoint(verts1, tuple(Fraction(t, lam) for t in alpha))
-    bary2 = BarycentricPoint(verts2, tuple(Fraction(t, d) for t in nu))
-    return [
-        SecantRecord(
-            line=line,
-            z=z,
-            witnesses=((s1, point1, bary1), (s2, point2, bary2)),
-            pair=(s1, s2),
-        )
-    ]
-
-
 def _certified(h, certificate):
     cert = certificate
     if cert is None:
@@ -230,10 +144,26 @@ def _certified(h, certificate):
 class _ProbeEchelons:
     """One probe's eliminations on the integer frame: each simplex's rows
     v - z in echelon form, and each vertex's row w - z reduced against a
-    simplex's echelon, each built on first use and kept for the probe."""
+    simplex's echelon, each built on first use and kept for the probe.
 
-    def __init__(self, frame):
-        _, self.images, self.zi = frame
+    The frame is the map's vertex images and z, all multiplied by one common
+    denominator, as tuples of Python ints.  The certificate's maximal
+    verdicts already hold the map's integer images; only z's denominators
+    can widen the scale.
+    """
+
+    def __init__(self, h, z, cert):
+        maximal = cert.pair_verdicts.maximal
+        if maximal.map is h:
+            scale, images = maximal.scale, maximal.images
+        else:
+            scale, images = integer_images(h)
+        self.z = z
+        self.scale, self.zi = widen_frame(scale, z)
+        if self.scale != scale:
+            f = self.scale // scale
+            images = {v: tuple(f * x for x in p) for v, p in images.items()}
+        self.images = images
         self._echelons = {}
         self._reduced = {}
 
@@ -259,25 +189,66 @@ class _ProbeEchelons:
             row = self._reduced[key] = _reduce_int(rows, pivots, self._row(w))
         return row
 
-    def may_meet(self, s1, s2):
-        """Whether the small system sum nu_j R_s1(w_j - z) = 0, sum nu = 1
-        over the vertices w_j of s2 has full rank, is consistent and has
-        nu >= 0; when it fails the pair carries no secant (module docstring)."""
-        columns = [self.reduced(s1, w) for w in s2]
+    def _weights(self, s1, s2):
+        """(vertices, d, nu) with nu / d the one solution of the small system
+        sum nu_j R_s1(w_j - z) = 0, sum nu = 1 over s2's sorted vertices w_j,
+        or None when it is rank-deficient, inconsistent or has a nu_j < 0."""
+        verts = sorted_vertices(s2)
+        columns = [self.reduced(s1, w) for w in verts]
         n = len(columns)
         reduced_rows = list(zip(*columns))
         # a row sum nu_j r_j = 0 with nu >= 0, sum nu = 1 needs an r_j <= 0
         # and an r_j >= 0: this exact test settles most pairs without a solve
         if any(min(r) > 0 or max(r) < 0 for r in reduced_rows):
-            return False
+            return None
         # the row sum nu = 1 first: its pivot 1 keeps the elimination small
         rows = [[1] * (n + 1)] + [[*r, 0] for r in reduced_rows]
         if len(_echelon_int(rows, pivot_col_limit=n)) < n:
-            return False
+            return None
         if any(row[n] for row in rows[n:]):
-            return False
-        _, (nu,) = _solve_echelon_int(rows, n)
-        return all(t >= 0 for t in nu)
+            return None
+        d, (nu,) = _solve_echelon_int(rows, n)
+        if any(t < 0 for t in nu):
+            return None
+        return verts, d, nu
+
+    def _witness(self, s, weights):
+        """The witness (s, point, BarycentricPoint) for weights nu / d on s's
+        vertices, and scale * d * (point - z) in integers."""
+        verts, d, nu = weights
+        num = [
+            sum(t * self.images[w][r] for t, w in zip(nu, verts))
+            for r in range(len(self.zi))
+        ]
+        point = tuple(Fraction(a, d * self.scale) for a in num)
+        bary = BarycentricPoint(verts, tuple(Fraction(t, d) for t in nu))
+        return (s, point, bary), [a - d * c for a, c in zip(num, self.zi)]
+
+    def records(self, s1, s2):
+        """Secant records for one vertex-disjoint pair (length <= 1), read off
+        its two small systems (module docstring)."""
+        nu = self._weights(s1, s2)
+        if nu is None:
+            return []
+        mu = self._weights(s2, s1)
+        if mu is None:
+            return []
+        witness1, gap1 = self._witness(s1, mu)
+        witness2, gap2 = self._witness(s2, nu)
+        # p1 - z and p2 - z are nonzero and parallel: every 2 x 2 minor is 0
+        assert any(gap1) and any(gap2) and all(
+            a * gap2[j] == gap1[j] * b
+            for i, (a, b) in enumerate(zip(gap1, gap2))
+            for j in range(i)
+        )
+        return [
+            SecantRecord(
+                line=line_through(self.z, gap2),
+                z=self.z,
+                witnesses=(witness1, witness2),
+                pair=(s1, s2),
+            )
+        ]
 
 
 def _assert_adjacent_secant_free(h, z, echelons, tops):
@@ -323,7 +294,7 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
     cert = _certified(h, certificate)
     if point_to_image_distance_sq_lower(z, h) == 0:
         raise PreconditionError("probe point lies on the image")
-    return _pair_records(h, _integer_frame(h, z, cert), z, s1, s2)
+    return _ProbeEchelons(h, z, cert).records(s1, s2)
 
 
 def secant_set(h: PLMap, z, gamma=None, certificate=None):
@@ -339,8 +310,7 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     tops = h.complex.maximal_simplices()
     if not tops:
         raise ValueError("empty complex has no image")
-    frame = _integer_frame(h, z, cert)
-    echelons = _ProbeEchelons(frame)
+    echelons = _ProbeEchelons(h, z, cert)
     _assert_adjacent_secant_free(h, z, echelons, tops)
     if gamma is None:
         pairs = [
@@ -361,10 +331,7 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
         ]
     by_key = {}
     for s1, s2 in pairs:
-        # a pair failing either side's small system carries no secant
-        if not (echelons.may_meet(s1, s2) and echelons.may_meet(s2, s1)):
-            continue
-        for rec in _pair_records(h, frame, z, s1, s2):
+        for rec in echelons.records(s1, s2):
             by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
 
@@ -424,23 +391,27 @@ def _point_segment_distance(p, a, b):
     )
 
 
-def line_distance(l1, l2, k) -> float:
-    """Hausdorff distance between the two chords cut by the radius-k ball.
+def _chord_distance(c1, c2) -> float:
+    """Hausdorff distance between two chords, each a pair of endpoints.
 
     The distance from a point to a segment is convex along the other chord, so
     the supremum is attained at chord endpoints; four point-to-segment
     distances suffice.
     """
-    if line_key(l1) == line_key(l2):
-        return 0.0
-    a1, b1 = _chord(l1, k)
-    a2, b2 = _chord(l2, k)
+    (a1, b1), (a2, b2) = c1, c2
     return max(
         _point_segment_distance(a1, a2, b2),
         _point_segment_distance(b1, a2, b2),
         _point_segment_distance(a2, a1, b1),
         _point_segment_distance(b2, a1, b1),
     )
+
+
+def line_distance(l1, l2, k) -> float:
+    """Hausdorff distance between the two chords cut by the radius-k ball."""
+    if line_key(l1) == line_key(l2):
+        return 0.0
+    return _chord_distance(_chord(l1, k), _chord(l2, k))
 
 
 def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
@@ -453,10 +424,13 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
         raise PreconditionError("duplicate lines; deduplicate records first")
     if not records:
         return CoverCertificate((), eps, 0, (), True, True)
+    # one chord per line, and none for a single line: its radius is eps / 3
+    # whether or not the line meets the ball
+    chords = [_chord(r.line, k) for r in records] if len(records) > 1 else []
     pairwise = [
-        line_distance(records[i].line, records[j].line, k)
-        for i in range(len(records))
-        for j in range(i + 1, len(records))
+        _chord_distance(chords[i], chords[j])
+        for i in range(len(chords))
+        for j in range(i + 1, len(chords))
     ]
     min_distance = min(pairwise, default=None)
     radius = min([eps] + pairwise) / 3

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import plgp.secant as secant_module
 from plgp.complexes import PLMap, SimplicialComplex, maximal_faces, sorted_vertices
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
+import plgp.exact as exact_module
 from plgp.exact import Matrix, norm_sq, rank, vec
 from plgp.flats import (
     AffineFlat,
@@ -20,8 +22,6 @@ from plgp.secant import (
     CoverCertificate,
     ProbePoint,
     SecantRecord,
-    _integer_frame,
-    _pair_records,
     _ProbeEchelons,
     cover_certificate_to_obj,
     line_distance,
@@ -307,6 +307,36 @@ class TestZeroDimCertificate:
         with pytest.raises(PreconditionError):
             zero_dim_certificate([rec, rec], 0.1, 10)
 
+    def test_each_line_clipped_once_and_distances_as_line_distance(self, monkeypatch):
+        lines = [X_AXIS, SHIFTED_X, Y_AXIS, AffineFlat(3, vec([1, 2, 0]), (vec([1, 1, 1]),))]
+        recs = [type("R", (), {"line": line})() for line in lines]
+        pairwise = [
+            line_distance(lines[i], lines[j], 10)
+            for i in range(len(lines))
+            for j in range(i + 1, len(lines))
+        ]
+        radius = min([0.5] + pairwise) / 3
+        expected = CoverCertificate(
+            tuple((line, radius) for line in lines), 0.5, 0, (0, 1, 2, 3),
+            2 * radius < 0.5, all(d > 2 * radius for d in pairwise), min(pairwise),
+        )
+        clipped = []
+        chord = secant_module._chord
+
+        def counting(line, k):
+            clipped.append(line)
+            return chord(line, k)
+
+        monkeypatch.setattr(secant_module, "_chord", counting)
+        assert zero_dim_certificate(recs, 0.5, 10) == expected
+        assert clipped == lines
+
+    def test_single_line_missing_the_ball_still_certified(self):
+        far = AffineFlat(3, vec([0, 100, 0]), (vec([1, 0, 0]),))
+        cert = zero_dim_certificate([type("R", (), {"line": far})()], 0.3, 10)
+        assert cert.valid and cert.min_distance is None
+        assert cert.balls == ((far, pytest.approx(0.1)),)
+
     def test_valid_across_epsilons_on_real_secants(self):
         h = quad_map()
         z = (F(1, 2), 2, F(10, 21))
@@ -354,7 +384,7 @@ class TestProbeRegion:
 def flats_pair_records(h, z, s1, s2):
     """The pair's secant through z by the flats construction: the transversal
     of the two affine hulls through z, kept when it meets both simplices.
-    The oracle for the one-solve kernel."""
+    The oracle for the pair kernel."""
     f1 = span_of_points(h.simplex_images(s1))
     f2 = span_of_points(h.simplex_images(s2))
     line = transversal_line_through_point(z, f1, f2)
@@ -377,8 +407,10 @@ def flats_pair_records(h, z, s1, s2):
 
 
 def kernel_system_rank(h, z, s1, s2):
-    """Rank of the kernel's system over Fractions: columns z - v_i over the
-    first simplex and w_j over the second, then the row sum nu = 1."""
+    """Rank of the full secant system over Fractions: columns z - v_i over
+    the first simplex and w_j over the second, then the row sum nu = 1.  The
+    kernel never builds it; with z off aff(s1) it loses rank exactly when
+    the kernel's first small system does."""
     verts1, verts2 = sorted_vertices(s1), sorted_vertices(s2)
     rows = [
         [c - h.images[v][r] for v in verts1] + [h.images[w][r] for w in verts2]
@@ -436,8 +468,8 @@ def z_near_a_chord(rng, h, s1, s2):
 
 
 class TestKernelOracle:
-    """The one-solve pair kernel against the flats construction: the same
-    line, witness points, weights and pair, or the same exception."""
+    """The pair kernel against the flats construction: the same line,
+    witness points, weights and pair, or the same exception."""
 
     def both(self, h, cert, z, s1, s2):
         z = vec(z)
@@ -450,9 +482,7 @@ class TestKernelOracle:
                 return type(exc)
             return [(line_key(r.line), r.witnesses, r.pair) for r in records]
 
-        kernel = outcome(
-            lambda: _pair_records(h, _integer_frame(h, z, cert), z, s1, s2)
-        )
+        kernel = outcome(lambda: _ProbeEchelons(h, z, cert).records(s1, s2))
         oracle = outcome(lambda: flats_pair_records(h, z, s1, s2))
         assert kernel == oracle
         return kernel
@@ -563,7 +593,7 @@ class TestKernelOracle:
             assert kernel_system_rank(h, z, s1, s2) == 4
             assert self.both(h, cert, z, s1, s2) == []
 
-    def test_secant_set_matches_the_flats_enumeration(self, monkeypatch):
+    def test_secant_set_matches_the_flats_enumeration(self):
         rng = random.Random(38)
         maximal = [["a", "b"], ["b", "c"], ["d", "e"], ["f", "g"], ["g", "h"]]
         total = 0
@@ -574,16 +604,10 @@ class TestKernelOracle:
                 fast = secant_set(h, z, certificate=cert)
             except (DegenerateGeometryError, PreconditionError) as exc:
                 fast = type(exc)
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    secant_module,
-                    "_pair_records",
-                    lambda h, frame, z, s1, s2: flats_pair_records(h, z, s1, s2),
-                )
-                try:
-                    slow = secant_set(h, z, certificate=cert)
-                except (DegenerateGeometryError, PreconditionError) as exc:
-                    slow = type(exc)
+            try:
+                slow = unpruned_secant_set(h, z, cert)
+            except (DegenerateGeometryError, PreconditionError) as exc:
+                slow = type(exc)
             assert fast == slow
             total += len(fast) if isinstance(fast, list) else 0
         assert total >= 5
@@ -605,13 +629,12 @@ def candidate_pairs(h, gamma=None):
 
 
 def unpruned_secant_set(h, z, cert, gamma=None):
-    """secant_set without the prune: one full solve for every candidate pair.
-    The oracle for the pruned enumeration."""
+    """secant_set with the flats construction run on every candidate pair.
+    The oracle for the kernel's enumeration."""
     secant_set(h, z, gamma, cert)  # the same checks, or their exception
-    frame = _integer_frame(h, vec(z), cert)
     by_key = {}
     for s1, s2 in candidate_pairs(h, gamma):
-        for rec in _pair_records(h, frame, vec(z), s1, s2):
+        for rec in flats_pair_records(h, vec(z), s1, s2):
             by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
 
@@ -628,9 +651,9 @@ PRUNE_COMPLEXES = {
 
 
 class TestPairPrune:
-    """Each pair is tested on two small reduced systems before its full
-    solve: the pruned enumeration against the unpruned one, and every
-    dropped pair against the full solve and the flats construction."""
+    """Each pair is decided on two small reduced systems: the enumeration
+    against the flats construction on every candidate pair, and each pair's
+    verdict and record against its flats record."""
 
     def probes(self, rng, h, count):
         """Points near chords of random candidate pairs, or at random."""
@@ -644,36 +667,24 @@ class TestPairPrune:
             return type(exc)
 
     def check_pairs(self, h, cert, z, gamma=None):
-        """(dropped, records): every pair the prune drops has no secant by the
-        full solve or by flats; every pair it keeps has exactly one."""
+        """(dropped, records): every pair the kernel rejects has no secant by
+        flats, and every pair it keeps has the flats record."""
         z = vec(z)
-        frame = _integer_frame(h, z, cert)
-        echelons = _ProbeEchelons(frame)
+        echelons = _ProbeEchelons(h, z, cert)
         dropped = records = 0
         for s1, s2 in candidate_pairs(h, gamma):
-            kept = echelons.may_meet(s1, s2) and echelons.may_meet(s2, s1)
-            solved = _pair_records(h, frame, z, s1, s2)
-            assert len(solved) == kept, (s1, s2)
-            if not kept:
-                assert flats_pair_records(h, z, s1, s2) == []
-                dropped += 1
-            records += len(solved)
+            kept = echelons.records(s1, s2)
+            assert kept == flats_pair_records(h, z, s1, s2), (s1, s2)
+            dropped += not kept
+            records += len(kept)
         return dropped, records
 
     @pytest.mark.parametrize(
         "n, m", [pytest.param(n, m, id=f"n{n}-m{m}") for n, m in sorted(PRUNE_COMPLEXES)]
     )
-    def test_pruned_equals_unpruned_and_drops_only_empty_pairs(self, n, m, monkeypatch):
+    def test_pruned_equals_unpruned_and_drops_only_empty_pairs(self, n, m):
         rng = random.Random(40 + n)
         dropped = records = 0
-        solves = []
-
-        def solve(*args):
-            solves.append(_pair_records(*args))
-            return solves[-1]
-
-        # the prune is exact, so every solve secant_set runs finds a record
-        monkeypatch.setattr(secant_module, "_pair_records", solve)
         for _ in range(3):
             h, cert = random_certified_map(rng, PRUNE_COMPLEXES[n, m], m)
             for z in self.probes(rng, h, 10):
@@ -685,7 +696,6 @@ class TestPairPrune:
                     d, r = self.check_pairs(h, cert, z)
                     dropped, records = dropped + d, records + r
         assert records >= 15
-        assert solves and all(len(found) == 1 for found in solves)
         if n > 0:  # in R^1 every pair of points has a line through z
             assert dropped >= 3 * records
 
@@ -735,3 +745,48 @@ class TestPairPrune:
         cert = general_position_certificate(quad_map())
         with pytest.raises(DegenerateGeometryError, match="adjacent pair"):
             secant_set(h, [3, 5], certificate=cert)
+
+
+def forbid_fraction_kernels(monkeypatch):
+    """Make the Fraction kernels raise wherever a plgp module bound them."""
+    for name in ("rank", "solve_affine", "det", "affinely_independent"):
+        original = getattr(exact_module, name)
+
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called on the secant path")
+
+        for modname, module in list(sys.modules.items()):
+            if modname == "plgp" or modname.startswith("plgp."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, forbidden)
+
+
+class TestIntegerPath:
+    """secant_set and secants_for_pair run on Python ints: with the Fraction
+    kernels made to raise, they still find records on certified maps."""
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 5)])
+    def test_no_fraction_kernel_on_the_secant_path(self, n, m, monkeypatch):
+        rng = random.Random(50 + n)
+        maps = [random_certified_map(rng, PRUNE_COMPLEXES[n, m], m) for _ in range(2)]
+        forbid_fraction_kernels(monkeypatch)
+        found = 0
+        for h, cert in maps:
+            pairs = candidate_pairs(h)
+            for _ in range(8):
+                z = z_near_a_chord(rng, h, *rng.choice(pairs))
+                try:
+                    records = secant_set(h, z, certificate=cert)
+                except (DegenerateGeometryError, PreconditionError):
+                    continue
+                per_pair = [
+                    rec
+                    for s1, s2 in pairs
+                    for rec in secants_for_pair(h, z, s1, s2, certificate=cert)
+                ]
+                assert {line_key(r.line) for r in records} == {
+                    line_key(r.line) for r in per_pair
+                }
+                found += len(records)
+        assert found >= 15
