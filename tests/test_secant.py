@@ -308,7 +308,8 @@ class TestZeroDimCertificate:
             zero_dim_certificate([rec, rec], 0.1, 10)
 
     def test_each_line_clipped_once_and_distances_as_line_distance(self, monkeypatch):
-        lines = [X_AXIS, SHIFTED_X, Y_AXIS, AffineFlat(3, vec([1, 2, 0]), (vec([1, 1, 1]),))]
+        slanted = AffineFlat(3, vec([1, 2, 0]), (vec([1, 1, 1]),))
+        lines = [X_AXIS, SHIFTED_X, Y_AXIS, slanted]
         recs = [type("R", (), {"line": line})() for line in lines]
         pairwise = [
             line_distance(lines[i], lines[j], 10)
