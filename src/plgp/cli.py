@@ -53,7 +53,7 @@ from .secant import (
     pair_to_obj,
     pairs_from_records,
     probe_region_samples,
-    record_to_obj,
+    sample_to_obj,
     secant_set,
     zero_dim_certificate,
 )
@@ -166,11 +166,8 @@ def cmd_analyze(args, argv) -> int:
     )
     _emit(
         {
+            **sample_to_obj(z, d2, records),
             "manifest": manifest,
-            "z": [rat_str(x) for x in z],
-            "image_distance_sq": rat_str(d2),
-            "secants": len(records),
-            "records": [record_to_obj(rec) for rec in records],
             "pairs": [pair_to_obj(p) for p in pairs],
             "certificate": cover_certificate_to_obj(cover),
             "certifies": ["zero_dim_certificate.valid"],
@@ -187,33 +184,19 @@ def cmd_probe(args, argv) -> int:
     # one certificate serves every sample; with no samples nothing is certified
     cert = general_position_certificate(h) if probes else None
     samples = []
-    rows = []
-    max_secants = 0
     min_line_dist = None
-    valid = 0
     for index, probe in enumerate(probes):
         records = secant_set(h, probe.z, certificate=cert)
         cover = zero_dim_certificate(records, epsilon, k)
-        if cover.valid:
-            valid += 1
-        max_secants = max(max_secants, len(records))
         d = cover.min_distance
         if d is not None and (min_line_dist is None or d < min_line_dist):
             min_line_dist = d
         samples.append(
             {
+                **sample_to_obj(probe.z, probe.image_distance_sq, records),
                 "index": index,
-                "z": [rat_str(x) for x in probe.z],
-                "image_distance_sq": rat_str(probe.image_distance_sq),
-                "secants": len(records),
-                "records": [record_to_obj(rec) for rec in records],
                 "certificate": cover_certificate_to_obj(cover),
             }
-        )
-        rows.append(
-            [index]
-            + [rat_str(x) for x in probe.z]
-            + [rat_str(probe.image_distance_sq), len(records), cover.valid]
         )
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -223,7 +206,11 @@ def cmd_probe(args, argv) -> int:
                 + ["z%d" % i for i in range(h.m)]
                 + ["image_distance_sq", "secants", "certificate_valid"]
             )
-            writer.writerows(rows)
+            for sample in samples:
+                writer.writerow(
+                    [sample["index"], *sample["z"], sample["image_distance_sq"]]
+                    + [sample["secants"], sample["certificate"]["valid"]]
+                )
     manifest = _manifest(
         "probe",
         argv,
@@ -231,6 +218,8 @@ def cmd_probe(args, argv) -> int:
         args.seed,
         {"k": args.k, "samples": args.samples, "epsilon": args.epsilon},
     )
+    valid = sum(sample["certificate"]["valid"] for sample in samples)
+    max_secants = max((sample["secants"] for sample in samples), default=0)
     pass_rate = 1.0 if not probes else valid / len(probes)
     _emit(
         {

@@ -183,6 +183,15 @@ def image_diameter_sq(h: PLMap, simplex) -> Fraction:
     return best
 
 
+def integer_images(h: PLMap):
+    """(scale, images): every vertex image times scale, the lcm of all
+    coordinate denominators over the map, as tuples of Python ints keyed by
+    vertex."""
+    vertices = h.complex.vertices
+    scale, rows = integer_points([h.images[v] for v in vertices])
+    return scale, dict(zip(vertices, rows))
+
+
 def max_image_diameter_sq(h: PLMap) -> Fraction:
     """Max of image_diameter_sq over every simplex of h, read off its edges.
 
@@ -191,9 +200,7 @@ def max_image_diameter_sq(h: PLMap) -> Fraction:
     Squared lengths are taken on Python ints, the images scaled once by
     their common denominator; 0 when there are no edges.
     """
-    vertices = h.complex.vertices
-    scale, rows = integer_points([h.images[v] for v in vertices])
-    ints = dict(zip(vertices, rows))
+    scale, ints = integer_images(h)
     best = 0
     for s in h.complex.simplices:
         if len(s) == 2:

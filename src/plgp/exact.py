@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-Rational = Fraction
-
 SQRT_SLACK = Fraction(1, 2**20)
 
 
@@ -134,17 +132,11 @@ class Matrix:
         )
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _integerize_rows(rows):
     """Scale each row by the lcm of its denominators; return (int rows, multipliers)."""
     out, mults = [], []
     for row in rows:
-        m = 1
-        for x in row:
-            m = _lcm(m, x.denominator)
+        m = lcm(*(x.denominator for x in row))
         out.append([int(x * m) for x in row])
         mults.append(m)
     return out, mults
@@ -225,6 +217,72 @@ def _reduce_int(echelon, pivots, row):
             row[j] = q
         prev = piv
     return [row[j] for j in free]
+
+
+class Echelons:
+    """Full-rank tests on integer points about one origin, the rows being
+    points[v] - origin.
+
+    For a vertex set s, s's rows are put in echelon form once and each
+    point's row is reduced against that echelon once (_reduce_int), both
+    on first use and kept.  The rows of s and of an extra vertex set t
+    together have full rank iff s's rows do and t's reduced rows do:
+    rank [S; T] = rank S + rank(T reduced against S).  So with the points
+    and origin on one integer frame, s u t u {origin} is affinely
+    independent iff both small ranks are full.
+    """
+
+    def __init__(self, points, origin):
+        self.points = points  # vertex -> tuple of ints
+        self.origin = origin
+        self._echelons = {}
+
+    def _row(self, v):
+        return [a - b for a, b in zip(self.points[v], self.origin)]
+
+    def echelon(self, s):
+        """(rows, pivots, reduced): s's rows after one Bareiss elimination,
+        their pivot columns, and the rows reduced against them so far, by
+        vertex."""
+        e = self._echelons.get(s)
+        if e is None:
+            rows = [self._row(v) for v in s]
+            e = self._echelons[s] = (rows, _echelon_int(rows), {})
+        return e
+
+    def reduced(self, s, v):
+        """v's row reduced against s's echelon, in its non-pivot columns;
+        zero iff the row lies in the span of s's rows.  The list is kept for
+        later calls, so callers must not change it."""
+        rows, pivots, reduced = self.echelon(s)
+        row = reduced.get(v)
+        if row is None:
+            row = reduced[v] = _reduce_int(rows, pivots, self._row(v))
+        return row
+
+    def full_rank(self, s, *extras) -> list:
+        """[s's rows have full rank] followed by, for each extra vertex set
+        t, whether s's rows with t's do.  Every verdict is False when s's
+        are not, with no reduction; so is t's when it has more vertices
+        than s's echelon has non-pivot columns."""
+        echelon, pivots, reduced = self.echelon(s)
+        if len(pivots) < len(s):
+            return [False] * (1 + len(extras))
+        free = len(self.origin) - len(pivots)
+        verdicts = [True]
+        for t in extras:
+            if len(t) > free:
+                verdicts.append(False)
+                continue
+            rows = []
+            for v in t:
+                # self.reduced(s, v), inline: this loop runs once per pair
+                row = reduced.get(v)
+                if row is None:
+                    row = reduced[v] = _reduce_int(echelon, pivots, self._row(v))
+                rows.append(list(row))  # a copy: _echelon_int works in place
+            verdicts.append(len(_echelon_int(rows)) == len(rows))
+        return verdicts
 
 
 def _solve_echelon_int(rows, n):
@@ -319,9 +377,7 @@ def primitive_vector(v) -> tuple:
     v = tuple(Fraction(x) for x in v)
     if all(x == 0 for x in v):
         return v
-    m = 1
-    for x in v:
-        m = _lcm(m, x.denominator)
+    m = lcm(*(x.denominator for x in v))
     ints = [int(x * m) for x in v]
     g = 0
     for x in ints:

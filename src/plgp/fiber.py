@@ -39,6 +39,7 @@ from .secant import (
     cover_certificate_to_obj,
     probe_region_samples,
     record_to_obj,
+    sample_to_obj,
     secant_set,
     zero_dim_certificate,
 )
@@ -244,12 +245,7 @@ def fibered_report(
         samples = []
         for probe in probes:
             records = secant_set(emb.map, probe.z, certificate=cert)
-            entry = {
-                "z": [rat_str(x) for x in probe.z],
-                "image_distance_sq": rat_str(probe.image_distance_sq),
-                "secants": len(records),
-                "records": [record_to_obj(rec) for rec in records],
-            }
+            entry = sample_to_obj(probe.z, probe.image_distance_sq, records)
             if etas:
                 distances = _fiber_distances(emb, records)
                 by_eta = {}

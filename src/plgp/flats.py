@@ -40,8 +40,7 @@ from .exact import (
     vec_sub,
     widen_frame,
 )
-from .complexes import BarycentricPoint, PLMap, sorted_vertices
-from .perturb import integer_images
+from .complexes import BarycentricPoint, PLMap, integer_images, sorted_vertices
 
 
 @dataclass(frozen=True)

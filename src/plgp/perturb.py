@@ -16,16 +16,13 @@ maximal simplex and maximal pair is itself a face or face pair.  The
 per-face verdicts are lazy: a face or face pair is ranked only when its
 union lies inside a failing maximal union, and is independent otherwise.
 
-Each maximal simplex sigma is ranked once.  If it passes, its difference
-rows from its first vertex p0 are eliminated once (Bareiss), and those same
-steps are replayed on v - p0 for every vertex v of a later maximal simplex,
-once per v.  A pair (sigma, tau) is then independent iff the reduced rows of
-the vertices tau - sigma have full rank: rank [S; T] = rank S + rank of T
-reduced against S.  Those rows have only the m - dim(sigma) non-pivot
-columns, so a pair with more extra vertices fails without a rank, as does a
-pair holding a failing simplex.  All of it runs on Python ints: every image
-is scaled by one common denominator, the lcm over the map, which leaves
-affine independence unchanged.
+Each maximal simplex sigma is eliminated once, in one exact.Echelons about
+its first vertex: that decides sigma, and every pair of sigma with a later
+passing maximal simplex tau from the vertices tau - sigma reduced against
+sigma's echelon.  A pair holding a failing simplex fails without a rank.
+All of it runs on Python ints: every image is scaled by one common
+denominator, the lcm over the map, which leaves affine independence
+unchanged.
 """
 
 from __future__ import annotations
@@ -36,12 +33,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .complexes import PLMap, sorted_vertices
+from .complexes import PLMap, integer_images, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
+    Echelons,
     _echelon_int,
-    _reduce_int,
-    integer_points,
     norm_sq,
     rat,
     rat_str,
@@ -69,59 +65,33 @@ class PerturbationReport:
     certificate: GeneralPositionCertificate
 
 
-def integer_images(h: PLMap):
-    """(scale, images): every vertex image times scale, the lcm of all
-    coordinate denominators over the map, as tuples of Python ints keyed by
-    vertex."""
-    vertices = list(h.complex.vertices)
-    scale, rows = integer_points([h.images[v] for v in vertices])
-    return scale, dict(zip(vertices, rows))
-
-
 class MaximalVerdicts:
     """Exact verdicts on the maximal simplices and on every pair of distinct ones."""
 
     def __init__(self, h: PLMap):
         self.map = h
         self.scale, self.images = integer_images(h)
-        self.tops = h.complex.maximal_simplices()
-        self.bad_tops = [not self.independent(t) for t in self.tops]
-        self.bad_pairs = self._pair_flags()
-        self.overall = not any(self.bad_tops) and 1 not in self.bad_pairs
-
-    def _pair_flags(self) -> bytearray:
-        """One flag per pair of tops, in combinations(tops, 2) order, set
-        iff the pair's union is affinely dependent: one elimination per
-        passing top sigma, reused by all of its pairs with later tops (see
-        the module docstring)."""
-        tops, bad, images = self.tops, self.bad_tops, self.images
-        m = self.map.m
-        flags = bytearray()
+        self.tops = tops = h.complex.maximal_simplices()
+        # one Echelons per top sigma: its rows v - v0 about its first vertex v0
+        frames = []
+        for sigma in tops:
+            first = next(iter(sigma))
+            frames.append((Echelons(self.images, self.images[first]), sigma - {first}))
+        self.bad_tops = bad = [not e.full_rank(s)[0] for e, s in frames]
+        # one flag per pair in combinations(tops, 2) order, set iff the pair's
+        # union is dependent; a pair holding a failing top is set with no rank
+        self.bad_pairs = flags = bytearray()
         for i, sigma in enumerate(tops):
+            e, s = frames[i]
+            frames[i] = None  # keep no reductions past sigma's row
             if bad[i]:
                 flags.extend(b"\x01" * (len(tops) - i - 1))
                 continue
-            first, *rest = sigma
-            p0 = images[first]
-            echelon = [[a - b for a, b in zip(images[v], p0)] for v in rest]
-            pivots = _echelon_int(echelon)
-            free = m - len(pivots)
-            reduced = {}
-            for tau, bad_tau in zip(tops[i + 1:], bad[i + 1:]):
-                extra = tau - sigma
-                if bad_tau or len(extra) > free:
-                    flags.append(1)
-                    continue
-                rows = []
-                for v in extra:
-                    row = reduced.get(v)
-                    if row is None:
-                        row = reduced[v] = _reduce_int(
-                            echelon, pivots, [a - b for a, b in zip(images[v], p0)]
-                        )
-                    rows.append(list(row))  # _echelon_int works in place
-                flags.append(len(_echelon_int(rows)) < len(rows))
-        return flags
+            later = [tau - sigma for tau, b in zip(tops[i + 1:], bad[i + 1:]) if not b]
+            ok = iter(e.full_rank(s, *later)[1:])
+            for b in bad[i + 1:]:
+                flags.append(b or not next(ok))
+        self.overall = not any(bad) and 1 not in flags
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""

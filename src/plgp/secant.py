@@ -17,10 +17,10 @@ systems on Python ints: the images and z are scaled by one common
 denominator per map and probe.  For s1 = conv(v_i) and s2 = conv(w_j), a
 secant through z is points p1 = sum mu_i v_i and p2 = sum nu_j w_j, with
 mu >= 0 and nu >= 0 each summing to 1, such that p1 - z and p2 - z are
-nonzero and parallel.  The rows v_i - z are put in echelon form once per
-probe (Bareiss), and replaying those steps on a row x gives R1(x), its
-entries in the non-pivot columns: a linear map whose kernel is exactly the
-span of the v_i - z, the direction space of the join J1 = aff(z u s1).  So
+nonzero and parallel.  In one exact.Echelons about z per probe, the row
+x reduced against the echelon of the rows v_i - z is R1(x), its entries in
+the non-pivot columns: a linear map whose kernel is exactly the span of
+the v_i - z, the direction space of the join J1 = aff(z u s1).  So
 p2 lies on J1 exactly when nu solves
 
     sum nu_j R1(w_j - z) = 0,    sum nu_j = 1,
@@ -52,11 +52,10 @@ is inconsistent.  The same holds for z in aff(s1), with the roles swapped.
 The flats construction (joins, intersections, line-simplex solves) is the
 kernel's oracle in the tests.
 
-The reduced rows R1(w - z) are cached per (simplex, vertex) for the probe;
-the rank of a vertex-sharing pair's union with z reads the same
-reductions, as |s1| plus the rank of the rows R1(w - z) for w in s2 - s1.
-The echelons of the maximal faces of gamma's sides, which need not be
-maximal simplices, are built on first use.
+The Echelons keeps every echelon and reduced row R1(w - z) for the probe,
+and the ranks of (ii) are its full_rank tests on the same reductions.  The
+echelons of the maximal faces of gamma's sides, which need not be maximal
+simplices, are built on first use.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
@@ -71,11 +70,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import BarycentricPoint, PLMap, maximal_faces, sorted_vertices
+from .complexes import (
+    BarycentricPoint,
+    PLMap,
+    integer_images,
+    maximal_faces,
+    sorted_vertices,
+)
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
+    Echelons,
     _echelon_int,
-    _reduce_int,
     _solve_echelon_int,
     norm_sq,
     rat,
@@ -90,7 +95,7 @@ from .flats import (
     line_to_obj,
     point_to_image_distance_sq_lower,
 )
-from .perturb import GRID, general_position_certificate, integer_images
+from .perturb import GRID, general_position_certificate
 
 PROBE_BUDGET_FACTOR = 1000
 
@@ -141,16 +146,11 @@ def _certified(h, certificate):
     return cert
 
 
-class _ProbeEchelons:
-    """One probe's eliminations on the integer frame: each simplex's rows
-    v - z in echelon form, and each vertex's row w - z reduced against a
-    simplex's echelon, each built on first use and kept for the probe.
-
-    The frame is the map's vertex images and z, all multiplied by one common
-    denominator, as tuples of Python ints.  The certificate's maximal
+class _ProbeEchelons(Echelons):
+    """One probe's Echelons about z, on the map's vertex images and z all
+    multiplied by one common denominator.  The certificate's maximal
     verdicts already hold the map's integer images; only z's denominators
-    can widen the scale.
-    """
+    can widen the scale."""
 
     def __init__(self, h, z, cert):
         maximal = cert.pair_verdicts.maximal
@@ -159,35 +159,11 @@ class _ProbeEchelons:
         else:
             scale, images = integer_images(h)
         self.z = z
-        self.scale, self.zi = widen_frame(scale, z)
+        self.scale, zi = widen_frame(scale, z)
         if self.scale != scale:
             f = self.scale // scale
             images = {v: tuple(f * x for x in p) for v, p in images.items()}
-        self.images = images
-        self._echelons = {}
-        self._reduced = {}
-
-    def _row(self, v):
-        return [a - c for a, c in zip(self.images[v], self.zi)]
-
-    def echelon(self, s):
-        """(rows, pivots): s's rows v - z after one Bareiss elimination; z is
-        affinely independent of s's image iff len(pivots) == len(s)."""
-        e = self._echelons.get(s)
-        if e is None:
-            rows = [self._row(v) for v in s]
-            e = self._echelons[s] = (rows, _echelon_int(rows))
-        return e
-
-    def reduced(self, s, w):
-        """R_s(w - z): the row w - z reduced against s's echelon, in its
-        non-pivot columns; zero iff w - z lies in the span of s's rows."""
-        key = (s, w)
-        row = self._reduced.get(key)
-        if row is None:
-            rows, pivots = self.echelon(s)
-            row = self._reduced[key] = _reduce_int(rows, pivots, self._row(w))
-        return row
+        super().__init__(images, zi)
 
     def _weights(self, s1, s2):
         """(vertices, d, nu) with nu / d the one solution of the small system
@@ -217,12 +193,12 @@ class _ProbeEchelons:
         vertices, and scale * d * (point - z) in integers."""
         verts, d, nu = weights
         num = [
-            sum(t * self.images[w][r] for t, w in zip(nu, verts))
-            for r in range(len(self.zi))
+            sum(t * self.points[w][r] for t, w in zip(nu, verts))
+            for r in range(len(self.origin))
         ]
         point = tuple(Fraction(a, d * self.scale) for a in num)
         bary = BarycentricPoint(verts, tuple(Fraction(t, d) for t in nu))
-        return (s, point, bary), [a - d * c for a, c in zip(num, self.zi)]
+        return (s, point, bary), [a - d * c for a, c in zip(num, self.origin)]
 
     def records(self, s1, s2):
         """Secant records for one vertex-disjoint pair (length <= 1), read off
@@ -255,11 +231,10 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     """z is affinely independent of every maximal image simplex and of every
     vertex-sharing maximal pair's image union, by integer ranks on the frame.
 
-    A pair's union with z has full rank iff the rows of s2 - s1 reduced
-    against s1's echelon do; those have m - |s1| columns, so more extra
-    vertices than that fail.  Passing ranks also put z off the image, which
-    lies in the union of the maximal simplices' affine hulls; the exact
-    distance is computed only to word a failure.
+    Both are read off Echelons.full_rank about z: s1's echelon, and the
+    rows of s2 - s1 reduced against it.  Passing ranks also put z off the
+    image, which lies in the union of the maximal simplices' affine hulls;
+    the exact distance is computed only to word a failure.
     """
 
     def fail(message):
@@ -268,18 +243,13 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
         raise DegenerateGeometryError(message)
 
     for i, s1 in enumerate(tops):
-        _, pivots = echelons.echelon(s1)
-        if len(pivots) < len(s1):
+        alone, *shared = echelons.full_rank(
+            s1, *(s2 - s1 for s2 in tops[i + 1:] if s1 & s2)
+        )
+        if not alone:
             fail("probe point affinely dependent with a maximal simplex image")
-        for s2 in tops[i + 1:]:
-            if not s1 & s2:
-                continue
-            # copies: the reductions are cached and _echelon_int works in place
-            rows = [list(echelons.reduced(s1, w)) for w in s2 - s1]
-            if len(_echelon_int(rows)) < len(rows):
-                fail(
-                    "probe point affinely dependent with an adjacent pair's image union"
-                )
+        if not all(shared):
+            fail("probe point affinely dependent with an adjacent pair's image union")
 
 
 def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
@@ -493,6 +463,16 @@ def record_to_obj(rec: SecantRecord) -> dict:
             }
             for s, p, b in rec.witnesses
         ],
+    }
+
+
+def sample_to_obj(z, image_distance_sq, records) -> dict:
+    """The JSON fields every report gives one probe point and its secants."""
+    return {
+        "z": [rat_str(x) for x in z],
+        "image_distance_sq": rat_str(image_distance_sq),
+        "secants": len(records),
+        "records": [record_to_obj(rec) for rec in records],
     }
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from plgp.exact import (
     AffineSolution,
+    Echelons,
     _echelon_int,
     _reduce_int,
     Matrix,
@@ -461,3 +462,69 @@ class TestReduceInt:
         for rows in seeded_int_matrices(62, 200):
             if len(rows) > 1:
                 self.check(rows[: len(rows) // 2], rows[len(rows) // 2 :])
+
+
+class TestEchelons:
+    """Echelons.full_rank against the Fraction rank of the stacked rows."""
+
+    @staticmethod
+    def stacked_full_rank(points, origin, vertices):
+        rows = [[a - b for a, b in zip(points[v], origin)] for v in vertices]
+        return rank(Matrix.from_rows(rows)) == len(rows)
+
+    def check(self, points, origin, s, extras):
+        s = frozenset(s)
+        extras = [frozenset(t) for t in extras]
+        want = [self.stacked_full_rank(points, origin, s)] + [
+            self.stacked_full_rank(points, origin, [*s, *t]) for t in extras
+        ]
+        e = Echelons(points, origin)
+        assert e.full_rank(s, *extras) == want
+        # the kept echelon and reductions give the same verdicts again
+        assert e.full_rank(s, *extras) == want
+        assert e.full_rank(s) == want[:1]
+        return want
+
+    def test_repeated_point(self):
+        points = {"a": (1, 0, 0, 0), "b": (0, 1, 0, 0), "c": (0, 0, 1, 0),
+                  "d": (0, 0, 1, 0)}
+        want = self.check(points, (0, 0, 0, 0), "a", ["cd", "c", "d", "bd"])
+        assert want == [True, False, True, True, True]
+
+    def test_flat_set(self):
+        # a, b and the origin are collinear: no union with them has full rank
+        points = {"a": (1, 1, 0), "b": (2, 2, 0), "c": (0, 0, 1)}
+        assert self.check(points, (0, 0, 0), "ab", ["c", ""]) == [False] * 3
+        assert self.check(points, (0, 0, 0), "c", ["a", "ab"]) == [True, True, False]
+
+    def test_more_extra_vertices_than_free_columns(self):
+        # s fills two of three columns: one free column, two extra vertices
+        points = {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1), "d": (1, 1, 1)}
+        want = self.check(points, (0, 0, 0), "ab", ["cd", "c", "d"])
+        assert want == [True, False, True, True]
+
+    def test_no_extras(self):
+        points = {"a": (3, 1), "b": (1, 2)}
+        assert self.check(points, (1, 1), "ab", []) == [True]
+        assert self.check(points, (1, 1), "", []) == [True]
+
+    def test_seeded_points(self):
+        rng = random.Random(63)
+        verdicts = set()
+        for _ in range(150):
+            m = rng.randrange(2, 6)
+            ids = range(rng.randrange(2, m + 5))
+            points = {v: tuple(rng.randrange(-1, 2) for _ in range(m)) for v in ids}
+            if rng.random() < 0.3:
+                points[1] = points[0]
+            origin = tuple(rng.randrange(-1, 2) for _ in range(m))
+            s = rng.sample(ids, rng.randrange(0, min(m, len(ids)) + 1))
+            extras = [
+                rng.sample(ids, rng.randrange(0, min(m + 2, len(ids)) + 1))
+                for _ in range(rng.randrange(0, 6))
+            ]
+            # every single vertex too, after the larger sets
+            extras += [[v] for v in ids]
+            want = self.check(points, origin, s, extras)
+            verdicts.add((want[0], all(want)))
+        assert verdicts == {(False, False), (True, False), (True, True)}

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import plgp.exact
 import plgp.perturb
 from plgp.complexes import (
     BarycentricPoint,
@@ -20,7 +21,15 @@ from plgp.complexes import (
     subdivide_until,
 )
 from plgp.errors import PerturbationBudgetError, PreconditionError
-from plgp.exact import Matrix, affinely_independent, norm_sq, solve_affine, vec, vec_sub
+from plgp.exact import (
+    Echelons,
+    Matrix,
+    affinely_independent,
+    norm_sq,
+    solve_affine,
+    vec,
+    vec_sub,
+)
 from plgp.flats import flats_skew, span_of_points
 from plgp.perturb import (
     GRID,
@@ -334,10 +343,38 @@ class TestPerTopCertificate:
         def refuse(*args):
             raise AssertionError("reduced a row against a pair with a failing top")
 
-        monkeypatch.setattr(plgp.perturb, "_reduce_int", refuse)
+        monkeypatch.setattr(plgp.exact, "_reduce_int", refuse)
         mv = MaximalVerdicts(h)
         assert mv.bad_tops == [False, True]
         assert bytes(mv.bad_pairs) == b"\x01"
+
+    def test_each_top_eliminated_once(self, monkeypatch):
+        built = []
+        echelon = Echelons.echelon
+
+        def spy(self, s):
+            built.append(echelon(self, s))
+            return built[-1]
+
+        def refuse(self, vertices):
+            raise AssertionError("full elimination of a union")
+
+        monkeypatch.setattr(Echelons, "echelon", spy)
+        monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
+        rng = random.Random(74)
+        bad_tops = bad_pairs = good_pairs = 0
+        for repeat in ("inside", "outside", None):
+            h1 = seeded_complex_map(rng, 2, 5, repeat)
+            h, _ = perturb_to_general_position(h1, F(1, 2), seed=1)
+            for g in (h1, h):
+                built.clear()
+                mv = MaximalVerdicts(g)
+                # one echelon, with its reductions, per top: kept by identity
+                assert len({id(e) for e in built}) == len(mv.tops)
+                bad_tops += sum(mv.bad_tops)
+                bad_pairs += sum(mv.bad_pairs)
+                good_pairs += mv.bad_pairs.count(0)
+        assert bad_tops and bad_pairs and good_pairs
 
     @pytest.mark.parametrize(
         "name,delta", [("triangles5", F(1, 2)), ("hexagon", F(1, 4))]
