@@ -12,9 +12,12 @@ pair of distinct maximal simplices, vertex-sharing pairs included.  That
 decides every face and face pair: each face lies in a maximal simplex, so a
 face pair's vertex union lies in one maximal simplex or in a maximal pair's
 union, and subsets of an affinely independent set are independent; each
-maximal simplex and maximal pair is itself a face or face pair.  The
-per-face verdicts are lazy: a face or face pair is ranked only when its
-union lies inside a failing maximal union, and is independent otherwise.
+maximal simplex and maximal pair is itself a face or face pair.  So the
+certificate is the maximal verdicts alone (MaximalVerdicts): it passes
+exactly when every face and face pair passes.  A face or face pair whose
+union lies inside a passing maximal union passes; any other would need its
+own rank, which nothing takes, since a failing certificate is resampled and
+never reported.  A report counts every face and face pair as checked.
 
 Each maximal simplex sigma is eliminated once, in one exact.Echelons about
 its first vertex: that decides sigma, and every pair of sigma with a later
@@ -33,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .complexes import PLMap, integer_images, sorted_vertices
+from .complexes import PLMap, integer_images
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
     Echelons,
@@ -50,23 +53,17 @@ DEFAULT_MAX_ROUNDS = 32
 
 
 @dataclass(frozen=True)
-class GeneralPositionCertificate:
-    simplex_verdicts: object  # lazy ((simplex, ok), ...) over all faces
-    pair_verdicts: object     # lazy ((s1, s2, ok), ...) over all face pairs
-    overall: bool
-
-
-@dataclass(frozen=True)
 class PerturbationReport:
     seed: int
     rounds: int
     max_displacement: Fraction     # certified upper bound, < delta/2
     max_displacement_sq: Fraction  # exact
-    certificate: GeneralPositionCertificate
+    certificate: MaximalVerdicts
 
 
 class MaximalVerdicts:
-    """Exact verdicts on the maximal simplices and on every pair of distinct ones."""
+    """The general-position certificate: exact verdicts on the maximal
+    simplices and on every pair of distinct ones."""
 
     def __init__(self, h: PLMap):
         self.map = h
@@ -113,59 +110,13 @@ class MaximalVerdicts:
                     yield t1 | t2
 
 
-class LazyVerdicts:
-    """Verdicts over faces or face pairs in canonical order, computed on iteration.
-
-    Iterating ranks a union only when it lies inside a failing maximal union;
-    every other union lies inside a passing one and is independent.
-    """
-
-    def __init__(self, groups, count: int, maximal: MaximalVerdicts):
-        self._groups = groups  # callable: iterable of simplex tuples, in order
-        self._count = count
-        self.maximal = maximal
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __eq__(self, other):
-        # value semantics, as for the tuples of verdicts these stand for
-        if not isinstance(other, LazyVerdicts):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __iter__(self):
-        failing = list(self.maximal.failing_unions())
-        for group in self._groups():
-            union = frozenset().union(*group)
-            ok = not any(union <= f for f in failing) or self.maximal.independent(union)
-            yield (*group, ok)
-
-
-def general_position_certificate(h: PLMap) -> GeneralPositionCertificate:
-    c = h.complex
-    n = c.dimension
+def general_position_certificate(h: PLMap) -> MaximalVerdicts:
+    n = h.complex.dimension
     if n >= 0 and h.m < 2 * n + 1:
         raise PreconditionError(
             "certificate requires ambient dimension m >= 2*dim(K)+1"
         )
-    maximal = MaximalVerdicts(h)
-    f = len(c.simplices)
-    faces = c.sorted_simplices
-    return GeneralPositionCertificate(
-        LazyVerdicts(lambda: ((s,) for s in faces()), f, maximal),
-        LazyVerdicts(lambda: combinations(faces(), 2), f * (f - 1) // 2, maximal),
-        maximal.overall,
-    )
-
-
-def failed_vertices(cert: GeneralPositionCertificate) -> set:
-    """Vertices of every failing face and face pair: the same set as the
-    vertices of every failing maximal simplex and maximal pair union."""
-    return set().union(*cert.pair_verdicts.maximal.failing_unions())
+    return MaximalVerdicts(h)
 
 
 def _draw_displacement(rng, m, half, j_max):
@@ -212,7 +163,7 @@ def perturb_to_general_position(
     zero_vec = tuple(Fraction(0) for _ in range(h0.m))
     displacements = {v: zero_vec for v in h0.complex.vertices}
     for round_index in range(1, max_rounds + 1):
-        for v in sorted(failed_vertices(cert), key=str):
+        for v in sorted(set().union(*cert.failing_unions()), key=str):
             displacements[v] = _draw_displacement(rng, h0.m, half, j_max)
         images = {
             v: vec_add(h0.images[v], displacements[v]) for v in h0.complex.vertices
@@ -230,28 +181,20 @@ def perturb_to_general_position(
     )
 
 
-def certificate_to_obj(cert: GeneralPositionCertificate, verbose=False) -> dict:
-    obj = {
+def certificate_to_obj(cert: MaximalVerdicts) -> dict:
+    f = len(cert.map.complex.simplices)
+    return {
         "overall": cert.overall,
-        "simplices_checked": len(cert.simplex_verdicts),
-        "pairs_checked": len(cert.pair_verdicts),
+        "simplices_checked": f,
+        "pairs_checked": f * (f - 1) // 2,
     }
-    if verbose or not cert.overall:
-        obj["simplex_verdicts"] = [
-            [list(sorted_vertices(s)), ok] for s, ok in cert.simplex_verdicts
-        ]
-        obj["pair_verdicts"] = [
-            [list(sorted_vertices(s1)), list(sorted_vertices(s2)), ok]
-            for s1, s2, ok in cert.pair_verdicts
-        ]
-    return obj
 
 
-def report_to_obj(report: PerturbationReport, verbose=False) -> dict:
+def report_to_obj(report: PerturbationReport) -> dict:
     return {
         "seed": report.seed,
         "rounds": report.rounds,
         "max_displacement": rat_str(report.max_displacement),
         "max_displacement_sq": rat_str(report.max_displacement_sq),
-        "certificate": certificate_to_obj(report.certificate, verbose=verbose),
+        "certificate": certificate_to_obj(report.certificate),
     }

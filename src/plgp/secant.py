@@ -148,14 +148,13 @@ def _certified(h, certificate):
 
 class _ProbeEchelons(Echelons):
     """One probe's Echelons about z, on the map's vertex images and z all
-    multiplied by one common denominator.  The certificate's maximal
-    verdicts already hold the map's integer images; only z's denominators
-    can widen the scale."""
+    multiplied by one common denominator.  The certificate (the map's
+    MaximalVerdicts) already holds the map's integer images; only z's
+    denominators can widen the scale."""
 
     def __init__(self, h, z, cert):
-        maximal = cert.pair_verdicts.maximal
-        if maximal.map is h:
-            scale, images = maximal.scale, maximal.images
+        if cert.map is h:
+            scale, images = cert.scale, cert.images
         else:
             scale, images = integer_images(h)
         self.z = z

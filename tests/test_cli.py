@@ -127,6 +127,26 @@ class TestEmbed:
         )
         assert code == 2
 
+    def test_unmovable_coincident_vertices_exhaust_the_budget(self, capsys, tmp_path):
+        # two isolated vertices share one image; at delta 2^-32 the 2^-32
+        # grid holds only the zero displacement, so the certificate never
+        # passes: the one path where a certificate fails, and it prints none
+        source = tmp_path / "twins.json"
+        source.write_text(json.dumps({
+            "maximal_simplices": [["xa"], ["xb"]], "m": 3,
+            "images": {"xa": ["0", "0", "0"], "xb": ["0", "0", "0"]},
+        }))
+        out = tmp_path / "x.json"
+        code, text, err = run(
+            capsys,
+            "embed", "--input", str(source), "--delta", "1/4294967296",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 4
+        assert text == ""
+        assert not out.exists()
+        assert err == "no general-position certificate within 32 resample rounds\n"
+
 
 class TestAnalyze:
     def test_probe_point_report(self, capsys, quad_map):

@@ -25,7 +25,7 @@ from plgp.fiber import (
     instance_to_obj,
     u_map_fine_enough,
 )
-from plgp.perturb import perturb_to_general_position
+from plgp.perturb import perturb_to_general_position, report_to_obj
 from plgp.secant import probe_region_samples, secant_set
 
 
@@ -149,7 +149,10 @@ class TestFiberwiseEmbed:
         ref = subdivide_until(inst.references["f"], 1)
         g, report = perturb_to_general_position(ref, 1, derive_seed(11, "f"))
         assert embs["f"].map.images == g.images
-        assert embs["f"].report == report
+        assert report_to_obj(embs["f"].report) == report_to_obj(report)
+        cert = embs["f"].report.certificate
+        assert cert.bad_tops == report.certificate.bad_tops
+        assert bytes(cert.bad_pairs) == bytes(report.certificate.bad_pairs)
         assert embs["f"].reference.images == ref.images
 
     def test_two_copies_diverge_under_derived_seeds(self):

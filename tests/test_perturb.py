@@ -33,12 +33,10 @@ from plgp.exact import (
 from plgp.flats import flats_skew, span_of_points
 from plgp.perturb import (
     GRID,
-    LazyVerdicts,
     MaximalVerdicts,
     _displacement_bound,
     _draw_displacement,
     certificate_to_obj,
-    failed_vertices,
     general_position_certificate,
     perturb_to_general_position,
     report_to_obj,
@@ -68,17 +66,17 @@ class TestCertificate:
     def test_generic_segments_pass(self):
         cert = general_position_certificate(generic_segments())
         assert cert.overall
-        assert all(ok for _, ok in cert.simplex_verdicts)
-        assert all(ok for _, _, ok in cert.pair_verdicts)
+        simplex_verdicts, pair_verdicts = face_verdicts(cert)
+        assert all(ok for _, ok in simplex_verdicts)
+        assert all(ok for _, _, ok in pair_verdicts)
 
     def test_coplanar_pair_fails(self):
         cert = general_position_certificate(coplanar_segments())
         assert not cert.overall
-        bad = {
-            frozenset((s1, s2)) for s1, s2, ok in cert.pair_verdicts if not ok
-        }
+        simplex_verdicts, pair_verdicts = face_verdicts(cert)
+        bad = {frozenset((s1, s2)) for s1, s2, ok in pair_verdicts if not ok}
         assert frozenset((frozenset("ab"), frozenset("cd"))) in bad
-        assert all(ok for _, ok in cert.simplex_verdicts)
+        assert all(ok for _, ok in simplex_verdicts)
 
     def test_single_vertex_passes(self):
         c = SimplicialComplex.from_maximal([["a"]])
@@ -96,23 +94,21 @@ class TestCertificate:
     def test_every_pair_listed(self):
         h = generic_segments()
         k = len(h.complex.simplices)
-        cert = general_position_certificate(h)
-        assert len(cert.pair_verdicts) == k * (k - 1) // 2
-        assert len(cert.simplex_verdicts) == k
+        obj = certificate_to_obj(general_position_certificate(h))
+        assert obj["pairs_checked"] == k * (k - 1) // 2
+        assert obj["simplices_checked"] == k
 
     def test_failed_vertices_collects_participants(self):
         cert = general_position_certificate(coplanar_segments())
-        assert failed_vertices(cert) == {"a", "b", "c", "d"}
+        assert set().union(*cert.failing_unions()) == {"a", "b", "c", "d"}
 
     def test_serialization_elides_verdicts_when_clean(self):
+        # a failing certificate is never printed (the CLI exits 4), and it
+        # serializes to the same three keys as a passing one
         clean = certificate_to_obj(general_position_certificate(generic_segments()))
-        assert clean["overall"] and "pair_verdicts" not in clean
+        assert clean == {"overall": True, "simplices_checked": 6, "pairs_checked": 15}
         dirty = certificate_to_obj(general_position_certificate(coplanar_segments()))
-        assert not dirty["overall"] and "pair_verdicts" in dirty
-        verbose = certificate_to_obj(
-            general_position_certificate(generic_segments()), verbose=True
-        )
-        assert "pair_verdicts" in verbose
+        assert dirty == {"overall": False, "simplices_checked": 6, "pairs_checked": 15}
 
 
 def reference_certificate(h):
@@ -138,6 +134,25 @@ def reference_certificate(h):
         if not ok:
             bad |= s1 | s2
     return simplex_verdicts, pair_verdicts, overall, bad
+
+
+def face_verdicts(cert):
+    """The certificate's verdict on every face and every face pair, in
+    sorted_simplices order: ([(s, ok), ...], [(s1, s2, ok), ...]).
+
+    A union is ranked only when it lies inside a failing maximal union;
+    every other union lies inside a passing one and is independent.
+    """
+    failing = list(cert.failing_unions())
+
+    def ok(union):
+        return not any(union <= f for f in failing) or cert.independent(union)
+
+    faces = cert.map.complex.sorted_simplices()
+    return (
+        [(s, ok(s)) for s in faces],
+        [(s1, s2, ok(s1 | s2)) for s1, s2 in combinations(faces, 2)],
+    )
 
 
 def map_of(maximal, images, m):
@@ -186,12 +201,14 @@ class TestMaximalPairOracle:
         simplex_verdicts, pair_verdicts, overall, bad = reference_certificate(h)
         cert = general_position_certificate(h)
         assert cert.overall == overall
-        assert list(cert.simplex_verdicts) == simplex_verdicts
-        assert list(cert.pair_verdicts) == pair_verdicts
-        assert len(cert.simplex_verdicts) == len(simplex_verdicts)
-        assert len(cert.pair_verdicts) == len(pair_verdicts)
-        assert failed_vertices(cert) == bad
-        assert general_position_certificate(h) == cert
+        assert face_verdicts(cert) == (simplex_verdicts, pair_verdicts)
+        obj = certificate_to_obj(cert)
+        assert obj["simplices_checked"] == len(simplex_verdicts)
+        assert obj["pairs_checked"] == len(pair_verdicts)
+        assert set().union(*cert.failing_unions()) == bad
+        again = general_position_certificate(h)
+        assert again.bad_tops == cert.bad_tops
+        assert bytes(again.bad_pairs) == bytes(cert.bad_pairs)
         return overall
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_MAPS))
@@ -215,10 +232,11 @@ class TestMaximalPairOracle:
     def test_clean_serialization_never_iterates_verdicts(self, monkeypatch):
         cert = general_position_certificate(generic_segments())
 
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError("verdicts iterated")
 
-        monkeypatch.setattr(LazyVerdicts, "__iter__", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "failing_unions", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         obj = certificate_to_obj(cert)
         assert obj == {"overall": True, "simplices_checked": 6, "pairs_checked": 15}
 
@@ -229,8 +247,9 @@ class TestMaximalPairOracle:
             raise AssertionError("rank on a passing certificate")
 
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
-        assert all(ok for _, _, ok in cert.pair_verdicts)
-        assert all(ok for _, ok in cert.simplex_verdicts)
+        simplex_verdicts, pair_verdicts = face_verdicts(cert)
+        assert all(ok for _, _, ok in pair_verdicts)
+        assert all(ok for _, ok in simplex_verdicts)
 
 
 def per_pair_flags(mv):
