@@ -51,7 +51,6 @@ from .perturb import (
 from .secant import (
     cover_certificate_to_obj,
     pair_to_obj,
-    pairs_from_records,
     probe_region_samples,
     sample_to_obj,
     secant_set,
@@ -155,7 +154,6 @@ def cmd_analyze(args, argv) -> int:
     epsilon = float(rat(args.epsilon))
     k = rat(args.k)
     records = secant_set(h, z)
-    pairs = pairs_from_records(records)
     cover = zero_dim_certificate(records, epsilon, k)
     manifest = _manifest(
         "analyze",
@@ -164,11 +162,12 @@ def cmd_analyze(args, argv) -> int:
         None,
         {"z": args.z, "epsilon": args.epsilon, "k": args.k},
     )
+    sample = sample_to_obj(z, d2, records)
     _emit(
         {
-            **sample_to_obj(z, d2, records),
+            **sample,
             "manifest": manifest,
-            "pairs": [pair_to_obj(p) for p in pairs],
+            "pairs": [pair_to_obj(rec) for rec in sample["records"]],
             "certificate": cover_certificate_to_obj(cover),
             "certifies": ["zero_dim_certificate.valid"],
         }

@@ -155,9 +155,6 @@ class PLMap:
             if len(self.images[v]) != self.m:
                 raise ValueError(f"image of {v!r} has wrong ambient dimension")
 
-    def image(self, v) -> tuple:
-        return self.images[v]
-
     def simplex_images(self, simplex) -> list:
         return [self.images[v] for v in sorted_vertices(simplex)]
 
@@ -335,13 +332,11 @@ def complex_from_obj(obj) -> tuple:
     marked = obj.get("marked", {}) or {}
     b1 = {str(v) for v in marked.get("B1", [])}
     b2 = {str(v) for v in marked.get("B2", [])}
-    declared = [str(v) for v in obj.get("vertices", [])]
+    declared = {str(v) for v in obj.get("vertices", [])}
+    # isolated vertices are allowed as singleton simplices
+    missing = declared.difference(*maximal)
+    maximal.extend([v] for v in sorted(missing))
     c = SimplicialComplex.from_maximal(maximal, b1=b1, b2=b2)
-    missing = set(declared) - set(c.vertices)
-    if missing:
-        # isolated vertices are allowed as singleton simplices
-        maximal.extend([[v] for v in sorted(missing)])
-        c = SimplicialComplex.from_maximal(maximal, b1=b1, b2=b2)
     problems = validate(c)
     if problems:
         raise ValueError("invalid complex: " + problems[0])

@@ -25,7 +25,7 @@ from .complexes import (
     complex_from_obj,
     complex_to_obj,
     evaluate,
-    image_diameter_sq,
+    max_image_diameter_sq,
     plmap_from_obj,
     plmap_to_obj,
     subdivide_until,
@@ -38,7 +38,6 @@ from .secant import (
     SecantRecord,
     cover_certificate_to_obj,
     probe_region_samples,
-    record_to_obj,
     sample_to_obj,
     secant_set,
     zero_dim_certificate,
@@ -170,7 +169,11 @@ def eta_secant_set(embeddings: dict, inst: FiberedInstance, label, z, eta) -> li
         raise ValueError(f"no embedding for fiber label {label!r}")
     emb = embeddings[label]
     records = secant_set(emb.map, vec(z), certificate=emb.report.certificate)
-    return _filter_by_eta(records, _fiber_distances(emb, records), eta)
+    distances = _fiber_distances(emb, records)
+    return [
+        EtaSecantRecord(records[i], distances[i], eta)
+        for i in _eta_kept(distances, eta)
+    ]
 
 
 def _fiber_distances(emb, records):
@@ -181,13 +184,10 @@ def _fiber_distances(emb, records):
     ]
 
 
-def _filter_by_eta(records, distances, eta):
+def _eta_kept(distances, eta):
+    """Indices of the distances the closed eta filter keeps (d2 >= eta^2)."""
     eta_sq = eta * eta
-    return [
-        EtaSecantRecord(rec, d2, eta)
-        for rec, d2 in zip(records, distances)
-        if d2 >= eta_sq
-    ]
+    return [i for i, d2 in enumerate(distances) if d2 >= eta_sq]
 
 
 def u_map_fine_enough(emb: FiberEmbedding, eta) -> bool:
@@ -195,15 +195,11 @@ def u_map_fine_enough(emb: FiberEmbedding, eta) -> bool:
 
     Sufficient condition: every simplex of the working subdivision has fiber
     diameter strictly below eta, so two points sharing a closed simplex are
-    closer than eta.  Reports flag fibers failing this check; they are not
-    refined automatically.
+    closer than eta.  Every simplex's diameter is attained on one of its
+    edges, so the largest edge decides.  Reports flag fibers failing this
+    check; they are not refined automatically.
     """
-    eta = rat(eta)
-    eta_sq = eta * eta
-    return all(
-        image_diameter_sq(emb.reference, s) < eta_sq
-        for s in emb.reference.complex.maximal_simplices()
-    )
+    return max_image_diameter_sq(emb.reference) < rat(eta) ** 2
 
 
 def fibered_report(
@@ -213,7 +209,6 @@ def fibered_report(
     count: int,
     etas=None,
     seed: int = 0,
-    epsilon=DEFAULT_COVER_EPSILON,
 ):
     """Probe every fiber and certify its eta-filtered secant sets.
 
@@ -250,13 +245,21 @@ def fibered_report(
                 distances = _fiber_distances(emb, records)
                 by_eta = {}
                 for eta in etas:
-                    kept = _filter_by_eta(records, distances, eta)
+                    kept = _eta_kept(distances, eta)
                     cover = zero_dim_certificate(
-                        [er.record for er in kept], epsilon, k
+                        [records[i] for i in kept], DEFAULT_COVER_EPSILON, k
                     )
-                    by_eta[rat_str(eta)] = {
+                    eta_str = rat_str(eta)
+                    by_eta[eta_str] = {
                         "count": len(kept),
-                        "records": [eta_record_to_obj(er) for er in kept],
+                        "records": [
+                            {
+                                **entry["records"][i],
+                                "fiber_distance_sq": rat_str(distances[i]),
+                                "eta": eta_str,
+                            }
+                            for i in kept
+                        ],
                         "certificate": cover_certificate_to_obj(cover),
                     }
                 entry["eta"] = by_eta
@@ -269,18 +272,11 @@ def fibered_report(
     return {
         "k": rat_str(k),
         "count": count,
-        "epsilon": epsilon,
+        "epsilon": DEFAULT_COVER_EPSILON,
         "eta": [rat_str(e) for e in etas],
         "seed": seed,
         "fibers": fibers,
     }
-
-
-def eta_record_to_obj(er: EtaSecantRecord) -> dict:
-    obj = record_to_obj(er.record)
-    obj["fiber_distance_sq"] = rat_str(er.fiber_distance_sq)
-    obj["eta"] = rat_str(er.eta)
-    return obj
 
 
 def instance_to_obj(inst: FiberedInstance) -> dict:

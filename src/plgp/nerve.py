@@ -124,9 +124,13 @@ def refine_for_separation(cloud: PointCloud, radius) -> Cover:
     )
     if d_sq == 0:
         raise SeparationError("marked sets touch; no separating radius exists")
-    if cover.separated and not witness_violation(cover):
+    # a cover that is not separated has a violation too: each element's own
+    # center is one of its points
+    if not witness_violation(cover):
         return cover
-    r = radius
+    # a verdict depends on the radius alone, so a rejected radius is halved
+    # at least once, then past every radius with 4r^2 >= d(B1, B2)^2
+    r = radius / 2
     while 4 * r * r >= d_sq:
         r = r / 2
     cover = build_cover(cloud, r)

@@ -105,7 +105,11 @@ class SecantRecord:
     line: object          # canonical AffineFlat, d=1
     z: tuple
     witnesses: tuple      # two (simplex, image point, BarycentricPoint) entries
-    pair: tuple           # source simplex pair
+
+    @property
+    def pair(self) -> tuple:
+        """The source simplex pair: the witnesses' simplices."""
+        return self.witnesses[0][0], self.witnesses[1][0]
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,6 @@ class _ProbeEchelons(Echelons):
                 line=line_through(self.z, gap2),
                 z=self.z,
                 witnesses=(witness1, witness2),
-                pair=(s1, s2),
             )
         ]
 
@@ -303,29 +306,6 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
         for rec in echelons.records(s1, s2):
             by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
-
-
-@dataclass(frozen=True)
-class ImagePointPair:
-    y1: tuple
-    y2: tuple
-    preimage1: object  # BarycentricPoint
-    preimage2: object
-    line: object
-
-
-def pairs_from_records(records):
-    """The collinear image-point pairs with distinct preimages, one per record."""
-    return [
-        ImagePointPair(
-            y1=rec.witnesses[0][1],
-            y2=rec.witnesses[1][1],
-            preimage1=rec.witnesses[0][2],
-            preimage2=rec.witnesses[1][2],
-            line=rec.line,
-        )
-        for rec in records
-    ]
 
 
 def _chord(line, k):
@@ -447,21 +427,19 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
 
 
 def record_to_obj(rec: SecantRecord) -> dict:
+    witnesses = [
+        {
+            "simplex": list(sorted_vertices(s)),
+            "point": [rat_str(x) for x in p],
+            "weights": [rat_str(w) for w in b.weights],
+        }
+        for s, p, b in rec.witnesses
+    ]
     return {
         "line": line_to_obj(rec.line),
         "z": [rat_str(x) for x in rec.z],
-        "pair": [
-            list(sorted_vertices(rec.pair[0])),
-            list(sorted_vertices(rec.pair[1])),
-        ],
-        "witnesses": [
-            {
-                "simplex": list(sorted_vertices(s)),
-                "point": [rat_str(x) for x in p],
-                "weights": [rat_str(w) for w in b.weights],
-            }
-            for s, p, b in rec.witnesses
-        ],
+        "pair": [w["simplex"] for w in witnesses],
+        "witnesses": witnesses,
     }
 
 
@@ -475,19 +453,19 @@ def sample_to_obj(z, image_distance_sq, records) -> dict:
     }
 
 
-def pair_to_obj(pair: ImagePointPair) -> dict:
-    def bary(b):
-        return {
-            "simplex": list(b.simplex),
-            "weights": [rat_str(w) for w in b.weights],
-        }
+def pair_to_obj(record: dict) -> dict:
+    """analyze's image-point pair, reshaped from a record_to_obj object."""
 
+    def preimage(witness):
+        return {"simplex": witness["simplex"], "weights": witness["weights"]}
+
+    w1, w2 = record["witnesses"]
     return {
-        "y1": [rat_str(x) for x in pair.y1],
-        "y2": [rat_str(x) for x in pair.y2],
-        "preimage1": bary(pair.preimage1),
-        "preimage2": bary(pair.preimage2),
-        "line": line_to_obj(pair.line),
+        "y1": w1["point"],
+        "y2": w2["point"],
+        "preimage1": preimage(w1),
+        "preimage2": preimage(w2),
+        "line": record["line"],
     }
 
 

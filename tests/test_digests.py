@@ -1,6 +1,6 @@
 """Report bytes stay put: seeds 1 and 2 of every benchmark workload, and
-all ten recorded seeds of the two that enumerate secants, against the
-reference stdout digests in bench/digests.json.
+all ten recorded seeds of the two that enumerate secants and of the nerve
+workload, against the reference stdout digests in bench/digests.json.
 
 Inputs come from bench/workloads.py, so each command sees exactly the files
 and relative paths the benchmark gives it; nothing under bench/ is written.
@@ -19,7 +19,7 @@ from plgp.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 WORKLOADS = ("embed-ladder", "probe-sweep", "fibered-octafiber", "nerve-cloud")
-SECANT_WORKLOADS = ("probe-sweep", "fibered-octafiber")
+ALL_SEEDS_WORKLOADS = ("probe-sweep", "fibered-octafiber", "nerve-cloud")
 
 
 def _stdout(argv):
@@ -35,7 +35,7 @@ def _stdout(argv):
     + [pytest.param(w, 2, id=f"{w}-seed2") for w in WORKLOADS]
     + [
         pytest.param(w, seed, id=f"{w}-seed{seed}")
-        for w in SECANT_WORKLOADS
+        for w in ALL_SEEDS_WORKLOADS
         for seed in range(3, 11)
     ],
 )

@@ -1,20 +1,26 @@
 import json
 import math
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import plgp
 from plgp.complexes import (
     BarycentricPoint,
     PLMap,
     SimplicialComplex,
     closeness_bound,
     evaluate,
+    image_diameter_sq,
+    load_json,
     subdivide_until,
 )
 from plgp.errors import PerturbationBudgetError, PreconditionError
-from plgp.exact import dist_sq, vec
+from plgp.exact import dist_sq, rat_str, sqrt_upper, vec
 from plgp.fiber import (
+    FiberEmbedding,
     FiberedInstance,
     derive_seed,
     eta_secant_set,
@@ -26,7 +32,9 @@ from plgp.fiber import (
     u_map_fine_enough,
 )
 from plgp.perturb import perturb_to_general_position, report_to_obj
-from plgp.secant import probe_region_samples, secant_set
+from plgp.secant import probe_region_samples, record_to_obj, secant_set
+
+FIXTURES = Path(plgp.__file__).parent / "fixtures"
 
 
 def two_segment_fiber(prefix, shift=(0, 0, 0)):
@@ -278,6 +286,42 @@ class TestUMapFlag:
         emb = fiberwise_embed(inst, F(1, 2), 0)["f"]
         assert u_map_fine_enough(emb, 1)
 
+    @staticmethod
+    def per_top(emb, eta):
+        """The per-top rule: every maximal simplex's diameter below eta."""
+        ref = emb.reference
+        return all(
+            image_diameter_sq(ref, s) < eta * eta
+            for s in ref.complex.maximal_simplices()
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edges_decide_like_the_per_top_rule(self, seed):
+        rng = random.Random(seed)
+        # on a line every squared diameter is a rational square, so eta^2
+        # can equal the largest one exactly
+        m = 1 if seed % 2 else 3
+        verts = ["v%d" % i for i in range(8)]
+        tops = [rng.sample(verts, rng.randint(1, 3)) for _ in range(5)]
+        cx = SimplicialComplex.from_maximal(tops)
+        images = {
+            v: tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m))
+            for v in cx.vertices
+        }
+        h = PLMap(cx, m, images)
+        emb = FiberEmbedding("f", h, h, None)
+        worst = max(image_diameter_sq(h, s) for s in cx.maximal_simplices())
+        # lo^2 <= worst <= hi^2, both equalities exactly when worst is a square
+        hi = sqrt_upper(worst)
+        lo = worst / hi
+        if m == 1:
+            assert lo == hi
+        nudge = F(1, 10**6)
+        for eta in (lo, hi, lo * (1 - nudge), hi * (1 + nudge)):
+            assert u_map_fine_enough(emb, eta) == self.per_top(emb, eta)
+        assert not u_map_fine_enough(emb, lo)
+        assert u_map_fine_enough(emb, hi * (1 + nudge))
+
 
 class TestFiberedReport:
     def setup_method(self):
@@ -376,6 +420,30 @@ class TestFiberedReport:
             fibered_report(self.embs, self.inst, 3, -1, etas=(F(1),), seed=9)
         with pytest.raises(PreconditionError):
             fibered_report(self.embs, self.inst, 3, 2, etas=(F(0),), seed=9)
+
+
+def test_eta_lists_reuse_the_record_objects():
+    inst = instance_from_obj(load_json(FIXTURES / "octafiber.json"))
+    embs = fiberwise_embed(inst, F(1, 2), 3)
+    report = fibered_report(embs, inst, 3, 3, seed=3)
+    kept = dropped = 0
+    for label, fiber in report["fibers"].items():
+        for sample in fiber["samples"]:
+            z = [F(x) for x in sample["z"]]
+            for eta in inst.eta:
+                want = [
+                    {
+                        **record_to_obj(er.record),
+                        "fiber_distance_sq": rat_str(er.fiber_distance_sq),
+                        "eta": rat_str(er.eta),
+                    }
+                    for er in eta_secant_set(embs, inst, label, z, eta)
+                ]
+                got = sample["eta"][rat_str(eta)]["records"]
+                assert got == want
+                kept += len(got)
+                dropped += sample["secants"] - len(got)
+    assert kept and dropped
 
 
 class TestFiberDistance:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from plgp.complexes import complex_to_obj, validate
+import plgp.nerve as nerve_module
 from plgp.errors import PreconditionError, SeparationError
 from plgp.exact import dist_sq
 from plgp.nerve import (
@@ -100,6 +101,29 @@ class TestRefineForSeparation:
         assert not witness_violation(cover)
         nerve = nerve_complex(cover)
         assert not validate(nerve)
+
+    @staticmethod
+    def built_radii(monkeypatch, cloud, radius):
+        """The radii refine_for_separation hands to build_cover, in order."""
+        radii = []
+
+        def spy(cloud, r):
+            radii.append(r)
+            return build_cover(cloud, r)
+
+        monkeypatch.setattr(nerve_module, "build_cover", spy)
+        refine_for_separation(cloud, radius)
+        return radii
+
+    def test_rejected_radius_is_never_rebuilt(self, monkeypatch, bench_workloads):
+        middle = point_cloud([[0], [F(2, 5)], [F(3, 5)], [1]], b1=[0], b2=[3])
+        assert self.built_radii(monkeypatch, middle, F(9, 20)) == [
+            F(9, 20),
+            F(9, 40),
+        ]
+        rows, b1, b2 = bench_workloads.cloud_rows(1)
+        bench = point_cloud(rows, b1, b2)
+        assert self.built_radii(monkeypatch, bench, 2) == [2, 1]
 
 
 def oracle_cover(cloud, radius):

@@ -9,11 +9,12 @@ import plgp.secant as secant_module
 from plgp.complexes import PLMap, SimplicialComplex, maximal_faces, sorted_vertices
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 import plgp.exact as exact_module
-from plgp.exact import Matrix, norm_sq, rank, vec
+from plgp.exact import Matrix, norm_sq, rank, rat_str, vec
 from plgp.flats import (
     AffineFlat,
     line_key,
     line_meets_simplex,
+    line_to_obj,
     span_of_points,
     transversal_line_through_point,
 )
@@ -25,7 +26,7 @@ from plgp.secant import (
     _ProbeEchelons,
     cover_certificate_to_obj,
     line_distance,
-    pairs_from_records,
+    pair_to_obj,
     probe_region_samples,
     record_to_obj,
     secant_set,
@@ -224,15 +225,25 @@ class TestSecantSet:
 
     def test_pairs_mirror_records(self):
         h = quad_map()
-        z, p, q = self.quad_z()
+        z, _, _ = self.quad_z()
         recs = secant_set(h, z)
-        pairs = pairs_from_records(secant_set(h, z))
-        assert len(pairs) == len(recs)
-        for rec, pair in zip(recs, pairs):
-            assert pair.y1 == rec.witnesses[0][1]
-            assert pair.y2 == rec.witnesses[1][1]
-            assert pair.y1 != pair.y2
-            assert line_key(pair.line) == line_key(rec.line)
+        assert recs
+        for rec in recs:
+            pair = pair_to_obj(record_to_obj(rec))
+            (s1, y1, x1), (s2, y2, x2) = rec.witnesses
+            assert pair["y1"] == [rat_str(c) for c in y1]
+            assert pair["y2"] == [rat_str(c) for c in y2]
+            assert pair["y1"] != pair["y2"]
+            assert pair["preimage1"] == {
+                "simplex": list(x1.simplex),
+                "weights": [rat_str(w) for w in x1.weights],
+            }
+            assert pair["preimage2"] == {
+                "simplex": list(x2.simplex),
+                "weights": [rat_str(w) for w in x2.weights],
+            }
+            assert pair["line"] == line_to_obj(rec.line)
+            assert rec.pair == (s1, s2)
 
     def test_record_serialization_shape(self):
         h = quad_map()
@@ -402,7 +413,6 @@ def flats_pair_records(h, z, s1, s2):
             line=line,
             z=z,
             witnesses=((s1,) + hit1, (s2,) + hit2),
-            pair=(s1, s2),
         )
     ]
 
