@@ -124,13 +124,6 @@ class Matrix:
     def row_list(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
 
 def _integerize_rows(rows):
     """Scale each row by the lcm of its denominators; return (int rows, multipliers)."""
@@ -189,100 +182,86 @@ def _echelon_int(rows, pivot_col_limit=None):
     return pivots
 
 
-def _reduce_int(echelon, pivots, row):
-    """One more row reduced against rows that _echelon_int put in echelon
-    form with these pivot columns: the same Bareiss steps replayed on it.
-    Returns its entries in the non-pivot columns, in column order.
+class Echelon:
+    """A vertex set s eliminated once about an origin: the rows
+    points[v] - origin for v in s, put in echelon form by one Bareiss
+    elimination (_echelon_int), with their pivot columns and non-pivot
+    (free) columns.
 
-    By Sylvester's identity each replayed entry is a minor of the echelon's
-    input rows plus this row, so every division is exact; the result is the
-    last pivot times the row's remainder modulo the echelon rows.  So rows
-    reduced this way have full rank iff the echelon's input rows with them
-    do.  Pivot columns would come out zero and are neither updated after
-    their own step nor returned.
-    """
-    row = list(row)
-    free = [j for j in range(len(row)) if j not in pivots]
-    prev = 1
-    for k, c in enumerate(pivots):
-        e = echelon[k]
-        piv = e[c]
-        f = row[c]
-        for j in free + pivots[k + 1:]:
-            q, rem = divmod(piv * row[j] - f * e[j], prev)
-            if rem:
-                raise ArithmeticError(
-                    "non-exact division in fraction-free elimination"
-                )
-            row[j] = q
-        prev = piv
-    return [row[j] for j in free]
-
-
-class Echelons:
-    """Full-rank tests on integer points about one origin, the rows being
-    points[v] - origin.
-
-    For a vertex set s, s's rows are put in echelon form once and each
-    point's row is reduced against that echelon once (_reduce_int), both
-    on first use and kept.  The rows of s and of an extra vertex set t
-    together have full rank iff s's rows do and t's reduced rows do:
-    rank [S; T] = rank S + rank(T reduced against S).  So with the points
-    and origin on one integer frame, s u t u {origin} is affinely
-    independent iff both small ranks are full.
+    reduce(v) replays the same Bareiss steps on v's row and keeps the result.
+    The rows of s and of an extra vertex set t together have full rank iff
+    s's rows do and t's reduced rows do: rank [S; T] = rank S + rank(T
+    reduced against S).  So with the points and origin on one integer frame,
+    s u t u {origin} is affinely independent iff both small ranks are full.
     """
 
-    def __init__(self, points, origin):
+    def __init__(self, points, origin, s):
         self.points = points  # vertex -> tuple of ints
         self.origin = origin
-        self._echelons = {}
+        self.rows = rows = [[a - b for a, b in zip(points[v], origin)] for v in s]
+        self.pivots = pivots = _echelon_int(rows)
+        self.independent = len(pivots) == len(rows)
+        self.free = free = [j for j in range(len(origin)) if j not in pivots]
+        # per Bareiss step: its echelon row, its pivot column, and the columns
+        # it updates, the free ones and the later pivots
+        self._steps = [
+            (rows[k], c, free + pivots[k + 1:]) for k, c in enumerate(pivots)
+        ]
+        self._reduced = {}
 
-    def _row(self, v):
-        return [a - b for a, b in zip(self.points[v], self.origin)]
+    def reduce(self, v):
+        """v's row reduced against the echelon, in the free columns: the
+        last pivot times the row's remainder modulo s's rows, zero iff the
+        row lies in their span.
 
-    def echelon(self, s):
-        """(rows, pivots, reduced): s's rows after one Bareiss elimination,
-        their pivot columns, and the rows reduced against them so far, by
-        vertex."""
-        e = self._echelons.get(s)
-        if e is None:
-            rows = [self._row(v) for v in s]
-            e = self._echelons[s] = (rows, _echelon_int(rows), {})
-        return e
-
-    def reduced(self, s, v):
-        """v's row reduced against s's echelon, in its non-pivot columns;
-        zero iff the row lies in the span of s's rows.  The list is kept for
-        later calls, so callers must not change it."""
-        rows, pivots, reduced = self.echelon(s)
-        row = reduced.get(v)
+        By Sylvester's identity each replayed entry is a minor of s's rows
+        plus v's, so every division is exact.  Pivot columns would come out
+        zero and are neither updated after their own step nor returned.  The
+        list is kept for later calls, so callers must not change it.
+        """
+        row = self._reduced.get(v)
         if row is None:
-            row = reduced[v] = _reduce_int(rows, pivots, self._row(v))
+            row = [a - b for a, b in zip(self.points[v], self.origin)]
+            prev = 1
+            for e, c, columns in self._steps:
+                piv = e[c]
+                f = row[c]
+                for j in columns:
+                    q, rem = divmod(piv * row[j] - f * e[j], prev)
+                    if rem:
+                        raise ArithmeticError(
+                            "non-exact division in fraction-free elimination"
+                        )
+                    row[j] = q
+                prev = piv
+            row = self._reduced[v] = [row[j] for j in self.free]
         return row
 
-    def full_rank(self, s, *extras) -> list:
+    def full_rank(self, *extras) -> list:
         """[s's rows have full rank] followed by, for each extra vertex set
         t, whether s's rows with t's do.  Every verdict is False when s's
-        are not, with no reduction; so is t's when it has more vertices
-        than s's echelon has non-pivot columns."""
-        echelon, pivots, reduced = self.echelon(s)
-        if len(pivots) < len(s):
+        are not, with no reduction."""
+        if not self.independent:
             return [False] * (1 + len(extras))
-        free = len(self.origin) - len(pivots)
         verdicts = [True]
         for t in extras:
-            if len(t) > free:
-                verdicts.append(False)
-                continue
-            rows = []
-            for v in t:
-                # self.reduced(s, v), inline: this loop runs once per pair
-                row = reduced.get(v)
-                if row is None:
-                    row = reduced[v] = _reduce_int(echelon, pivots, self._row(v))
-                rows.append(list(row))  # a copy: _echelon_int works in place
+            # copies: _echelon_int works in place
+            rows = [list(self.reduce(v)) for v in t]
             verdicts.append(len(_echelon_int(rows)) == len(rows))
         return verdicts
+
+
+class Echelons(dict):
+    """The Echelon of each vertex set about one origin, built on first use."""
+
+    def __init__(self, points, origin):
+        super().__init__()
+        self.points = points  # vertex -> tuple of ints
+        self.origin = origin
+
+    def __missing__(self, s):
+        e = self[s] = Echelon(self.points, self.origin, s)
+        return e
 
 
 def _solve_echelon_int(rows, n):

@@ -23,11 +23,9 @@ from hashlib import sha256
 from .complexes import (
     PLMap,
     complex_from_obj,
-    complex_to_obj,
     evaluate,
     max_image_diameter_sq,
     plmap_from_obj,
-    plmap_to_obj,
     subdivide_until,
     validate,
 )
@@ -276,19 +274,6 @@ def fibered_report(
         "eta": [rat_str(e) for e in etas],
         "seed": seed,
         "fibers": fibers,
-    }
-
-
-def instance_to_obj(inst: FiberedInstance) -> dict:
-    return {
-        "fibers": {
-            label: complex_to_obj(inst.fibers[label]) for label in inst.labels
-        },
-        "reference_embeddings": {
-            label: plmap_to_obj(inst.references[label]) for label in inst.labels
-        },
-        "m": inst.m,
-        "eta": [rat_str(e) for e in inst.eta],
     }
 
 

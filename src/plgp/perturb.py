@@ -19,7 +19,7 @@ union lies inside a passing maximal union passes; any other would need its
 own rank, which nothing takes, since a failing certificate is resampled and
 never reported.  A report counts every face and face pair as checked.
 
-Each maximal simplex sigma is eliminated once, in one exact.Echelons about
+Each maximal simplex sigma is eliminated once, in one exact.Echelon about
 its first vertex: that decides sigma, and every pair of sigma with a later
 passing maximal simplex tau from the vertices tau - sigma reduced against
 sigma's echelon.  A pair holding a failing simplex fails without a rank.
@@ -39,7 +39,7 @@ from math import isqrt
 from .complexes import PLMap, integer_images
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
-    Echelons,
+    Echelon,
     _echelon_int,
     norm_sq,
     rat,
@@ -69,23 +69,23 @@ class MaximalVerdicts:
         self.map = h
         self.scale, self.images = integer_images(h)
         self.tops = tops = h.complex.maximal_simplices()
-        # one Echelons per top sigma: its rows v - v0 about its first vertex v0
-        frames = []
+        # one Echelon per top sigma: its rows v - v0 about its first vertex v0
+        echelons = []
         for sigma in tops:
             first = next(iter(sigma))
-            frames.append((Echelons(self.images, self.images[first]), sigma - {first}))
-        self.bad_tops = bad = [not e.full_rank(s)[0] for e, s in frames]
+            echelons.append(Echelon(self.images, self.images[first], sigma - {first}))
+        self.bad_tops = bad = [not e.independent for e in echelons]
         # one flag per pair in combinations(tops, 2) order, set iff the pair's
         # union is dependent; a pair holding a failing top is set with no rank
         self.bad_pairs = flags = bytearray()
         for i, sigma in enumerate(tops):
-            e, s = frames[i]
-            frames[i] = None  # keep no reductions past sigma's row
+            e = echelons[i]
+            echelons[i] = None  # keep no reductions past sigma's row
             if bad[i]:
                 flags.extend(b"\x01" * (len(tops) - i - 1))
                 continue
             later = [tau - sigma for tau, b in zip(tops[i + 1:], bad[i + 1:]) if not b]
-            ok = iter(e.full_rank(s, *later)[1:])
+            ok = iter(e.full_rank(*later)[1:])
             for b in bad[i + 1:]:
                 flags.append(b or not next(ok))
         self.overall = not any(bad) and 1 not in flags
@@ -157,8 +157,6 @@ def perturb_to_general_position(
         return h0, PerturbationReport(seed, 0, zero, zero, cert)
     half = delta / 2
     j_max = (half.numerator * GRID - 1) // half.denominator
-    if j_max < 0:
-        j_max = 0
     rng = random.Random(seed)
     zero_vec = tuple(Fraction(0) for _ in range(h0.m))
     displacements = {v: zero_vec for v in h0.complex.vertices}

@@ -18,8 +18,8 @@ denominator per map and probe.  For s1 = conv(v_i) and s2 = conv(w_j), a
 secant through z is points p1 = sum mu_i v_i and p2 = sum nu_j w_j, with
 mu >= 0 and nu >= 0 each summing to 1, such that p1 - z and p2 - z are
 nonzero and parallel.  In one exact.Echelons about z per probe, the row
-x reduced against the echelon of the rows v_i - z is R1(x), its entries in
-the non-pivot columns: a linear map whose kernel is exactly the span of
+x reduced against s1's Echelon, the rows v_i - z, is R1(x), its entries in
+the free columns: a linear map whose kernel is exactly the span of
 the v_i - z, the direction space of the join J1 = aff(z u s1).  So
 p2 lies on J1 exactly when nu solves
 
@@ -52,10 +52,11 @@ is inconsistent.  The same holds for z in aff(s1), with the roles swapped.
 The flats construction (joins, intersections, line-simplex solves) is the
 kernel's oracle in the tests.
 
-The Echelons keeps every echelon and reduced row R1(w - z) for the probe,
-and the ranks of (ii) are its full_rank tests on the same reductions.  The
-echelons of the maximal faces of gamma's sides, which need not be maximal
-simplices, are built on first use.
+The probe's Echelons maps each vertex set to its Echelon, built on first
+use: its echelon rows, pivots and free columns, and the reduced rows
+R1(w - z) so far.  The ranks of (ii) are full_rank tests of the same
+Echelons, on the same reductions.  The maximal faces of gamma's sides,
+which need not be maximal simplices, get their Echelons the same way.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
@@ -73,7 +74,6 @@ from fractions import Fraction
 from .complexes import (
     BarycentricPoint,
     PLMap,
-    integer_images,
     maximal_faces,
     sorted_vertices,
 )
@@ -145,6 +145,8 @@ def _certified(h, certificate):
     cert = certificate
     if cert is None:
         cert = general_position_certificate(h)
+    if cert.map is not h:
+        raise PreconditionError("certificate is of another map")
     if not cert.overall:
         raise PreconditionError("map is not in certified general position")
     return cert
@@ -156,15 +158,12 @@ class _ProbeEchelons(Echelons):
     MaximalVerdicts) already holds the map's integer images; only z's
     denominators can widen the scale."""
 
-    def __init__(self, h, z, cert):
-        if cert.map is h:
-            scale, images = cert.scale, cert.images
-        else:
-            scale, images = integer_images(h)
+    def __init__(self, z, cert):
         self.z = z
-        self.scale, zi = widen_frame(scale, z)
-        if self.scale != scale:
-            f = self.scale // scale
+        self.scale, zi = widen_frame(cert.scale, z)
+        images = cert.images
+        if self.scale != cert.scale:
+            f = self.scale // cert.scale
             images = {v: tuple(f * x for x in p) for v, p in images.items()}
         super().__init__(images, zi)
 
@@ -173,7 +172,8 @@ class _ProbeEchelons(Echelons):
         sum nu_j R_s1(w_j - z) = 0, sum nu = 1 over s2's sorted vertices w_j,
         or None when it is rank-deficient, inconsistent or has a nu_j < 0."""
         verts = sorted_vertices(s2)
-        columns = [self.reduced(s1, w) for w in verts]
+        reduce = self[s1].reduce
+        columns = [reduce(w) for w in verts]
         n = len(columns)
         reduced_rows = list(zip(*columns))
         # a row sum nu_j r_j = 0 with nu >= 0, sum nu = 1 needs an r_j <= 0
@@ -233,7 +233,7 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     """z is affinely independent of every maximal image simplex and of every
     vertex-sharing maximal pair's image union, by integer ranks on the frame.
 
-    Both are read off Echelons.full_rank about z: s1's echelon, and the
+    Both are read off Echelon.full_rank about z: s1's echelon, and the
     rows of s2 - s1 reduced against it.  Passing ranks also put z off the
     image, which lies in the union of the maximal simplices' affine hulls;
     the exact distance is computed only to word a failure.
@@ -245,8 +245,8 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
         raise DegenerateGeometryError(message)
 
     for i, s1 in enumerate(tops):
-        alone, *shared = echelons.full_rank(
-            s1, *(s2 - s1 for s2 in tops[i + 1:] if s1 & s2)
+        alone, *shared = echelons[s1].full_rank(
+            *(s2 - s1 for s2 in tops[i + 1:] if s1 & s2)
         )
         if not alone:
             fail("probe point affinely dependent with a maximal simplex image")
@@ -266,7 +266,7 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
     cert = _certified(h, certificate)
     if point_to_image_distance_sq_lower(z, h) == 0:
         raise PreconditionError("probe point lies on the image")
-    return _ProbeEchelons(h, z, cert).records(s1, s2)
+    return _ProbeEchelons(z, cert).records(s1, s2)
 
 
 def secant_set(h: PLMap, z, gamma=None, certificate=None):
@@ -282,7 +282,7 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     tops = h.complex.maximal_simplices()
     if not tops:
         raise ValueError("empty complex has no image")
-    echelons = _ProbeEchelons(h, z, cert)
+    echelons = _ProbeEchelons(z, cert)
     _assert_adjacent_secant_free(h, z, echelons, tops)
     if gamma is None:
         pairs = [
@@ -376,17 +376,20 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
     # one chord per line, and none for a single line: its radius is eps / 3
     # whether or not the line meets the ball
     chords = [_chord(r.line, k) for r in records] if len(records) > 1 else []
-    pairwise = [
-        _chord_distance(chords[i], chords[j])
-        for i in range(len(chords))
-        for j in range(i + 1, len(chords))
-    ]
-    min_distance = min(pairwise, default=None)
-    radius = min([eps] + pairwise) / 3
+    min_distance = min(
+        (
+            _chord_distance(chords[i], chords[j])
+            for i in range(len(chords))
+            for j in range(i + 1, len(chords))
+        ),
+        default=None,
+    )
+    radius = (eps if min_distance is None else min(eps, min_distance)) / 3
     balls = tuple((r.line, radius) for r in records)
     assignment = tuple(range(len(records)))
     mesh_ok = 2 * radius < eps
-    disjoint_ok = all(d > 2 * radius for d in pairwise)
+    # every chord distance is at least min_distance
+    disjoint_ok = min_distance is None or min_distance > 2 * radius
     return CoverCertificate(
         balls, eps, 0, assignment, mesh_ok, disjoint_ok, min_distance
     )

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from plgp.exact import (
     AffineSolution,
+    Echelon,
     Echelons,
     _echelon_int,
-    _reduce_int,
     Matrix,
     affinely_independent,
     det,
@@ -205,7 +205,7 @@ class TestRank:
     @given(rect_matrices())
     def test_rank_equals_rank_of_transpose(self, rows):
         m = Matrix.from_rows(rows)
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(Matrix.from_rows(zip(*rows)))
 
     @settings(max_examples=200, deadline=None)
     @given(square_matrices(max_n=4))
@@ -432,15 +432,22 @@ class TestEchelonAgainstGauss:
 
 class TestReduceInt:
     def check(self, rows, extra):
-        """Each reduced row is the last pivot times the row's remainder
-        modulo the echelon rows, on the non-pivot columns, and the ranks add."""
-        echelon = [list(r) for r in rows]
-        pivots = _echelon_int(echelon)
-        d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
+        """Echelon.reduce: each reduced row is the last pivot times the row's
+        remainder modulo the echelon rows, on the free columns, and the ranks
+        add."""
+        points = {("s", i): row for i, row in enumerate(rows)}
+        points.update({("x", i): row for i, row in enumerate(extra)})
+        e = Echelon(points, [0] * len(rows[0]), [("s", i) for i in range(len(rows))])
+        pivots = e.pivots
+        d = e.rows[len(pivots) - 1][pivots[-1]] if pivots else 1
         rref, gauss_pivots = gauss_rref(rows)
         assert pivots == gauss_pivots
         free = [c for c in range(len(rows[0])) if c not in pivots]
-        reduced = [_reduce_int(echelon, pivots, row) for row in extra]
+        assert e.free == free
+        assert e.independent == (len(pivots) == len(rows))
+        reduced = [e.reduce(("x", i)) for i in range(len(extra))]
+        # kept: a second call returns the same list
+        assert all(e.reduce(("x", i)) is r for i, r in enumerate(reduced))
         for row, got in zip(extra, reduced):
             rest = [Fraction(x) for x in row]
             for r, c in zip(rref, pivots):
@@ -465,7 +472,7 @@ class TestReduceInt:
 
 
 class TestEchelons:
-    """Echelons.full_rank against the Fraction rank of the stacked rows."""
+    """Echelon.full_rank against the Fraction rank of the stacked rows."""
 
     @staticmethod
     def stacked_full_rank(points, origin, vertices):
@@ -478,11 +485,14 @@ class TestEchelons:
         want = [self.stacked_full_rank(points, origin, s)] + [
             self.stacked_full_rank(points, origin, [*s, *t]) for t in extras
         ]
-        e = Echelons(points, origin)
-        assert e.full_rank(s, *extras) == want
+        echelons = Echelons(points, origin)
+        e = echelons[s]
+        assert e.independent == want[0]
+        assert e.full_rank(*extras) == want
         # the kept echelon and reductions give the same verdicts again
-        assert e.full_rank(s, *extras) == want
-        assert e.full_rank(s) == want[:1]
+        assert echelons[s] is e
+        assert e.full_rank(*extras) == want
+        assert e.full_rank() == want[:1]
         return want
 
     def test_repeated_point(self):

@@ -12,9 +12,11 @@ from plgp.complexes import (
     PLMap,
     SimplicialComplex,
     closeness_bound,
+    complex_to_obj,
     evaluate,
     image_diameter_sq,
     load_json,
+    plmap_to_obj,
     subdivide_until,
 )
 from plgp.errors import PerturbationBudgetError, PreconditionError
@@ -28,7 +30,6 @@ from plgp.fiber import (
     fibered_report,
     fiberwise_embed,
     instance_from_obj,
-    instance_to_obj,
     u_map_fine_enough,
 )
 from plgp.perturb import perturb_to_general_position, report_to_obj
@@ -114,23 +115,26 @@ class TestInstance:
             FiberedInstance(("f",), {"f": cx}, {"f": ref}, 3, (F(0),))
 
     def test_json_round_trip(self):
-        inst = single_instance(eta=(F(1), F(1, 2)))
-        obj = json.loads(json.dumps(instance_to_obj(inst)))
-        back = instance_from_obj(obj)
-        assert back.labels == inst.labels
-        assert back.m == inst.m
-        assert back.eta == inst.eta
-        assert back.fibers["f"].simplices == inst.fibers["f"].simplices
-        assert back.references["f"].images == inst.references["f"].images
+        obj = json.loads((FIXTURES / "octafiber.json").read_text())
+        inst = instance_from_obj(obj)
+        assert inst.labels == tuple(sorted(obj["fibers"]))
+        assert inst.m == obj["m"]
+        assert [rat_str(e) for e in inst.eta] == obj["eta"]
+        for label in inst.labels:
+            assert complex_to_obj(inst.fibers[label]) == obj["fibers"][label]
+            assert (
+                plmap_to_obj(inst.references[label])
+                == obj["reference_embeddings"][label]
+            )
 
     def test_from_obj_rejects_label_mismatches(self):
-        obj = instance_to_obj(single_instance())
+        obj = json.loads((FIXTURES / "octafiber.json").read_text())
         extra = json.loads(json.dumps(obj))
-        extra["reference_embeddings"]["ghost"] = extra["reference_embeddings"]["f"]
+        extra["reference_embeddings"]["ghost"] = extra["reference_embeddings"]["f0"]
         with pytest.raises(ValueError, match="ghost"):
             instance_from_obj(extra)
         missing = json.loads(json.dumps(obj))
-        del missing["reference_embeddings"]["f"]
+        del missing["reference_embeddings"]["f0"]
         with pytest.raises(ValueError, match="reference embedding"):
             instance_from_obj(missing)
         bare = json.loads(json.dumps(obj))

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import plgp.exact
 import plgp.perturb
 from plgp.complexes import (
     BarycentricPoint,
@@ -22,7 +21,7 @@ from plgp.complexes import (
 )
 from plgp.errors import PerturbationBudgetError, PreconditionError
 from plgp.exact import (
-    Echelons,
+    Echelon,
     Matrix,
     affinely_independent,
     norm_sq,
@@ -362,23 +361,23 @@ class TestPerTopCertificate:
         def refuse(*args):
             raise AssertionError("reduced a row against a pair with a failing top")
 
-        monkeypatch.setattr(plgp.exact, "_reduce_int", refuse)
+        monkeypatch.setattr(Echelon, "reduce", refuse)
         mv = MaximalVerdicts(h)
         assert mv.bad_tops == [False, True]
         assert bytes(mv.bad_pairs) == b"\x01"
 
     def test_each_top_eliminated_once(self, monkeypatch):
         built = []
-        echelon = Echelons.echelon
+        init = Echelon.__init__
 
-        def spy(self, s):
-            built.append(echelon(self, s))
-            return built[-1]
+        def spy(self, *args):
+            built.append(self)
+            init(self, *args)
 
         def refuse(self, vertices):
             raise AssertionError("full elimination of a union")
 
-        monkeypatch.setattr(Echelons, "echelon", spy)
+        monkeypatch.setattr(Echelon, "__init__", spy)
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         rng = random.Random(74)
         bad_tops = bad_pairs = good_pairs = 0
@@ -388,8 +387,8 @@ class TestPerTopCertificate:
             for g in (h1, h):
                 built.clear()
                 mv = MaximalVerdicts(g)
-                # one echelon, with its reductions, per top: kept by identity
-                assert len({id(e) for e in built}) == len(mv.tops)
+                # one Echelon, with its reductions, per top
+                assert len(built) == len(mv.tops)
                 bad_tops += sum(mv.bad_tops)
                 bad_pairs += sum(mv.bad_pairs)
                 good_pairs += mv.bad_pairs.count(0)

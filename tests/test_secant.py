@@ -6,10 +6,16 @@ from fractions import Fraction
 import pytest
 
 import plgp.secant as secant_module
-from plgp.complexes import PLMap, SimplicialComplex, maximal_faces, sorted_vertices
+from plgp.complexes import (
+    PLMap,
+    SimplicialComplex,
+    integer_images,
+    maximal_faces,
+    sorted_vertices,
+)
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 import plgp.exact as exact_module
-from plgp.exact import Matrix, norm_sq, rank, rat_str, vec
+from plgp.exact import Echelons, Matrix, norm_sq, rank, rat_str, vec, widen_frame
 from plgp.flats import (
     AffineFlat,
     line_key,
@@ -280,14 +286,18 @@ class TestSecantSet:
         with pytest.raises(ValueError, match="empty complex"):
             secant_set(empty, [1, 2, 3])
 
-    def test_certificate_of_another_map_keeps_this_maps_frame(self):
+    def test_certificate_of_another_map_rejected(self):
         h = quad_map()
         z, _, _ = self.quad_z()
-        other = PLMap(h.complex, 3, {v: tuple(2 * x for x in p) for v, p in h.images.items()})
-        other_cert = general_position_certificate(other)
-        assert [line_key(r.line) for r in secant_set(h, z, certificate=other_cert)] == [
-            line_key(r.line) for r in secant_set(h, z)
-        ]
+        doubled = {v: tuple(2 * x for x in p) for v, p in h.images.items()}
+        # an equal map is still another map: the probe's frame is the
+        # certificate's, so only the certified map itself may use it
+        for other in (PLMap(h.complex, 3, doubled), PLMap(h.complex, 3, dict(h.images))):
+            other_cert = general_position_certificate(other)
+            with pytest.raises(PreconditionError, match="another map"):
+                secant_set(h, z, certificate=other_cert)
+            with pytest.raises(PreconditionError, match="another map"):
+                secants_for_pair(h, z, "ab", "cd", certificate=other_cert)
 
 
 class TestZeroDimCertificate:
@@ -493,7 +503,7 @@ class TestKernelOracle:
                 return type(exc)
             return [(line_key(r.line), r.witnesses, r.pair) for r in records]
 
-        kernel = outcome(lambda: _ProbeEchelons(h, z, cert).records(s1, s2))
+        kernel = outcome(lambda: _ProbeEchelons(z, cert).records(s1, s2))
         oracle = outcome(lambda: flats_pair_records(h, z, s1, s2))
         assert kernel == oracle
         return kernel
@@ -681,7 +691,7 @@ class TestPairPrune:
         """(dropped, records): every pair the kernel rejects has no secant by
         flats, and every pair it keeps has the flats record."""
         z = vec(z)
-        echelons = _ProbeEchelons(h, z, cert)
+        echelons = _ProbeEchelons(z, cert)
         dropped = records = 0
         for s1, s2 in candidate_pairs(h, gamma):
             kept = echelons.records(s1, s2)
@@ -746,16 +756,22 @@ class TestPairPrune:
                 secant_set(h, z, certificate=cert)
 
     def test_more_extra_vertices_than_free_columns_is_degenerate(self):
-        # the quadrilateral in the plane, passed a certificate of its image in
-        # R^3: each edge's row with z has full rank, but an adjacent pair has
-        # one vertex beyond the edge and m - 2 = 0 free columns
+        # the quadrilateral in the plane, below the certificate's m >= 2n+1:
+        # each edge's row with z has full rank, but an adjacent pair has one
+        # vertex beyond the edge and m - 2 = 0 free columns
         c = quad_map().complex
         h = PLMap(c, 2, {
             "a": vec([0, 0]), "b": vec([1, 0]), "c": vec([1, 1]), "d": vec([0, 1]),
         })
-        cert = general_position_certificate(quad_map())
+        z = vec([3, 5])
+        scale, images = integer_images(h)
+        wide, zi = widen_frame(scale, z)
+        assert wide == scale
+        echelons = Echelons(images, zi)
         with pytest.raises(DegenerateGeometryError, match="adjacent pair"):
-            secant_set(h, [3, 5], certificate=cert)
+            secant_module._assert_adjacent_secant_free(
+                h, z, echelons, c.maximal_simplices()
+            )
 
 
 def forbid_fraction_kernels(monkeypatch):
