@@ -240,14 +240,42 @@ class Echelon:
     def full_rank(self, *extras) -> list:
         """[s's rows have full rank] followed by, for each extra vertex set
         t, whether s's rows with t's do.  Every verdict is False when s's
-        are not, with no reduction."""
+        are not, with no reduction.
+
+        t's k reduced rows have f = len(free) entries each.  They cannot have
+        full rank when k > f; one row has it iff it is nonzero; and k rows
+        in k = f columns have it iff their one determinant is nonzero (2x2,
+        or a.(b x c) for 3x3).  Each reduced row is the row's remainder
+        times the last pivot, which is nonzero and so changes no rank; the
+        tests are exact integer arithmetic, and read the kept rows without
+        changing them.  Any other shape runs _echelon_int on copies.
+        """
         if not self.independent:
             return [False] * (1 + len(extras))
+        reduce = self.reduce
+        f = len(self.free)
         verdicts = [True]
         for t in extras:
-            # copies: _echelon_int works in place
-            rows = [list(self.reduce(v)) for v in t]
-            verdicts.append(len(_echelon_int(rows)) == len(rows))
+            k = len(t)
+            if k > f:
+                verdicts.append(False)
+            elif k == 1:
+                verdicts.append(any(reduce(next(iter(t)))))
+            elif k == f == 2:
+                (a0, a1), (b0, b1) = map(reduce, t)
+                verdicts.append(a0 * b1 != a1 * b0)
+            elif k == f == 3:
+                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = map(reduce, t)
+                verdicts.append(
+                    a0 * (b1 * c2 - b2 * c1)
+                    + a1 * (b2 * c0 - b0 * c2)
+                    + a2 * (b0 * c1 - b1 * c0)
+                    != 0
+                )
+            else:
+                # copies: _echelon_int works in place
+                rows = [list(reduce(v)) for v in t]
+                verdicts.append(len(_echelon_int(rows)) == k)
         return verdicts
 
 

@@ -22,7 +22,11 @@ never reported.  A report counts every face and face pair as checked.
 Each maximal simplex sigma is eliminated once, in one exact.Echelon about
 its first vertex: that decides sigma, and every pair of sigma with a later
 passing maximal simplex tau from the vertices tau - sigma reduced against
-sigma's echelon.  A pair holding a failing simplex fails without a rank.
+sigma's echelon.  Those k reduced rows lie in sigma's f free columns, and
+the pair's rank is full iff theirs is: never when k > f, and for one row
+or k = f (a 2x2, or the 3x3 a.(b x c) of triangles in R^5) one nonzero
+test or one determinant, with no elimination.  A pair holding a failing
+simplex fails without a rank.
 All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.

@@ -237,6 +237,9 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     rows of s2 - s1 reduced against it.  Passing ranks also put z off the
     image, which lies in the union of the maximal simplices' affine hulls;
     the exact distance is computed only to word a failure.
+
+    Each s1's vertex-sharing later tops s2 are read, in order, off a vertex
+    -> top-index map built once, not by intersecting s1 with every later top.
     """
 
     def fail(message):
@@ -244,10 +247,13 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
             raise PreconditionError("probe point lies on the image")
         raise DegenerateGeometryError(message)
 
+    by_vertex = {}
+    for j, s in enumerate(tops):
+        for v in s:
+            by_vertex.setdefault(v, []).append(j)
     for i, s1 in enumerate(tops):
-        alone, *shared = echelons[s1].full_rank(
-            *(s2 - s1 for s2 in tops[i + 1:] if s1 & s2)
-        )
+        later = sorted({j for v in s1 for j in by_vertex[v] if j > i})
+        alone, *shared = echelons[s1].full_rank(*(tops[j] - s1 for j in later))
         if not alone:
             fail("probe point affinely dependent with a maximal simplex image")
         if not all(shared):

@@ -538,3 +538,94 @@ class TestEchelons:
             want = self.check(points, origin, s, extras)
             verdicts.add((want[0], all(want)))
         assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+class TestFullRankShapes:
+    """Echelon.full_rank on every shape of extra set t, k = |t| reduced rows
+    in f free columns with k in 0..4 and f in 1..4, against the Fraction
+    rank of the stacked rows.  The closed forms (k = 1, k = f = 2 and
+    k = f = 3) read the kept reduced rows in place, so the test also holds
+    every kept row to its list object and its contents."""
+
+    BIG = 2**70
+
+    @staticmethod
+    def stacked_rank(rows):
+        return rank(Matrix.from_rows(rows)) if rows else 0
+
+    @staticmethod
+    def combination(rng, rows, m):
+        """A seeded integer combination of rows (zero when there are none)."""
+        out = [0] * m
+        for row in rows:
+            c = rng.randrange(-3, 4)
+            out = [x + c * y for x, y in zip(out, row)]
+        return out
+
+    def extra_rows(self, rng, k, s_rows, m):
+        """k seeded rows: random (small, or above 2^64), zero, repeated, in
+        the span of s's rows, or a combination of two earlier rows plus one
+        of s's; with k = 3, now and then a rank-2 block outright."""
+        if k == 3 and rng.random() < 0.3:
+            x, y = ([rng.randrange(-9, 10) for _ in range(m)] for _ in range(2))
+            p, q = rng.choice([(1, 1), (2, -3), (-1, 5)])
+            tail = [p * a + q * b for a, b in zip(x, y)]
+            tail = [a + b for a, b in zip(tail, self.combination(rng, s_rows, m))]
+            return rng.sample([x, y, tail], 3)
+        rows = []
+        for _ in range(k):
+            kind = rng.choice(("small", "big", "zero", "repeat", "span", "mix"))
+            if kind == "zero":
+                row = [0] * m
+            elif kind == "repeat" and rows:
+                row = list(rng.choice(rows))
+            elif kind == "span" and s_rows:
+                row = self.combination(rng, s_rows, m)
+            elif kind == "mix" and len(rows) >= 2:
+                row = self.combination(rng, rng.sample(rows, 2) + s_rows[:1], m)
+            else:
+                bound = self.BIG if kind == "big" else 9
+                row = [rng.randrange(-bound, bound + 1) for _ in range(m)]
+            rows.append(row)
+        return rows
+
+    def test_every_shape_against_the_fraction_rank(self):
+        rng = random.Random(64)
+        seen = {}
+        for k in range(5):
+            for f in range(1, 5):
+                for _ in range(40):
+                    size = rng.randrange(0, 3)
+                    m = f + size
+                    origin = [rng.randrange(-9, 10) for _ in range(m)]
+                    while True:
+                        bound = self.BIG if rng.random() < 0.2 else 9
+                        s_rows = [[rng.randrange(-bound, bound + 1) for _ in range(m)]
+                                  for _ in range(size)]
+                        if self.stacked_rank(s_rows) == size:
+                            break
+                    points = {("s", i): r for i, r in enumerate(s_rows)}
+                    extras, want = [], [True]
+                    for j in range(3):
+                        t_rows = self.extra_rows(rng, k, s_rows, m)
+                        points.update({("t", j, i): r for i, r in enumerate(t_rows)})
+                        extras.append(frozenset(("t", j, i) for i in range(k)))
+                        want.append(self.stacked_rank(s_rows + t_rows) == size + k)
+                    points = {v: tuple(a + b for a, b in zip(r, origin))
+                              for v, r in points.items()}
+                    e = Echelon(points, tuple(origin), [("s", i) for i in range(size)])
+                    assert e.independent and len(e.free) == f
+                    kept = {v: e.reduce(v) for t in extras for v in t}
+                    contents = {v: list(row) for v, row in kept.items()}
+                    assert e.full_rank(*extras) == want, (k, f, s_rows, extras)
+                    assert e._reduced.keys() == kept.keys()
+                    for v, row in kept.items():
+                        assert e._reduced[v] is row and row == contents[v]
+                    seen.setdefault((k, f), set()).update(want[1:])
+        for (k, f), verdicts in seen.items():
+            if k == 0:
+                assert verdicts == {True}
+            elif k > f:
+                assert verdicts == {False}
+            else:
+                assert verdicts == {True, False}, (k, f)

@@ -394,13 +394,22 @@ class TestPerTopCertificate:
                 good_pairs += mv.bad_pairs.count(0)
         assert bad_tops and bad_pairs and good_pairs
 
-    @pytest.mark.parametrize(
-        "name,delta", [("triangles5", F(1, 2)), ("hexagon", F(1, 4))]
-    )
+    # the failing pairs of each subdivided fixture map before perturbation;
+    # triangles in R^5 leave 3 free columns and edges in R^3 leave 2, so
+    # the finer maps' verdicts come from the 3x3 and 2x2 determinants
+    FIXTURE_FAILING = {
+        ("triangles5", F(1, 2)): 30,
+        ("hexagon", F(1, 4)): 738,
+        ("triangles5", F(1, 4)): 1260,
+        ("hexagon", F(1, 8)): 3018,
+    }
+
+    @pytest.mark.parametrize("name,delta", list(FIXTURE_FAILING))
     def test_fixture_maps(self, name, delta):
         h0 = plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
         h1 = subdivide_until(h0, delta)
         mv = self.check(h1)
+        assert sum(mv.bad_pairs) == self.FIXTURE_FAILING[name, delta]
         h, report = perturb_to_general_position(h1, delta, seed=1)
         assert not any(self.check(h).bad_pairs)
         assert report.rounds == (1 if any(mv.bad_pairs) else 0)

@@ -15,7 +15,7 @@ from plgp.complexes import (
 )
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 import plgp.exact as exact_module
-from plgp.exact import Echelons, Matrix, norm_sq, rank, rat_str, vec, widen_frame
+from plgp.exact import Echelon, Echelons, Matrix, norm_sq, rank, rat_str, vec, widen_frame
 from plgp.flats import (
     AffineFlat,
     line_key,
@@ -772,6 +772,45 @@ class TestPairPrune:
             secant_module._assert_adjacent_secant_free(
                 h, z, echelons, c.maximal_simplices()
             )
+
+    def test_adjacent_ranks_take_each_tops_later_sharing_tops(self, monkeypatch):
+        # the vertex -> top index gives each top, in order, the same extra
+        # sets as intersecting it with every later top
+        calls = []
+        full_rank = Echelon.full_rank
+
+        def spy(self, *extras):
+            calls.append((self, list(extras)))
+            return full_rank(self, *extras)
+
+        monkeypatch.setattr(Echelon, "full_rank", spy)
+        rng = random.Random(48)
+        sharing = 0
+        for _ in range(30):
+            n = rng.randrange(0, 4)
+            m = 2 * n + 1
+            verts = range(rng.randrange(n + 2, 3 * n + 6))
+            c = SimplicialComplex.from_maximal(
+                [rng.sample(verts, rng.randrange(1, n + 2))
+                 for _ in range(rng.randrange(4, 16))]
+            )
+            tops = c.maximal_simplices()
+            h = PLMap(c, m, {
+                v: vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
+                for v in c.vertices
+            })
+            z = vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
+            _, images = integer_images(h)
+            echelons = Echelons(images, [int(x) for x in z])
+            calls.clear()
+            secant_module._assert_adjacent_secant_free(h, z, echelons, tops)
+            brute = [
+                (echelons[s1], [s2 - s1 for s2 in tops[i + 1:] if s1 & s2])
+                for i, s1 in enumerate(tops)
+            ]
+            assert calls == brute
+            sharing += sum(len(extras) for _, extras in brute)
+        assert sharing >= 100
 
 
 def forbid_fraction_kernels(monkeypatch):
