@@ -168,7 +168,7 @@ def cmd_analyze(args, argv) -> int:
             **sample,
             "manifest": manifest,
             "pairs": [pair_to_obj(rec) for rec in sample["records"]],
-            "certificate": cover_certificate_to_obj(cover),
+            "certificate": cover_certificate_to_obj(cover, sample["records"]),
             "certifies": ["zero_dim_certificate.valid"],
         }
     )
@@ -190,11 +190,12 @@ def cmd_probe(args, argv) -> int:
         d = cover.min_distance
         if d is not None and (min_line_dist is None or d < min_line_dist):
             min_line_dist = d
+        sample = sample_to_obj(probe.z, probe.image_distance_sq, records)
         samples.append(
             {
-                **sample_to_obj(probe.z, probe.image_distance_sq, records),
+                **sample,
                 "index": index,
-                "certificate": cover_certificate_to_obj(cover),
+                "certificate": cover_certificate_to_obj(cover, sample["records"]),
             }
         )
     if args.csv is not None:

@@ -248,17 +248,18 @@ def fibered_report(
                         [records[i] for i in kept], DEFAULT_COVER_EPSILON, k
                     )
                     eta_str = rat_str(eta)
+                    eta_records = [
+                        {
+                            **entry["records"][i],
+                            "fiber_distance_sq": rat_str(distances[i]),
+                            "eta": eta_str,
+                        }
+                        for i in kept
+                    ]
                     by_eta[eta_str] = {
                         "count": len(kept),
-                        "records": [
-                            {
-                                **entry["records"][i],
-                                "fiber_distance_sq": rat_str(distances[i]),
-                                "eta": eta_str,
-                            }
-                            for i in kept
-                        ],
-                        "certificate": cover_certificate_to_obj(cover),
+                        "records": eta_records,
+                        "certificate": cover_certificate_to_obj(cover, eta_records),
                     }
                 entry["eta"] = by_eta
             samples.append(entry)

@@ -147,24 +147,23 @@ def element_name(i: int) -> str:
 
 
 def nerve_complex(cover: Cover) -> SimplicialComplex:
-    if (cover.b1_elements or cover.b2_elements) and not cover.separated:
+    if not cover.separated:
         raise SeparationError("cover element meets both marked sets")
+    # every nerve simplex lies in an incidence set, each one a nerve simplex
+    if witness_violation(cover):
+        raise SeparationError(
+            "nerve simplex contains marked vertices from both sides"
+        )
     maximal = {
         frozenset(element_name(i) for i in inc)
         for inc in cover.incidence
         if inc
     }
-    c = SimplicialComplex.from_maximal(
+    return SimplicialComplex.from_maximal(
         sorted(maximal, key=lambda s: sorted(s)),
         b1={element_name(i) for i in cover.b1_elements},
         b2={element_name(i) for i in cover.b2_elements},
     )
-    for s in c.simplices:
-        if s & c.b1 and s & c.b2:
-            raise SeparationError(
-                "nerve simplex contains marked vertices from both sides"
-            )
-    return c
 
 
 def cloud_from_csv(points_path, marks_path=None) -> PointCloud:

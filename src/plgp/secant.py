@@ -55,8 +55,7 @@ kernel's oracle in the tests.
 The probe's Echelons maps each vertex set to its Echelon, built on first
 use: its echelon rows, pivots and free columns, and the reduced rows
 R1(w - z) so far.  The ranks of (ii) are full_rank tests of the same
-Echelons, on the same reductions.  The maximal faces of gamma's sides,
-which need not be maximal simplices, get their Echelons the same way.
+Echelons, on the same reductions.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
@@ -71,12 +70,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (
-    BarycentricPoint,
-    PLMap,
-    maximal_faces,
-    sorted_vertices,
-)
+from .complexes import BarycentricPoint, PLMap, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
     Echelons,
@@ -127,10 +121,8 @@ class ProbePoint:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    balls: tuple          # ((center line, radius), ...)
     epsilon: float
-    order: int            # s; fixed 0 here
-    assignment: tuple     # record index -> ball index
+    radius: float | None  # of the one ball about each line; None with no lines
     mesh_ok: bool
     disjoint_ok: bool
     # least pairwise line distance, None below two lines; not serialized
@@ -238,8 +230,8 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     image, which lies in the union of the maximal simplices' affine hulls;
     the exact distance is computed only to word a failure.
 
-    Each s1's vertex-sharing later tops s2 are read, in order, off a vertex
-    -> top-index map built once, not by intersecting s1 with every later top.
+    Returns, per top index i, the set of later indices j whose tops share a
+    vertex with tops[i], read off a vertex -> top-index map built once.
     """
 
     def fail(message):
@@ -251,13 +243,16 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     for j, s in enumerate(tops):
         for v in s:
             by_vertex.setdefault(v, []).append(j)
+    sharing = []
     for i, s1 in enumerate(tops):
-        later = sorted({j for v in s1 for j in by_vertex[v] if j > i})
-        alone, *shared = echelons[s1].full_rank(*(tops[j] - s1 for j in later))
+        later = {j for v in s1 for j in by_vertex[v] if j > i}
+        alone, *shared = echelons[s1].full_rank(*(tops[j] - s1 for j in sorted(later)))
         if not alone:
             fail("probe point affinely dependent with a maximal simplex image")
         if not all(shared):
             fail("probe point affinely dependent with an adjacent pair's image union")
+        sharing.append(later)
+    return sharing
 
 
 def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
@@ -275,12 +270,10 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
     return _ProbeEchelons(z, cert).records(s1, s2)
 
 
-def secant_set(h: PLMap, z, gamma=None, certificate=None):
-    """All secant records through z, deduplicated by canonical line.
-
-    With gamma = (B1, B2) the enumeration is restricted to pairs with one
-    simplex inside each marked vertex set.
-    """
+def secant_set(h: PLMap, z, certificate=None):
+    """All secant records through z, deduplicated by canonical line: the
+    first record found per line over the vertex-disjoint maximal pairs
+    (i, j), i < j, in order."""
     z = vec(z)
     cert = _certified(h, certificate)
     if len(z) != h.m:
@@ -289,28 +282,13 @@ def secant_set(h: PLMap, z, gamma=None, certificate=None):
     if not tops:
         raise ValueError("empty complex has no image")
     echelons = _ProbeEchelons(z, cert)
-    _assert_adjacent_secant_free(h, z, echelons, tops)
-    if gamma is None:
-        pairs = [
-            (s1, s2)
-            for i, s1 in enumerate(tops)
-            for s2 in tops[i + 1:]
-            if not (s1 & s2)
-        ]
-    else:
-        b1, b2 = gamma
-        b1 = frozenset(b1)
-        b2 = frozenset(b2)
-        # the faces inside a marked set are face-closed, like the complex
-        side1 = maximal_faces([s for s in h.complex.simplices if s <= b1])
-        side2 = maximal_faces([s for s in h.complex.simplices if s <= b2])
-        pairs = [
-            (s1, s2) for s1 in side1 for s2 in side2 if not (s1 & s2)
-        ]
+    sharing = _assert_adjacent_secant_free(h, z, echelons, tops)
     by_key = {}
-    for s1, s2 in pairs:
-        for rec in echelons.records(s1, s2):
-            by_key.setdefault(line_key(rec.line), rec)
+    for i, s1 in enumerate(tops):
+        for j in range(i + 1, len(tops)):
+            if j not in sharing[i]:
+                for rec in echelons.records(s1, tops[j]):
+                    by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
 
 
@@ -374,11 +352,13 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
     eps = float(epsilon)
     if eps <= 0:
         raise PreconditionError("epsilon must be positive")
+    if k <= 0:
+        raise PreconditionError("k must be positive")
     keys = [line_key(r.line) for r in records]
     if len(set(keys)) != len(keys):
         raise PreconditionError("duplicate lines; deduplicate records first")
     if not records:
-        return CoverCertificate((), eps, 0, (), True, True)
+        return CoverCertificate(eps, None, True, True)
     # one chord per line, and none for a single line: its radius is eps / 3
     # whether or not the line meets the ball
     chords = [_chord(r.line, k) for r in records] if len(records) > 1 else []
@@ -391,14 +371,10 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
         default=None,
     )
     radius = (eps if min_distance is None else min(eps, min_distance)) / 3
-    balls = tuple((r.line, radius) for r in records)
-    assignment = tuple(range(len(records)))
     mesh_ok = 2 * radius < eps
     # every chord distance is at least min_distance
     disjoint_ok = min_distance is None or min_distance > 2 * radius
-    return CoverCertificate(
-        balls, eps, 0, assignment, mesh_ok, disjoint_ok, min_distance
-    )
+    return CoverCertificate(eps, radius, mesh_ok, disjoint_ok, min_distance)
 
 
 def probe_region_samples(h: PLMap, k, count: int, seed: int):
@@ -406,6 +382,8 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
     k = rat(k)
     if k <= 0:
         raise PreconditionError("k must be positive")
+    if count < 0:
+        raise PreconditionError("sample count must be nonnegative")
     if count == 0:
         return []
     rng = random.Random(seed)
@@ -478,17 +456,17 @@ def pair_to_obj(record: dict) -> dict:
     }
 
 
-def cover_certificate_to_obj(cert: CoverCertificate) -> dict:
+def cover_certificate_to_obj(cert: CoverCertificate, record_objs) -> dict:
+    """The cover's JSON; ball i is about record_objs[i]'s line, order is 0."""
     return {
         "epsilon": cert.epsilon,
-        "order": cert.order,
+        "order": 0,
         "valid": cert.valid,
         "mesh_ok": cert.mesh_ok,
         "disjoint_ok": cert.disjoint_ok,
-        "radius": cert.balls[0][1] if cert.balls else None,
+        "radius": cert.radius,
         "balls": [
-            {"line": line_to_obj(line), "radius": radius}
-            for line, radius in cert.balls
+            {"line": obj["line"], "radius": cert.radius} for obj in record_objs
         ],
-        "assignment": list(cert.assignment),
+        "assignment": list(range(len(record_objs))),
     }

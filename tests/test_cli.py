@@ -190,6 +190,13 @@ class TestAnalyze:
         assert report["certificate"]["valid"] is True
         assert report["certificate"]["balls"] == []
 
+    @pytest.mark.parametrize("k", ["--k=0", "--k=-3"])
+    def test_nonpositive_k_rejected(self, capsys, quad_map, k):
+        code, text, err = run(capsys, "analyze", "--map", quad_map, "--z", "0,0,5", k)
+        assert code == 3
+        assert text == ""
+        assert "k must be positive" in err
+
 
 class TestProbe:
     def test_sweep_with_csv(self, capsys, quad_map, tmp_path):
@@ -225,6 +232,14 @@ class TestProbe:
         report = json.loads(text)
         assert report["samples"] == []
         assert report["summary"]["certificate_pass_rate"] == 1.0
+
+    def test_negative_samples_rejected(self, capsys, quad_map):
+        code, text, err = run(
+            capsys, "probe", "--map", quad_map, "--samples", "-2", "--seed", "1"
+        )
+        assert code == 3
+        assert text == ""
+        assert "sample count must be nonnegative" in err
 
     def test_thin_region(self, capsys, quad_map):
         code, _, err = run(

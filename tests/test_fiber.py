@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import plgp
+import plgp.secant as secant_module
 from plgp.complexes import (
     BarycentricPoint,
     PLMap,
@@ -448,6 +449,27 @@ def test_eta_lists_reuse_the_record_objects():
                 kept += len(got)
                 dropped += sample["secants"] - len(got)
     assert kept and dropped
+
+
+def test_each_record_line_serialized_once(monkeypatch):
+    # the eta lists and their covers reuse the sample's record objects
+    inst = instance_from_obj(load_json(FIXTURES / "octafiber.json"))
+    embs = fiberwise_embed(inst, F(1, 2), 3)
+    lines = []
+    original = secant_module.line_to_obj
+
+    def counting(line):
+        lines.append(line)
+        return original(line)
+
+    monkeypatch.setattr(secant_module, "line_to_obj", counting)
+    report = fibered_report(embs, inst, 3, 2, seed=3)
+    samples = [s for fiber in report["fibers"].values() for s in fiber["samples"]]
+    assert len(lines) == sum(s["secants"] for s in samples) >= 20
+    for sample in samples:
+        for entry in sample["eta"].values():
+            balls = entry["certificate"]["balls"]
+            assert [b["line"] for b in balls] == [r["line"] for r in entry["records"]]
 
 
 class TestFiberDistance:

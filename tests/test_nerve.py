@@ -274,6 +274,17 @@ class TestNerveComplex:
             assert not (s & nerve.b1 and s & nerve.b2)
         assert not validate(nerve)
 
+    def test_middle_witness_rejected(self):
+        # each element meets one marked side only, but the middle points'
+        # incidence sets join elements of both sides into one nerve simplex
+        cloud = point_cloud([[0], [F(2, 5)], [F(3, 5)], [1]], b1=[0], b2=[3])
+        cover = build_cover(cloud, F(9, 20))
+        assert cover.separated
+        with pytest.raises(
+            SeparationError, match="nerve simplex contains marked vertices from both sides"
+        ):
+            nerve_complex(cover)
+
     def test_unseparated_cover_rejected(self):
         cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
         with pytest.raises(SeparationError):

@@ -1,16 +1,20 @@
+import itertools
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import plgp
 import plgp.secant as secant_module
+from plgp.cli import main
 from plgp.complexes import (
     PLMap,
     SimplicialComplex,
     integer_images,
-    maximal_faces,
     sorted_vertices,
 )
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
@@ -193,18 +197,10 @@ class TestSecantSet:
         h = single_triangle_map()
         assert secant_set(h, [2, 3, 1, 1, 1]) == []
 
-    def test_gamma_restriction(self):
-        h = quad_map()
-        z, p, q = self.quad_z()
-        full = secant_set(h, z)
-        restricted = secant_set(h, z, gamma=({"a", "b"}, {"c", "d"}))
-        assert len(restricted) == 1
-        assert line_key(restricted[0].line) in {line_key(r.line) for r in full}
-        assert secant_set(h, z, gamma=({"a", "b"}, set())) == []
-
     def test_gamma_side_maximal_face_need_not_be_a_top(self):
-        # B1 holds only the edge ab of the triangle abc: the maximal face
-        # inside B1 is that edge, which is not a maximal simplex
+        # B1 = {a, b} holds only the edge ab of the triangle abc, which is not
+        # a maximal simplex: its secant with def is the one secant_set finds
+        # on the tops abc and def
         rng = random.Random(5)
         h, cert = random_certified_map(
             rng, [["a", "b", "c"], ["d", "e", "f"]], 5
@@ -213,13 +209,12 @@ class TestSecantSet:
         p = combination(h, edge, [F(1, 3), F(2, 3)])
         q = combination(h, far, [F(1, 2), F(1, 4), F(1, 4)])
         z = tuple(2 * b - a for a, b in zip(p, q))
-        restricted = secant_set(h, z, gamma=({"a", "b"}, far), certificate=cert)
-        assert [r.pair for r in restricted] == [(edge, far)]
-        assert restricted == secants_for_pair(h, z, edge, far, certificate=cert)
-        assert {p, q} == {w[1] for w in restricted[0].witnesses}
-        # with the whole triangle marked, its top takes the edge's place
-        whole = secant_set(h, z, gamma=({"a", "b", "c"}, far), certificate=cert)
+        on_edge = secants_for_pair(h, z, edge, far, certificate=cert)
+        assert [r.pair for r in on_edge] == [(edge, far)]
+        assert {p, q} == {w[1] for w in on_edge[0].witnesses}
+        whole = secant_set(h, z, certificate=cert)
         assert [r.pair for r in whole] == [(frozenset("abc"), far)]
+        assert line_key(whole[0].line) == line_key(on_edge[0].line)
 
     def test_adjacent_collinearity_is_degenerate(self):
         h = quad_map()
@@ -304,15 +299,28 @@ class TestZeroDimCertificate:
     def test_empty_set_valid(self):
         for eps in (1, F(1, 10), 0.01):
             cert = zero_dim_certificate([], eps, 10)
-            assert cert.valid and cert.balls == ()
+            assert cert.valid and cert.radius is None
+
+    def test_empty_set_json_has_no_balls(self):
+        cert = zero_dim_certificate([], 0.5, 10)
+        assert cover_certificate_to_obj(cert, []) == {
+            "epsilon": 0.5, "order": 0, "valid": True, "mesh_ok": True,
+            "disjoint_ok": True, "radius": None, "balls": [], "assignment": [],
+        }
+
+    @pytest.mark.parametrize("k", [0, -3, F(-1, 2)])
+    def test_nonpositive_k_rejected(self, k):
+        recs = [type("R", (), {"line": X_AXIS})()]
+        for records in ([], recs):
+            with pytest.raises(PreconditionError, match="k must be positive"):
+                zero_dim_certificate(records, 0.1, k)
 
     def test_single_line(self):
         h = two_segments_map()
         recs = secants_for_pair(h, [0, 0, 2], ["a", "b"], ["c", "d"])
         cert = zero_dim_certificate(recs, 0.01, 10)
         assert cert.valid
-        assert len(cert.balls) == 1
-        assert cert.balls[0][1] == pytest.approx(0.01 / 3)
+        assert cert.radius == pytest.approx(0.01 / 3)
 
     def test_two_distant_lines(self):
         recs = [
@@ -321,7 +329,7 @@ class TestZeroDimCertificate:
         ]
         cert = zero_dim_certificate(recs, 0.1, 10)
         assert cert.valid
-        assert cert.balls[0][1] == pytest.approx(0.1 / 3)
+        assert cert.radius == pytest.approx(0.1 / 3)
 
     def test_duplicates_rejected(self):
         rec = type("R", (), {"line": X_AXIS})()
@@ -339,8 +347,8 @@ class TestZeroDimCertificate:
         ]
         radius = min([0.5] + pairwise) / 3
         expected = CoverCertificate(
-            tuple((line, radius) for line in lines), 0.5, 0, (0, 1, 2, 3),
-            2 * radius < 0.5, all(d > 2 * radius for d in pairwise), min(pairwise),
+            0.5, radius, 2 * radius < 0.5, all(d > 2 * radius for d in pairwise),
+            min(pairwise),
         )
         clipped = []
         chord = secant_module._chord
@@ -357,7 +365,7 @@ class TestZeroDimCertificate:
         far = AffineFlat(3, vec([0, 100, 0]), (vec([1, 0, 0]),))
         cert = zero_dim_certificate([type("R", (), {"line": far})()], 0.3, 10)
         assert cert.valid and cert.min_distance is None
-        assert cert.balls == ((far, pytest.approx(0.1)),)
+        assert cert.radius == pytest.approx(0.1)
 
     def test_valid_across_epsilons_on_real_secants(self):
         h = quad_map()
@@ -367,8 +375,36 @@ class TestZeroDimCertificate:
         for eps in (1, 0.1, 0.01):
             cert = zero_dim_certificate(recs, eps, 3)
             assert cert.valid
-        obj = cover_certificate_to_obj(cert)
-        assert obj["valid"] and len(obj["balls"]) == len(recs)
+        record_objs = [record_to_obj(r) for r in recs]
+        obj = cover_certificate_to_obj(cert, record_objs)
+        assert obj["valid"] and obj["assignment"] == list(range(len(recs)))
+        assert obj["balls"] == [
+            {"line": line_to_obj(r.line), "radius": cert.radius} for r in recs
+        ]
+
+
+def test_probe_serializes_each_record_line_once(capsys, monkeypatch, tmp_path):
+    # the sample's records and its cover's balls share one line object each
+    fixture = Path(plgp.__file__).parent / "fixtures" / "quadrilateral.json"
+    embedded = str(tmp_path / "quad.json")
+    argv = ["embed", "--input", str(fixture), "--delta", "1", "--seed", "7"]
+    assert main([*argv, "--out", embedded]) == 0
+    capsys.readouterr()
+    lines = []
+    original = secant_module.line_to_obj
+
+    def counting(line):
+        lines.append(line)
+        return original(line)
+
+    monkeypatch.setattr(secant_module, "line_to_obj", counting)
+    argv = ["probe", "--map", embedded, "--k", "3", "--samples", "20", "--seed", "1"]
+    assert main(argv) == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    assert len(lines) == sum(s["secants"] for s in samples) >= 20
+    for sample in samples:
+        balls = sample["certificate"]["balls"]
+        assert [b["line"] for b in balls] == [r["line"] for r in sample["records"]]
 
 
 class TestProbeRegion:
@@ -395,6 +431,10 @@ class TestProbeRegion:
 
     def test_zero_count(self):
         assert probe_region_samples(two_segments_map(), 3, 0, seed=0) == []
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(PreconditionError, match="sample count must be nonnegative"):
+            probe_region_samples(two_segments_map(), 3, -2, seed=0)
 
     def test_invalid_probe_point_rejected(self):
         with pytest.raises(ValueError):
@@ -634,27 +674,21 @@ class TestKernelOracle:
         assert total >= 5
 
 
-def candidate_pairs(h, gamma=None):
-    """The vertex-disjoint pairs secant_set enumerates: maximal simplices, or
-    with gamma the maximal faces inside each marked vertex set."""
-    if gamma is None:
-        tops = h.complex.maximal_simplices()
-        return [
-            (s1, s2) for i, s1 in enumerate(tops) for s2 in tops[i + 1:] if not s1 & s2
-        ]
-    side1, side2 = (
-        maximal_faces([s for s in h.complex.simplices if s <= frozenset(b)])
-        for b in gamma
-    )
-    return [(s1, s2) for s1 in side1 for s2 in side2 if not s1 & s2]
+def candidate_pairs(h):
+    """The vertex-disjoint pairs of maximal simplices secant_set enumerates,
+    in its order."""
+    tops = h.complex.maximal_simplices()
+    return [
+        (s1, s2) for i, s1 in enumerate(tops) for s2 in tops[i + 1:] if not s1 & s2
+    ]
 
 
-def unpruned_secant_set(h, z, cert, gamma=None):
+def unpruned_secant_set(h, z, cert):
     """secant_set with the flats construction run on every candidate pair.
     The oracle for the kernel's enumeration."""
-    secant_set(h, z, gamma, cert)  # the same checks, or their exception
+    secant_set(h, z, cert)  # the same checks, or their exception
     by_key = {}
-    for s1, s2 in candidate_pairs(h, gamma):
+    for s1, s2 in candidate_pairs(h):
         for rec in flats_pair_records(h, vec(z), s1, s2):
             by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
@@ -687,13 +721,14 @@ class TestPairPrune:
         except (DegenerateGeometryError, PreconditionError) as exc:
             return type(exc)
 
-    def check_pairs(self, h, cert, z, gamma=None):
-        """(dropped, records): every pair the kernel rejects has no secant by
-        flats, and every pair it keeps has the flats record."""
+    def check_pairs(self, h, cert, z, pairs=None):
+        """(dropped, records): every pair, by default every candidate pair,
+        the kernel rejects has no secant by flats, and every pair it keeps
+        has the flats record."""
         z = vec(z)
         echelons = _ProbeEchelons(z, cert)
         dropped = records = 0
-        for s1, s2 in candidate_pairs(h, gamma):
+        for s1, s2 in candidate_pairs(h) if pairs is None else pairs:
             kept = echelons.records(s1, s2)
             assert kept == flats_pair_records(h, z, s1, s2), (s1, s2)
             dropped += not kept
@@ -722,25 +757,45 @@ class TestPairPrune:
 
     def test_gamma_sides_with_faces_that_are_not_tops(self):
         # B1 = {a, b, d}: its maximal faces are the edges ab and bd, neither a
-        # top; B2's are the top def and the edge gh of the top ghi
+        # top; B2 = {d, e, f, g, h} holds the top def, its edge ef and the edge
+        # gh of the top ghi.  The kernel decides their vertex-disjoint pairs
+        # as the flats construction does
         rng = random.Random(45)
         h, cert = random_certified_map(rng, PRUNE_COMPLEXES[2, 5], 5)
-        gamma = ({"a", "b", "d"}, {"d", "e", "f", "g", "h"})
-        side1 = {s for s, _ in candidate_pairs(h, gamma)}
-        assert frozenset("ab") in side1 and not set(side1) & set(h.complex.maximal_simplices())
+        sides = (map(frozenset, ["ab", "bd"]), map(frozenset, ["def", "gh", "ef"]))
+        pairs = [(s1, s2) for s1, s2 in itertools.product(*sides) if not s1 & s2]
+        assert len(pairs) == 5
         dropped = records = 0
         for _ in range(12):
-            s1 = rng.choice([frozenset("ab"), frozenset("bd")])
-            s2 = rng.choice([frozenset("def"), frozenset("gh"), frozenset("ef")])
-            z = z_near_a_chord(rng, h, s1, s2 - s1)
-            pruned = self.outcome(lambda: secant_set(h, z, gamma, certificate=cert))
-            assert pruned == self.outcome(
-                lambda: unpruned_secant_set(h, z, cert, gamma)
-            )
-            if isinstance(pruned, list):
-                d, r = self.check_pairs(h, cert, z, gamma)
+            s1, s2 = rng.choice(pairs)
+            z = z_near_a_chord(rng, h, s1, s2)
+            if isinstance(self.outcome(lambda: secant_set(h, z, certificate=cert)), list):
+                d, r = self.check_pairs(h, cert, z, pairs)
                 dropped, records = dropped + d, records + r
         assert records >= 5 and dropped >= records
+
+    def test_records_take_the_candidate_pairs_in_order(self, monkeypatch):
+        # secant_set walks the vertex-disjoint pairs off the sharing index:
+        # every pair once, in the order of the plain double loop
+        calls = []
+        records = _ProbeEchelons.records
+
+        def spy(self, s1, s2):
+            calls.append((s1, s2))
+            return records(self, s1, s2)
+
+        monkeypatch.setattr(_ProbeEchelons, "records", spy)
+        rng = random.Random(47)
+        walked = 0
+        for (n, m), maximal in sorted(PRUNE_COMPLEXES.items()):
+            h, cert = random_certified_map(rng, maximal, m)
+            pairs = candidate_pairs(h)
+            for z in self.probes(rng, h, 4):
+                calls.clear()
+                if isinstance(self.outcome(lambda: secant_set(h, z, certificate=cert)), list):
+                    assert calls == pairs
+                    walked += 1
+        assert walked >= 8
 
     @pytest.mark.parametrize("sigma, tau", [("abc", "bcd"), ("bcd", "def")])
     def test_z_in_a_vertex_sharing_union_is_degenerate(self, sigma, tau):
