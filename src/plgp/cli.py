@@ -50,6 +50,7 @@ from .perturb import (
 )
 from .secant import (
     cover_certificate_to_obj,
+    cover_parameters,
     pair_to_obj,
     probe_region_samples,
     sample_to_obj,
@@ -144,6 +145,7 @@ def cmd_embed(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
+    epsilon, k = cover_parameters(args.epsilon, args.k)
     h = _load_map(args.map)
     z = _parse_point(args.z, h.m)
     d2 = point_to_image_distance_sq_lower(z, h)
@@ -151,8 +153,6 @@ def cmd_analyze(args, argv) -> int:
         raise PreconditionError(
             "z lies on the image: exact squared distance %s" % rat_str(d2)
         )
-    epsilon = float(rat(args.epsilon))
-    k = rat(args.k)
     records = secant_set(h, z)
     cover = zero_dim_certificate(records, epsilon, k)
     manifest = _manifest(
@@ -176,9 +176,8 @@ def cmd_analyze(args, argv) -> int:
 
 
 def cmd_probe(args, argv) -> int:
+    epsilon, k = cover_parameters(args.epsilon, args.k)
     h = _load_map(args.map)
-    epsilon = float(rat(args.epsilon))
-    k = rat(args.k)
     probes = probe_region_samples(h, k, args.samples, args.seed)
     # one certificate serves every sample; with no samples nothing is certified
     cert = general_position_certificate(h) if probes else None

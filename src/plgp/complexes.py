@@ -25,7 +25,6 @@ from .exact import (
     rat_str,
     sqrt_upper,
     vec,
-    vec_add,
     vec_scale,
 )
 
@@ -163,21 +162,14 @@ def evaluate(h: PLMap, x: BarycentricPoint) -> tuple:
     """Exact affine combination of the carrier's vertex images."""
     if frozenset(x.simplex) not in h.complex.simplices:
         raise ValueError("barycentric point lies on an unknown simplex")
-    acc = tuple(Fraction(0) for _ in range(h.m))
-    for v, w in zip(x.simplex, x.weights):
-        acc = vec_add(acc, vec_scale(w, h.images[v]))
-    return acc
+    terms = [vec_scale(w, h.images[v]) for v, w in zip(x.simplex, x.weights)]
+    return tuple(sum(c, Fraction(0)) for c in zip(*terms))
 
 
 def image_diameter_sq(h: PLMap, simplex) -> Fraction:
     """Max squared distance over image-vertex pairs (= squared diameter of the hull)."""
     pts = h.simplex_images(simplex)
-    best = Fraction(0)
-    for a, b in combinations(pts, 2):
-        d = dist_sq(a, b)
-        if d > best:
-            best = d
-    return best
+    return max((dist_sq(a, b) for a, b in combinations(pts, 2)), default=Fraction(0))
 
 
 def integer_images(h: PLMap):
@@ -232,17 +224,13 @@ def barycentric_subdivide(h: PLMap) -> PLMap:
             raise ValueError(f"barycenter id collision with existing vertex {bid!r}")
         ids[s] = bid
         pts = h.simplex_images(s)
-        acc = tuple(Fraction(0) for _ in range(h.m))
-        for p in pts:
-            acc = vec_add(acc, p)
+        acc = tuple(sum(c, Fraction(0)) for c in zip(*pts))
         images[bid] = vec_scale(Fraction(1, len(pts)), acc)
     tops = []
     for s in k.maximal_simplices():
         verts = sorted_vertices(s)
         for order in permutations(verts):
-            chain = []
-            for i in range(len(order)):
-                chain.append(ids[frozenset(order[: i + 1])])
+            chain = (ids[frozenset(order[: i + 1])] for i in range(len(order)))
             tops.append(frozenset(chain))
     b1 = {ids[s] for s in k.simplices if s <= k.b1}
     b2 = {ids[s] for s in k.simplices if s <= k.b2}
@@ -286,11 +274,10 @@ def closeness_bound(h0: PLMap, h: PLMap) -> Fraction:
         raise ValueError("closeness bound requires maps on the same complex")
     if h0.m != h.m:
         raise ValueError("ambient dimension mismatch")
-    disp = Fraction(0)
-    for v in h0.complex.vertices:
-        d = dist_sq(h0.images[v], h.images[v])
-        if d > disp:
-            disp = d
+    disp = max(
+        (dist_sq(h0.images[v], h.images[v]) for v in h0.complex.vertices),
+        default=Fraction(0),
+    )
     return sqrt_upper(disp) + sqrt_upper(max_image_diameter_sq(h0))
 
 
@@ -358,9 +345,7 @@ def plmap_from_obj(obj) -> PLMap:
         raise ValueError("map JSON lacks the ambient dimension m")
     if "images" not in obj:
         raise ValueError("map JSON lacks images")
-    images = {}
-    for v, coords in obj["images"].items():
-        images[str(v)] = vec(coords)
+    images = {str(v): vec(coords) for v, coords in obj["images"].items()}
     return PLMap(c, m, images)
 
 

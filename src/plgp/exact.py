@@ -279,19 +279,6 @@ class Echelon:
         return verdicts
 
 
-class Echelons(dict):
-    """The Echelon of each vertex set about one origin, built on first use."""
-
-    def __init__(self, points, origin):
-        super().__init__()
-        self.points = points  # vertex -> tuple of ints
-        self.origin = origin
-
-    def __missing__(self, s):
-        e = self[s] = Echelon(self.points, self.origin, s)
-        return e
-
-
 def _solve_echelon_int(rows, n):
     """(d, columns) for a system of full column rank n that _echelon_int has
     put in echelon form: d > 0, and one integer column x per augmented
@@ -386,9 +373,7 @@ def primitive_vector(v) -> tuple:
         return v
     m = lcm(*(x.denominator for x in v))
     ints = [int(x * m) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:

@@ -112,7 +112,10 @@ def witness_violation(cover: Cover) -> bool:
 
 
 def refine_for_separation(cloud: PointCloud, radius) -> Cover:
-    """Shrink the radius by halving until the cover separates the marks."""
+    """The cover at radius when it has no witness violation (or no marks);
+    else the cover at the largest r = radius / 2^j, j >= 1, with
+    4 r^2 < d(B1, B2)^2 and no witness violation.  So marks at distance 1
+    and radius 1 give r = 1/4, though r = 1/2 already separates them."""
     radius = rat(radius)
     cover = build_cover(cloud, radius)
     if not cloud.b1 or not cloud.b2:

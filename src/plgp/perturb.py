@@ -165,7 +165,10 @@ def perturb_to_general_position(
     zero_vec = tuple(Fraction(0) for _ in range(h0.m))
     displacements = {v: zero_vec for v in h0.complex.vertices}
     for round_index in range(1, max_rounds + 1):
-        for v in sorted(set().union(*cert.failing_unions()), key=str):
+        moved = set()
+        for union in cert.failing_unions():
+            moved |= union
+        for v in sorted(moved, key=str):
             displacements[v] = _draw_displacement(rng, h0.m, half, j_max)
         images = {
             v: vec_add(h0.images[v], displacements[v]) for v in h0.complex.vertices

@@ -17,7 +17,7 @@ systems on Python ints: the images and z are scaled by one common
 denominator per map and probe.  For s1 = conv(v_i) and s2 = conv(w_j), a
 secant through z is points p1 = sum mu_i v_i and p2 = sum nu_j w_j, with
 mu >= 0 and nu >= 0 each summing to 1, such that p1 - z and p2 - z are
-nonzero and parallel.  In one exact.Echelons about z per probe, the row
+nonzero and parallel.  With one exact.Echelon per top about z, the row
 x reduced against s1's Echelon, the rows v_i - z, is R1(x), its entries in
 the free columns: a linear map whose kernel is exactly the span of
 the v_i - z, the direction space of the join J1 = aff(z u s1).  So
@@ -52,15 +52,17 @@ is inconsistent.  The same holds for z in aff(s1), with the roles swapped.
 The flats construction (joins, intersections, line-simplex solves) is the
 kernel's oracle in the tests.
 
-The probe's Echelons maps each vertex set to its Echelon, built on first
-use: its echelon rows, pivots and free columns, and the reduced rows
-R1(w - z) so far.  The ranks of (ii) are full_rank tests of the same
-Echelons, on the same reductions.
+The probe's _ProbeEchelons maps each top to its Echelon: its echelon
+rows, pivots and free columns, and the reduced rows R1(w - z) so far.  The
+ranks of (ii) build them, and the pair walk reuses them.  Only the rows
+i' <= i, the pairs (i', j) with j > i', use top i's Echelon, so secant_set
+deletes it after row i.
 
 Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
 documented 1e-9 tolerance, and certificate radii are shrunk by a factor 3 to
-absorb it.
+absorb it.  cover_parameters refuses an epsilon or k whose float is zero or
+infinite, and a chord past the float range is a PreconditionError.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from fractions import Fraction
 from .complexes import BarycentricPoint, PLMap, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
-    Echelons,
+    Echelon,
     _echelon_int,
     _solve_echelon_int,
     norm_sq,
@@ -144,20 +146,24 @@ def _certified(h, certificate):
     return cert
 
 
-class _ProbeEchelons(Echelons):
-    """One probe's Echelons about z, on the map's vertex images and z all
-    multiplied by one common denominator.  The certificate (the map's
-    MaximalVerdicts) already holds the map's integer images; only z's
-    denominators can widen the scale."""
+class _ProbeEchelons(dict):
+    """One probe's Echelon of each vertex set about z, built on first use, on
+    the map's vertex images and z all multiplied by one common denominator.
+    The certificate (the map's MaximalVerdicts) already holds the map's
+    integer images; only z's denominators can widen the scale."""
 
     def __init__(self, z, cert):
+        super().__init__()
         self.z = z
-        self.scale, zi = widen_frame(cert.scale, z)
-        images = cert.images
+        self.scale, self.origin = widen_frame(cert.scale, z)
+        self.points = cert.images
         if self.scale != cert.scale:
             f = self.scale // cert.scale
-            images = {v: tuple(f * x for x in p) for v, p in images.items()}
-        super().__init__(images, zi)
+            self.points = {v: tuple(f * x for x in p) for v, p in self.points.items()}
+
+    def __missing__(self, s):
+        e = self[s] = Echelon(self.points, self.origin, s)
+        return e
 
     def _weights(self, s1, s2):
         """(vertices, d, nu) with nu / d the one solution of the small system
@@ -289,6 +295,7 @@ def secant_set(h: PLMap, z, certificate=None):
             if j not in sharing[i]:
                 for rec in echelons.records(s1, tops[j]):
                     by_key.setdefault(line_key(rec.line), rec)
+        del echelons[s1]  # no later row uses it
     return [by_key[key] for key in sorted(by_key)]
 
 
@@ -347,13 +354,26 @@ def line_distance(l1, l2, k) -> float:
     return _chord_distance(_chord(l1, k), _chord(l2, k))
 
 
+def cover_parameters(epsilon, k):
+    """(eps, k): the cover's mesh bound as a float and the clipping radius,
+    exact unless given as a float, each refused unless it is positive with a
+    nonzero finite float, since the line metric runs in floats."""
+    values = [v if isinstance(v, float) else rat(v) for v in (epsilon, k)]
+    for name, value in zip(("epsilon", "k"), values):
+        if value <= 0:
+            raise PreconditionError(name + " must be positive")
+        try:
+            finite = 0 < float(value) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise PreconditionError(name + " is outside the float range")
+    return float(values[0]), values[1]
+
+
 def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
     """Disjoint cover of the secant set by equal balls of diameter < epsilon."""
-    eps = float(epsilon)
-    if eps <= 0:
-        raise PreconditionError("epsilon must be positive")
-    if k <= 0:
-        raise PreconditionError("k must be positive")
+    eps, k = cover_parameters(epsilon, k)
     keys = [line_key(r.line) for r in records]
     if len(set(keys)) != len(keys):
         raise PreconditionError("duplicate lines; deduplicate records first")
@@ -361,15 +381,18 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
         return CoverCertificate(eps, None, True, True)
     # one chord per line, and none for a single line: its radius is eps / 3
     # whether or not the line meets the ball
-    chords = [_chord(r.line, k) for r in records] if len(records) > 1 else []
-    min_distance = min(
-        (
-            _chord_distance(chords[i], chords[j])
-            for i in range(len(chords))
-            for j in range(i + 1, len(chords))
-        ),
-        default=None,
-    )
+    try:
+        chords = [_chord(r.line, k) for r in records] if len(records) > 1 else []
+        min_distance = min(
+            (
+                _chord_distance(chords[i], chords[j])
+                for i in range(len(chords))
+                for j in range(i + 1, len(chords))
+            ),
+            default=None,
+        )
+    except OverflowError as exc:
+        raise PreconditionError("the line metric overflows the float range") from exc
     radius = (eps if min_distance is None else min(eps, min_distance)) / 3
     mesh_ok = 2 * radius < eps
     # every chord distance is at least min_distance

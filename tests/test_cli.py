@@ -409,6 +409,74 @@ class TestFibered:
         ]
 
 
+class TestCoverParameters:
+    """A bad epsilon or k exits 3 with one line on stderr and no traceback.
+    main lets any other exception through, so a crash fails the test."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--z", "0,0,5", "--k", "0"], "k must be positive"),
+            (["analyze", "--z", "0,0,5", "--epsilon", "0"], "epsilon must be positive"),
+            (["analyze", "--z", "0,0,5", "--epsilon", "1e400"],
+             "epsilon is outside the float range"),
+            (["analyze", "--z", "0,0,5", "--epsilon", "1e-400"],
+             "epsilon is outside the float range"),
+            (["probe", "--samples", "0", "--epsilon", "0"], "epsilon must be positive"),
+            (["probe", "--samples", "0", "--epsilon=-1"], "epsilon must be positive"),
+            (["probe", "--samples", "1", "--epsilon", "1e400"],
+             "epsilon is outside the float range"),
+            (["probe", "--samples", "1", "--epsilon", "1e-400"],
+             "epsilon is outside the float range"),
+        ],
+    )
+    def test_refused_before_the_map_is_loaded(self, capsys, tmp_path, argv, message):
+        # the map path does not exist: loading it first would exit 2
+        missing = str(tmp_path / "missing.json")
+        code, text, err = run(capsys, argv[0], "--map", missing, *argv[1:])
+        assert (code, text, err) == (3, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # float(k) ** 2 overflows in the chord
+            ["analyze", "--z", "0,0,5", "--k", "1e200"],
+            # the chord's line direction has entries past the float range
+            ["probe", "--samples", "2", "--seed", "1", "--k", "1e200"],
+        ],
+    )
+    def test_line_metric_overflow(self, capsys, quad_map, argv):
+        code, text, err = run(capsys, argv[0], "--map", quad_map, *argv[1:])
+        assert (code, text) == (3, "")
+        assert err == "the line metric overflows the float range\n"
+
+    def test_fibered_line_metric_overflow(self, capsys):
+        code, text, err = run(
+            capsys,
+            "fibered", "--instance", OCTA, "--delta", "1/2", "--seed", "7",
+            "--samples", "1", "--k", "1e200",
+        )
+        assert (code, text) == (3, "")
+        assert err == "the line metric overflows the float range\n"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--k=0", "k must be positive"),
+         ("--samples=-1", "sample count must be nonnegative")],
+    )
+    def test_fibered_without_fibers(self, capsys, tmp_path, flag, message):
+        # with no fibers nothing is probed: fibered_report's own checks are
+        # the only ones that run
+        instance = tmp_path / "empty.json"
+        instance.write_text(
+            json.dumps({"fibers": {}, "reference_embeddings": {}, "m": 5})
+        )
+        code, text, err = run(
+            capsys, "fibered", "--instance", str(instance), "--delta", "1/2", flag
+        )
+        assert (code, text, err) == (3, "", message + "\n")
+
+
 class TestReproducibility:
     def test_embed_rerun_is_byte_identical(self, capsys, tmp_path):
         argv = [

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from plgp.exact import (
     AffineSolution,
     Echelon,
-    Echelons,
     _echelon_int,
     Matrix,
     affinely_independent,
@@ -485,12 +484,10 @@ class TestEchelons:
         want = [self.stacked_full_rank(points, origin, s)] + [
             self.stacked_full_rank(points, origin, [*s, *t]) for t in extras
         ]
-        echelons = Echelons(points, origin)
-        e = echelons[s]
+        e = Echelon(points, origin, s)
         assert e.independent == want[0]
         assert e.full_rank(*extras) == want
-        # the kept echelon and reductions give the same verdicts again
-        assert echelons[s] is e
+        # the kept reductions give the same verdicts again
         assert e.full_rank(*extras) == want
         assert e.full_rank() == want[:1]
         return want

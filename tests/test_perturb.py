@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -443,6 +444,35 @@ class TestPerturb:
             perturb_to_general_position(coplanar_segments(), 0, seed=0)
         with pytest.raises(PreconditionError):
             perturb_to_general_position(coplanar_segments(), F(-1, 2), seed=0)
+
+    def test_resample_holds_one_failing_union_at_a_time(self, monkeypatch):
+        # the moved set streams the failing unions: when each is produced, at
+        # most the one before it (the loop's last) may still be alive
+        class Watched(frozenset):
+            pass
+
+        refs = []
+        most_alive = 0
+        failing_unions = MaximalVerdicts.failing_unions
+
+        def watch(union):
+            nonlocal most_alive
+            most_alive = max(most_alive, sum(r() is not None for r in refs))
+            union = Watched(union)
+            refs.append(weakref.ref(union))
+            return union
+
+        def watched(self):
+            for union in failing_unions(self):
+                yield watch(union)
+
+        monkeypatch.setattr(MaximalVerdicts, "failing_unions", watched)
+        h0 = plmap_from_obj(json.loads((FIXTURES / "triangles5.json").read_text()))
+        h1 = subdivide_until(h0, F(1, 2))
+        h, report = perturb_to_general_position(h1, F(1, 2), seed=7)
+        assert report.rounds >= 1 and report.certificate.overall
+        assert len(refs) >= 30
+        assert most_alive <= 1
 
     def test_deterministic(self):
         a1, r1 = perturb_to_general_position(coplanar_segments(), F(1, 10), seed=42)

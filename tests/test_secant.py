@@ -14,12 +14,13 @@ from plgp.cli import main
 from plgp.complexes import (
     PLMap,
     SimplicialComplex,
-    integer_images,
+    plmap_from_obj,
     sorted_vertices,
+    subdivide_until,
 )
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 import plgp.exact as exact_module
-from plgp.exact import Echelon, Echelons, Matrix, norm_sq, rank, rat_str, vec, widen_frame
+from plgp.exact import Echelon, Matrix, norm_sq, rank, rat_str, vec
 from plgp.flats import (
     AffineFlat,
     line_key,
@@ -28,13 +29,18 @@ from plgp.flats import (
     span_of_points,
     transversal_line_through_point,
 )
-from plgp.perturb import general_position_certificate
+from plgp.perturb import (
+    MaximalVerdicts,
+    general_position_certificate,
+    perturb_to_general_position,
+)
 from plgp.secant import (
     CoverCertificate,
     ProbePoint,
     SecantRecord,
     _ProbeEchelons,
     cover_certificate_to_obj,
+    cover_parameters,
     line_distance,
     pair_to_obj,
     probe_region_samples,
@@ -315,6 +321,26 @@ class TestZeroDimCertificate:
             with pytest.raises(PreconditionError, match="k must be positive"):
                 zero_dim_certificate(records, 0.1, k)
 
+    def test_cover_parameters(self):
+        assert cover_parameters("1/100", "3") == (0.01, F(3))
+        assert cover_parameters(0.5, F(1, 2)) == (0.5, F(1, 2))
+        for eps, k, name in [
+            (F(10**400), 3, "epsilon"),
+            (F(1, 10**400), 3, "epsilon"),
+            (math.inf, 3, "epsilon"),
+            (math.nan, 3, "epsilon"),
+            (0.1, F(10**400), "k"),
+            (0.1, F(1, 10**400), "k"),
+        ]:
+            with pytest.raises(PreconditionError, match=name + " is outside the float"):
+                cover_parameters(eps, k)
+
+    def test_chord_overflow_is_a_precondition(self):
+        # the clipping radius is a finite float, but its square is not
+        recs = [type("R", (), {"line": line})() for line in (X_AXIS, SHIFTED_X)]
+        with pytest.raises(PreconditionError, match="line metric overflows"):
+            zero_dim_certificate(recs, 0.1, 10**200)
+
     def test_single_line(self):
         h = two_segments_map()
         recs = secants_for_pair(h, [0, 0, 2], ["a", "b"], ["c", "d"])
@@ -405,6 +431,38 @@ def test_probe_serializes_each_record_line_once(capsys, monkeypatch, tmp_path):
     for sample in samples:
         balls = sample["certificate"]["balls"]
         assert [b["line"] for b in balls] == [r["line"] for r in sample["records"]]
+
+
+def test_probe_releases_each_echelon_after_its_row(monkeypatch):
+    # secant_set keeps no top's Echelon past its row (i, j), j > i, and
+    # builds each top's Echelon once per probe, so none is rebuilt after it
+    # is released
+    fixture = Path(plgp.__file__).parent / "fixtures" / "triangles5.json"
+    h0 = plmap_from_obj(json.loads(fixture.read_text()))
+    delta = F(1, 4)
+    h, report = perturb_to_general_position(subdivide_until(h0, delta), delta, seed=7)
+    tops = h.complex.maximal_simplices()
+    row = {s: i for i, s in enumerate(tops)}
+    built, stale = [], []
+    missing, records = _ProbeEchelons.__missing__, _ProbeEchelons.records
+
+    def spy_missing(self, s):
+        built.append(s)
+        return missing(self, s)
+
+    def spy_records(self, s1, s2):
+        stale.extend(s for s in tops[: row[s1]] if s in self)
+        return records(self, s1, s2)
+
+    monkeypatch.setattr(_ProbeEchelons, "__missing__", spy_missing)
+    monkeypatch.setattr(_ProbeEchelons, "records", spy_records)
+    found = 0
+    for probe in probe_region_samples(h, 3, 3, seed=7):
+        built.clear()
+        found += len(secant_set(h, probe.z, certificate=report.certificate))
+        assert sorted(built, key=row.get) == tops
+        assert stale == []
+    assert found > 0
 
 
 class TestProbeRegion:
@@ -819,10 +877,8 @@ class TestPairPrune:
             "a": vec([0, 0]), "b": vec([1, 0]), "c": vec([1, 1]), "d": vec([0, 1]),
         })
         z = vec([3, 5])
-        scale, images = integer_images(h)
-        wide, zi = widen_frame(scale, z)
-        assert wide == scale
-        echelons = Echelons(images, zi)
+        # MaximalVerdicts has no m >= 2n+1 check, so the plane is allowed
+        echelons = _ProbeEchelons(z, MaximalVerdicts(h))
         with pytest.raises(DegenerateGeometryError, match="adjacent pair"):
             secant_module._assert_adjacent_secant_free(
                 h, z, echelons, c.maximal_simplices()
@@ -855,8 +911,7 @@ class TestPairPrune:
                 for v in c.vertices
             })
             z = vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
-            _, images = integer_images(h)
-            echelons = Echelons(images, [int(x) for x in z])
+            echelons = _ProbeEchelons(z, MaximalVerdicts(h))
             calls.clear()
             secant_module._assert_adjacent_secant_free(h, z, echelons, tops)
             brute = [
