@@ -40,13 +40,14 @@ from .errors import (
     ThinRegionError,
 )
 from .exact import rat, rat_str, vec
-from .fiber import fibered_report, fiberwise_embed, instance_from_obj
+from .fiber import fibered_parameters, fibered_report, fiberwise_embed, instance_from_obj
 from .flats import point_to_image_distance_sq_lower
 from .nerve import cloud_from_csv, nerve_complex, refine_for_separation
 from .perturb import (
     general_position_certificate,
     perturb_to_general_position,
     report_to_obj,
+    require_ambient_bound,
 )
 from .secant import (
     cover_certificate_to_obj,
@@ -118,6 +119,7 @@ def cmd_embed(args, argv) -> int:
         zero = vec([0] * m)
         h0 = PLMap(c, m, {v: zero for v in c.vertices})
     delta = rat(args.delta)
+    require_ambient_bound(h0.m, h0.complex.dimension)
     h1 = subdivide_until(h0, delta)
     embedded, report = perturb_to_general_position(h1, delta, args.seed)
     dump_json(plmap_to_obj(embedded), args.out)
@@ -255,7 +257,7 @@ def cmd_nerve(args, argv) -> int:
             "radius_requested": rat_str(requested),
             "radius_used": rat_str(cover.radius),
             "refined": cover.radius != requested,
-            "elements": len(cover.elements),
+            "elements": len(cover.incidence),
             "separated": cover.separated,
             "vertices": len(c.vertices),
             "dimension": c.dimension,
@@ -268,11 +270,11 @@ def cmd_nerve(args, argv) -> int:
 def cmd_fibered(args, argv) -> int:
     inst = instance_from_obj(load_json(args.instance))
     delta = rat(args.delta)
+    k = rat(args.k)
     etas = _parse_eta(args.eta)
+    fibered_parameters(inst, k, args.samples, etas)
     embeddings = fiberwise_embed(inst, delta, args.seed)
-    report = fibered_report(
-        embeddings, inst, rat(args.k), args.samples, etas, args.seed
-    )
+    report = fibered_report(embeddings, inst, k, args.samples, etas, args.seed)
     manifest = _manifest(
         "fibered",
         argv,

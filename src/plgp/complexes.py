@@ -248,19 +248,17 @@ def subdivide_until(h: PLMap, delta, max_rounds: int = SUBDIVIDE_ROUND_CAP) -> P
     if delta <= 0:
         raise PreconditionError("delta must be a positive rational")
     threshold = (delta / 2) ** 2
-    current = h
-    for round_index in range(max_rounds + 1):
-        worst = max_image_diameter_sq(current)
-        if worst < threshold:
-            return current
-        if round_index == max_rounds:
-            raise SubdivisionCapError(
-                f"subdivision cap of {max_rounds} rounds exceeded; achieved squared "
-                f"diameter {rat_str(worst)} (target < {rat_str(threshold)})",
-                achieved_diameter_sq=worst,
-            )
+    current, rounds = h, 0
+    while (worst := max_image_diameter_sq(current)) >= threshold and rounds < max_rounds:
         current = barycentric_subdivide(current)
-    raise AssertionError("unreachable")
+        rounds += 1
+    if worst < threshold:
+        return current
+    raise SubdivisionCapError(
+        f"subdivision cap of {max_rounds} rounds exceeded; achieved squared "
+        f"diameter {rat_str(worst)} (target < {rat_str(threshold)})",
+        achieved_diameter_sq=worst,
+    )
 
 
 def closeness_bound(h0: PLMap, h: PLMap) -> Fraction:

@@ -31,10 +31,11 @@ from .complexes import (
 )
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import dist_sq, rat, rat_str, vec
-from .perturb import perturb_to_general_position, report_to_obj
+from .perturb import perturb_to_general_position, report_to_obj, require_ambient_bound
 from .secant import (
     SecantRecord,
     cover_certificate_to_obj,
+    cover_parameters,
     probe_region_samples,
     sample_to_obj,
     secant_set,
@@ -131,12 +132,7 @@ def fiberwise_embed(inst: FiberedInstance, delta, seed: int) -> dict:
     delta = rat(delta)
     if delta <= 0:
         raise PreconditionError("delta must be positive")
-    n = inst.dimension
-    if inst.labels and inst.m < 2 * n + 1:
-        raise PreconditionError(
-            "ambient dimension %d is below the general-position bound %d"
-            % (inst.m, 2 * n + 1)
-        )
+    require_ambient_bound(inst.m, inst.dimension)
     out = {}
     for label in sorted(inst.labels):
         reference = subdivide_until(inst.references[label], delta)
@@ -200,6 +196,19 @@ def u_map_fine_enough(emb: FiberEmbedding, eta) -> bool:
     return max_image_diameter_sq(emb.reference) < rat(eta) ** 2
 
 
+def fibered_parameters(inst: FiberedInstance, k, count: int, etas=None):
+    """(k, etas) for fibered_report, refused before any fiber is embedded: k
+    as the cover judges it, a nonnegative sample count, and positive etas,
+    the instance's when etas is None."""
+    _, k = cover_parameters(DEFAULT_COVER_EPSILON, rat(k))
+    if count < 0:
+        raise PreconditionError("sample count must be nonnegative")
+    etas = tuple(rat(e) for e in (inst.eta if etas is None else etas))
+    if any(e <= 0 for e in etas):
+        raise PreconditionError("eta values must be positive")
+    return k, etas
+
+
 def fibered_report(
     embeddings: dict,
     inst: FiberedInstance,
@@ -216,16 +225,7 @@ def fibered_report(
     per filtered set.  Probe randomness derives from the root seed and the
     label, so per-fiber results are independent of each other.
     """
-    k = rat(k)
-    if k <= 0:
-        raise PreconditionError("k must be positive")
-    if count < 0:
-        raise PreconditionError("sample count must be nonnegative")
-    if etas is None:
-        etas = inst.eta
-    etas = tuple(rat(e) for e in etas)
-    if any(e <= 0 for e in etas):
-        raise PreconditionError("eta values must be positive")
+    k, etas = fibered_parameters(inst, k, count, etas)
     fibers = {}
     for label in sorted(inst.labels):
         if label not in embeddings:

@@ -52,7 +52,7 @@ def point_cloud(points, b1=(), b2=()) -> PointCloud:
 
 @dataclass(frozen=True)
 class Cover:
-    elements: tuple      # (center, radius) closed balls, one per sample point
+    # element i is the closed ball of the cover's radius about point i
     incidence: tuple     # per point index, tuple of incident element indices
     b1_elements: frozenset  # element indices meeting B1
     b2_elements: frozenset
@@ -89,7 +89,6 @@ def build_cover(cloud: PointCloud, radius) -> Cover:
     b1_elements = frozenset(i for idx in cloud.b1 for i in incidence[idx])
     b2_elements = frozenset(i for idx in cloud.b2 for i in incidence[idx])
     return Cover(
-        elements=tuple((c, radius) for c in cloud.points),
         incidence=tuple(map(tuple, incidence)),
         b1_elements=b1_elements,
         b2_elements=b2_elements,
@@ -127,8 +126,8 @@ def refine_for_separation(cloud: PointCloud, radius) -> Cover:
     )
     if d_sq == 0:
         raise SeparationError("marked sets touch; no separating radius exists")
-    # a cover that is not separated has a violation too: each element's own
-    # center is one of its points
+    # witness_violation decides separation too: an element meeting both
+    # marked sets has a violation at its own center, one of its points
     if not witness_violation(cover):
         return cover
     # a verdict depends on the radius alone, so a rejected radius is halved
@@ -150,9 +149,8 @@ def element_name(i: int) -> str:
 
 
 def nerve_complex(cover: Cover) -> SimplicialComplex:
-    if not cover.separated:
-        raise SeparationError("cover element meets both marked sets")
-    # every nerve simplex lies in an incidence set, each one a nerve simplex
+    # every nerve simplex lies in an incidence set, each one a nerve simplex;
+    # an unseparated cover fails here too, at the shared element's center
     if witness_violation(cover):
         raise SeparationError(
             "nerve simplex contains marked vertices from both sides"

@@ -114,12 +114,18 @@ class MaximalVerdicts:
                     yield t1 | t2
 
 
-def general_position_certificate(h: PLMap) -> MaximalVerdicts:
-    n = h.complex.dimension
-    if n >= 0 and h.m < 2 * n + 1:
+def require_ambient_bound(m: int, n: int) -> None:
+    """Refuse an ambient dimension m below 2n+1 for a complex of dimension n;
+    the empty complex (n = -1) always passes."""
+    if n >= 0 and m < 2 * n + 1:
         raise PreconditionError(
-            "certificate requires ambient dimension m >= 2*dim(K)+1"
+            "ambient dimension %d is below the general-position bound %d"
+            % (m, 2 * n + 1)
         )
+
+
+def general_position_certificate(h: PLMap) -> MaximalVerdicts:
+    require_ambient_bound(h.m, h.complex.dimension)
     return MaximalVerdicts(h)
 
 
@@ -162,19 +168,20 @@ def perturb_to_general_position(
     half = delta / 2
     j_max = (half.numerator * GRID - 1) // half.denominator
     rng = random.Random(seed)
-    zero_vec = tuple(Fraction(0) for _ in range(h0.m))
-    displacements = {v: zero_vec for v in h0.complex.vertices}
+    # the vertices drawn so far; the rest keep their round-0 images
+    displacements = {}
+    images = dict(h0.images)
     for round_index in range(1, max_rounds + 1):
         moved = set()
         for union in cert.failing_unions():
             moved |= union
         for v in sorted(moved, key=str):
-            displacements[v] = _draw_displacement(rng, h0.m, half, j_max)
-        images = {
-            v: vec_add(h0.images[v], displacements[v]) for v in h0.complex.vertices
-        }
+            d = displacements[v] = _draw_displacement(rng, h0.m, half, j_max)
+            # a failing round's map is dropped, so its images update in place
+            images[v] = vec_add(h0.images[v], d)
         current = PLMap(h0.complex, h0.m, images)
-        cert = general_position_certificate(current)
+        # the complex and m are round 0's, which passed the bound
+        cert = MaximalVerdicts(current)
         if cert.overall:
             max_d2 = max(norm_sq(d) for d in displacements.values())
             return current, PerturbationReport(

@@ -62,7 +62,9 @@ Incidence decisions are exact rationals throughout; only the line metric
 (Hausdorff distance between ball-clipped chords) is floating point, with a
 documented 1e-9 tolerance, and certificate radii are shrunk by a factor 3 to
 absorb it.  cover_parameters refuses an epsilon or k whose float is zero or
-infinite, and a chord past the float range is a PreconditionError.
+infinite, and a k whose float square is, so whether a k is usable does not
+depend on the secant count; a chord past the float range is a
+PreconditionError too.
 """
 
 from __future__ import annotations
@@ -281,9 +283,9 @@ def secant_set(h: PLMap, z, certificate=None):
     first record found per line over the vertex-disjoint maximal pairs
     (i, j), i < j, in order."""
     z = vec(z)
-    cert = _certified(h, certificate)
     if len(z) != h.m:
         raise ValueError("ambient dimension mismatch")
+    cert = _certified(h, certificate)
     tops = h.complex.maximal_simplices()
     if not tops:
         raise ValueError("empty complex has no image")
@@ -357,7 +359,8 @@ def line_distance(l1, l2, k) -> float:
 def cover_parameters(epsilon, k):
     """(eps, k): the cover's mesh bound as a float and the clipping radius,
     exact unless given as a float, each refused unless it is positive with a
-    nonzero finite float, since the line metric runs in floats."""
+    nonzero finite float, and k also when its float square overflows, since
+    the line metric runs in floats and squares k in every chord."""
     values = [v if isinstance(v, float) else rat(v) for v in (epsilon, k)]
     for name, value in zip(("epsilon", "k"), values):
         if value <= 0:
@@ -368,6 +371,10 @@ def cover_parameters(epsilon, k):
             finite = False
         if not finite:
             raise PreconditionError(name + " is outside the float range")
+    try:
+        float(values[1]) ** 2
+    except OverflowError as exc:
+        raise PreconditionError("the line metric overflows the float range") from exc
     return float(values[0]), values[1]
 
 

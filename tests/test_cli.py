@@ -90,6 +90,27 @@ class TestEmbed:
         assert code == 2
         assert "contradicts" in err
 
+    def test_ambient_bound_refused_before_subdividing(self, capsys, monkeypatch, tmp_path):
+        # the images are 8 apart: subdividing to delta 1/2 alone would take
+        # several rounds, each multiplying the triangles by 6
+        def forbidden(*args, **kwargs):
+            raise AssertionError("subdivided a map below the general-position bound")
+
+        monkeypatch.setattr(plgp.cli, "subdivide_until", forbidden)
+        source = tmp_path / "triangle.json"
+        source.write_text(json.dumps({
+            "m": 4,
+            "maximal_simplices": [["a", "b", "c"]],
+            "images": {"a": [0, 0, 0, 0], "b": [8, 0, 0, 0], "c": [0, 8, 0, 0]},
+        }))
+        code, text, err = run(
+            capsys,
+            "embed", "--input", str(source), "--delta", "1/2",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert (code, text) == (3, "")
+        assert err == "ambient dimension 4 is below the general-position bound 5\n"
+
     def test_ambient_bound_violation(self, capsys, tmp_path):
         source = tmp_path / "bare.json"
         source.write_text(json.dumps({"maximal_simplices": [["a", "b"]], "m": 2}))
@@ -450,6 +471,15 @@ class TestCoverParameters:
         assert (code, text) == (3, "")
         assert err == "the line metric overflows the float range\n"
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_k_square_overflow_whatever_the_secant_count(self, capsys, quad_map, samples):
+        # one sample has at most one secant and so no chord; k is refused first
+        code, text, err = run(
+            capsys, "probe", "--map", quad_map, "--samples", samples, "--k", "1e200"
+        )
+        assert (code, text) == (3, "")
+        assert err == "the line metric overflows the float range\n"
+
     def test_fibered_line_metric_overflow(self, capsys):
         code, text, err = run(
             capsys,
@@ -473,6 +503,27 @@ class TestCoverParameters:
         )
         code, text, err = run(
             capsys, "fibered", "--instance", str(instance), "--delta", "1/2", flag
+        )
+        assert (code, text, err) == (3, "", message + "\n")
+
+
+class TestFiberedParameters:
+    """Bad probe parameters are refused before any fiber is embedded."""
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--k=0", "k must be positive"),
+         ("--eta=0", "eta values must be positive"),
+         ("--samples=-1", "sample count must be nonnegative"),
+         ("--k=1e200", "the line metric overflows the float range")],
+    )
+    def test_refused_before_embedding(self, capsys, monkeypatch, flag, message):
+        def forbidden(*args):
+            raise AssertionError("fibers embedded before the probe parameters")
+
+        monkeypatch.setattr(plgp.cli, "fiberwise_embed", forbidden)
+        code, text, err = run(
+            capsys, "fibered", "--instance", OCTA, "--delta", "1/8", flag
         )
         assert (code, text, err) == (3, "", message + "\n")
 

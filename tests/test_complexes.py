@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plgp.complexes as complexes_module
 from plgp.complexes import (
     BarycentricPoint,
     PLMap,
@@ -170,6 +171,25 @@ class TestSubdivideUntil:
         with pytest.raises(SubdivisionCapError) as err:
             subdivide_until(h, "1/2", max_rounds=1)
         assert err.value.achieved_diameter_sq == Fraction(1, 4)
+
+    def test_cap_subdivides_exactly_max_rounds(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return barycentric_subdivide(h)
+
+        monkeypatch.setattr(complexes_module, "barycentric_subdivide", counting)
+        h = edge_map((0, 0, 0), (8, 0, 0))
+        for rounds in (0, 1, 3):
+            calls.clear()
+            with pytest.raises(SubdivisionCapError, match="cap of %d rounds" % rounds):
+                subdivide_until(h, "1/2", max_rounds=rounds)
+            assert len(calls) == rounds
+        calls.clear()
+        # 8 / 2^4 < 1/4 is reached in the cap's last round
+        assert max_image_diameter_sq(subdivide_until(h, "1", max_rounds=5)) < Fraction(1, 4)
+        assert len(calls) == 5
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -28,6 +29,7 @@ from plgp.fiber import (
     derive_seed,
     eta_secant_set,
     fiber_distance_sq,
+    fibered_parameters,
     fibered_report,
     fiberwise_embed,
     instance_from_obj,
@@ -326,6 +328,24 @@ class TestUMapFlag:
             assert u_map_fine_enough(emb, eta) == self.per_top(emb, eta)
         assert not u_map_fine_enough(emb, lo)
         assert u_map_fine_enough(emb, hi * (1 + nudge))
+
+
+class TestFiberedParameters:
+    def test_instance_eta_when_none_given(self):
+        inst = dataclasses.replace(double_instance(), eta=(F(1, 2),))
+        assert fibered_parameters(inst, "3", 2) == (F(3), (F(1, 2),))
+        assert fibered_parameters(inst, 3, 0, ()) == (F(3), ())
+        assert fibered_parameters(inst, 3, 0, ["1/3"]) == (F(3), (F(1, 3),))
+
+    @pytest.mark.parametrize(
+        "k, count, etas, message",
+        [(F(1, 10**400), 1, None, "k is outside the float range"),
+         (3, 1, (F(1), 0), "eta values must be positive")],
+    )
+    def test_refused(self, k, count, etas, message):
+        with pytest.raises(PreconditionError) as err:
+            fibered_parameters(double_instance(), k, count, etas)
+        assert str(err.value) == message
 
 
 class TestFiberedReport:

@@ -143,7 +143,6 @@ def oracle_cover(cloud, radius):
     b1 = frozenset(i for i, mem in enumerate(members) if mem & cloud.b1)
     b2 = frozenset(i for i, mem in enumerate(members) if mem & cloud.b2)
     return Cover(
-        elements=tuple((c, radius) for c in centers),
         incidence=incidence,
         b1_elements=b1,
         b2_elements=b2,
@@ -286,9 +285,15 @@ class TestNerveComplex:
             nerve_complex(cover)
 
     def test_unseparated_cover_rejected(self):
+        # every element meets both marks, so each has a witness violation at
+        # its own center, which is what nerve_complex tests
         cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
-        with pytest.raises(SeparationError):
-            nerve_complex(build_cover(cloud, 2))
+        cover = build_cover(cloud, 2)
+        assert not cover.separated and witness_violation(cover)
+        with pytest.raises(
+            SeparationError, match="nerve simplex contains marked vertices from both sides"
+        ):
+            nerve_complex(cover)
 
 
 class TestCsvInput:

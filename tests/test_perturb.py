@@ -40,6 +40,7 @@ from plgp.perturb import (
     general_position_certificate,
     perturb_to_general_position,
     report_to_obj,
+    require_ambient_bound,
 )
 
 
@@ -90,6 +91,19 @@ class TestCertificate:
         })
         with pytest.raises(PreconditionError):
             general_position_certificate(h)
+
+    @pytest.mark.parametrize("m, n", [(0, -1), (1, 0), (3, 1), (5, 2), (7, 3)])
+    def test_ambient_bound_passes(self, m, n):
+        require_ambient_bound(m, n)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (2, 1), (4, 2), (6, 3)])
+    def test_ambient_bound_refused(self, m, n):
+        with pytest.raises(PreconditionError) as err:
+            require_ambient_bound(m, n)
+        assert str(err.value) == (
+            "ambient dimension %d is below the general-position bound %d"
+            % (m, 2 * n + 1)
+        )
 
     def test_every_pair_listed(self):
         h = generic_segments()
@@ -438,6 +452,39 @@ class TestPerturb:
         assert report.max_displacement < delta / 2
         assert report.max_displacement_sq < half_sq
         assert report.max_displacement ** 2 >= report.max_displacement_sq
+
+    def test_bound_checked_once_per_perturbation(self, monkeypatch):
+        certificates = []
+        bounds = []
+
+        def certificate(h):
+            certificates.append(h)
+            return general_position_certificate(h)
+
+        def bound(m, n):
+            bounds.append((m, n))
+            require_ambient_bound(m, n)
+
+        monkeypatch.setattr(plgp.perturb, "general_position_certificate", certificate)
+        monkeypatch.setattr(plgp.perturb, "require_ambient_bound", bound)
+        h0 = coplanar_segments()
+        h, report = perturb_to_general_position(h0, F(1, 10), seed=0)
+        assert report.rounds >= 1 and report.certificate.overall
+        assert certificates == [h0] and bounds == [(3, 1)]
+
+    def test_only_drawn_vertices_move(self):
+        h0 = coplanar_segments()
+        before = dict(h0.images)
+        h, report = perturb_to_general_position(h0, F(1, 10), seed=0)
+        assert report.rounds >= 1
+        assert h0.images == before
+        moved = {v for v in h0.complex.vertices if h.images[v] != h0.images[v]}
+        assert moved
+        for v in set(h0.complex.vertices) - moved:
+            assert h.images[v] is h0.images[v]
+        assert report.max_displacement_sq == max(
+            norm_sq(vec_sub(h.images[v], h0.images[v])) for v in moved
+        )
 
     def test_zero_delta_rejected(self):
         with pytest.raises(PreconditionError):

@@ -270,6 +270,14 @@ class TestSecantSet:
         monkeypatch.setattr(secant_module, "point_to_image_distance_sq_lower", forbidden)
         assert secant_set(h, z)
 
+    def test_wrong_length_z_refused_before_the_certificate(self, monkeypatch):
+        def forbidden(h):
+            raise AssertionError("certificate built for a wrong-length z")
+
+        monkeypatch.setattr(secant_module, "general_position_certificate", forbidden)
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            secant_set(quad_map(), (0, 0))
+
     def test_z_on_image_rejected_by_secant_set(self):
         h = quad_map()
         with pytest.raises(PreconditionError, match="lies on the image"):
