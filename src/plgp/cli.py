@@ -104,16 +104,16 @@ def _load_map(path) -> PLMap:
 
 def cmd_embed(args, argv) -> int:
     obj = load_json(args.input)
-    if isinstance(obj, dict) and "images" in obj:
-        h0 = plmap_from_obj(obj)
-        if args.m is not None and args.m != h0.m:
-            raise ValueError(
-                "--m %d contradicts the input map's ambient dimension %d"
-                % (args.m, h0.m)
-            )
-    else:
-        c, m_file = complex_from_obj(obj)
-        m = args.m if args.m is not None else m_file
+    is_map = isinstance(obj, dict) and "images" in obj
+    h0 = plmap_from_obj(obj) if is_map else None
+    c, m = (h0.complex, h0.m) if is_map else complex_from_obj(obj)
+    if args.m is not None and m is not None and args.m != m:
+        raise ValueError(
+            "--m %d contradicts the input %s's ambient dimension %d"
+            % (args.m, "map" if is_map else "complex", m)
+        )
+    if not is_map:
+        m = args.m if m is None else m
         if m is None:
             raise ValueError("no ambient dimension: pass --m or set \"m\" in the input")
         zero = vec([0] * m)

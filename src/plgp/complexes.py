@@ -306,18 +306,38 @@ def complex_to_obj(c: SimplicialComplex, m=None) -> dict:
     return obj
 
 
+def json_list(value, what) -> list:
+    """value when it is a JSON list: a string or an object is refused, not
+    split into its characters or keys."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list, not %s" % (what, type(value).__name__))
+    return value
+
+
+def json_int(value, what) -> int:
+    """value when it is a JSON integer: floats and booleans are refused,
+    not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return value
+
+
 def complex_from_obj(obj) -> tuple:
     """Returns (complex, m or None); vertex ids become strings."""
     if not isinstance(obj, dict):
         raise ValueError("complex JSON must be an object")
-    try:
-        maximal = [[str(v) for v in s] for s in obj["maximal_simplices"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("complex JSON lacks a maximal_simplices list") from exc
-    marked = obj.get("marked", {}) or {}
-    b1 = {str(v) for v in marked.get("B1", [])}
-    b2 = {str(v) for v in marked.get("B2", [])}
-    declared = {str(v) for v in obj.get("vertices", [])}
+    if "maximal_simplices" not in obj:
+        raise ValueError("complex JSON lacks a maximal_simplices list")
+    maximal = [
+        [str(v) for v in json_list(s, "a maximal simplex")]
+        for s in json_list(obj["maximal_simplices"], "maximal_simplices")
+    ]
+    marked = obj.get("marked") or {}
+    if not isinstance(marked, dict):
+        raise ValueError("marked must be an object")
+    b1 = {str(v) for v in json_list(marked.get("B1", []), "marked B1")}
+    b2 = {str(v) for v in json_list(marked.get("B2", []), "marked B2")}
+    declared = {str(v) for v in json_list(obj.get("vertices", []), "vertices")}
     # isolated vertices are allowed as singleton simplices
     missing = declared.difference(*maximal)
     maximal.extend([v] for v in sorted(missing))
@@ -326,7 +346,7 @@ def complex_from_obj(obj) -> tuple:
     if problems:
         raise ValueError("invalid complex: " + problems[0])
     m = obj.get("m")
-    return c, (int(m) if m is not None else None)
+    return c, (None if m is None else json_int(m, "m"))
 
 
 def plmap_to_obj(h: PLMap) -> dict:
@@ -341,9 +361,12 @@ def plmap_from_obj(obj) -> PLMap:
     c, m = complex_from_obj(obj)
     if m is None:
         raise ValueError("map JSON lacks the ambient dimension m")
-    if "images" not in obj:
-        raise ValueError("map JSON lacks images")
-    images = {str(v): vec(coords) for v, coords in obj["images"].items()}
+    if not isinstance(obj.get("images"), dict):
+        raise ValueError("map JSON lacks an images object")
+    images = {
+        str(v): vec(json_list(coords, "the image of %s" % v))
+        for v, coords in obj["images"].items()
+    }
     return PLMap(c, m, images)
 
 

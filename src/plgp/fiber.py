@@ -24,6 +24,8 @@ from .complexes import (
     PLMap,
     complex_from_obj,
     evaluate,
+    json_int,
+    json_list,
     max_image_diameter_sq,
     plmap_from_obj,
     subdivide_until,
@@ -289,7 +291,7 @@ def instance_from_obj(obj) -> FiberedInstance:
         raise ValueError("instance JSON lacks a reference_embeddings object")
     if "m" not in obj:
         raise ValueError("instance JSON lacks the ambient dimension m")
-    m = int(obj["m"])
+    m = json_int(obj["m"], "m")
     labels = tuple(sorted(str(label) for label in obj["fibers"]))
     extra = sorted(set(map(str, refs_obj)) - set(labels))
     if extra:
@@ -308,5 +310,5 @@ def instance_from_obj(obj) -> FiberedInstance:
         fibers[label] = c
         # rebind onto the fiber complex so marks have one source of truth
         references[label] = PLMap(c, ref.m, ref.images)
-    eta = tuple(rat(e) for e in obj.get("eta", []))
+    eta = tuple(rat(e) for e in json_list(obj.get("eta", []), "eta"))
     return FiberedInstance(labels, fibers, references, m, eta)

@@ -20,8 +20,9 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, json_int, json_list
 from .errors import PreconditionError, SeparationError
 from .exact import integer_points, rat, vec
 
@@ -58,6 +59,17 @@ class Cover:
     b2_elements: frozenset
     separated: bool      # no single element meets both marked sets
     radius: Fraction
+
+    @cached_property
+    def violation(self) -> bool:
+        """Some sample point is incident to elements marked on both sides:
+        exactly what would put marked vertices from both sides into one
+        nerve simplex.  Decided once per cover, on first read."""
+        b1, b2 = self.b1_elements, self.b2_elements
+        return any(
+            not b1.isdisjoint(inc) and not b2.isdisjoint(inc)
+            for inc in self.incidence
+        )
 
 
 def _int_dist_sq(p, q) -> int:
@@ -97,19 +109,6 @@ def build_cover(cloud: PointCloud, radius) -> Cover:
     )
 
 
-def witness_violation(cover: Cover) -> bool:
-    """Some sample point is incident to elements marked on both sides.
-
-    Exactly the situations that would put marked vertices from both sides
-    into one nerve simplex.
-    """
-    for inc in cover.incidence:
-        s = set(inc)
-        if s & cover.b1_elements and s & cover.b2_elements:
-            return True
-    return False
-
-
 def refine_for_separation(cloud: PointCloud, radius) -> Cover:
     """The cover at radius when it has no witness violation (or no marks);
     else the cover at the largest r = radius / 2^j, j >= 1, with
@@ -117,31 +116,28 @@ def refine_for_separation(cloud: PointCloud, radius) -> Cover:
     and radius 1 give r = 1/4, though r = 1/2 already separates them."""
     radius = rat(radius)
     cover = build_cover(cloud, radius)
-    if not cloud.b1 or not cloud.b2:
+    if not cover.violation:
         return cover
     scale, points = integer_points(cloud.points)
     d_sq = Fraction(
         min(_int_dist_sq(points[i], points[j]) for i in cloud.b1 for j in cloud.b2),
         scale * scale,
     )
+    # touching marks always violate: the element about a B1 point holds the
+    # coincident B2 point, so it meets both sides and violates at its center
     if d_sq == 0:
         raise SeparationError("marked sets touch; no separating radius exists")
-    # witness_violation decides separation too: an element meeting both
-    # marked sets has a violation at its own center, one of its points
-    if not witness_violation(cover):
-        return cover
     # a verdict depends on the radius alone, so a rejected radius is halved
     # at least once, then past every radius with 4r^2 >= d(B1, B2)^2
     r = radius / 2
     while 4 * r * r >= d_sq:
         r = r / 2
     cover = build_cover(cloud, r)
-    # a violating chain b1 - center - witness - center - b2 has length <= 4r,
-    # so this loop stops once 4r < distance(B1, B2)
-    while witness_violation(cover):
-        r = r / 2
-        cover = build_cover(cloud, r)
-    return cover
+    if not cover.violation:
+        return cover
+    # a violating chain b1 - center - witness - center - b2 has four links of
+    # length <= r/2, so it spans at most 2r < d(B1, B2): this cover needs no check
+    return build_cover(cloud, r / 2)
 
 
 def element_name(i: int) -> str:
@@ -150,8 +146,9 @@ def element_name(i: int) -> str:
 
 def nerve_complex(cover: Cover) -> SimplicialComplex:
     # every nerve simplex lies in an incidence set, each one a nerve simplex;
-    # an unseparated cover fails here too, at the shared element's center
-    if witness_violation(cover):
+    # an unseparated cover fails here too, at the shared element's center;
+    # a refined cover's verdict is cached, one built directly is judged here
+    if cover.violation:
         raise SeparationError(
             "nerve simplex contains marked vertices from both sides"
         )
@@ -182,6 +179,8 @@ def cloud_from_csv(points_path, marks_path=None) -> PointCloud:
     if marks_path is not None:
         with open(marks_path) as fh:
             marks = json.load(fh)
-        b1 = tuple(int(i) for i in marks.get("b1", ()))
-        b2 = tuple(int(i) for i in marks.get("b2", ()))
+        if not isinstance(marks, dict):
+            raise ValueError("marks JSON must be an object")
+        b1 = [json_int(i, "a b1 index") for i in json_list(marks.get("b1", []), "b1")]
+        b2 = [json_int(i, "a b2 index") for i in json_list(marks.get("b2", []), "b2")]
     return point_cloud(points, b1, b2)

@@ -113,14 +113,7 @@ class SecantRecord:
 @dataclass(frozen=True)
 class ProbePoint:
     z: tuple
-    k: Fraction
     image_distance_sq: Fraction
-
-    def __post_init__(self):
-        if norm_sq(self.z) > self.k * self.k:
-            raise ValueError("probe point outside the radius-k ball")
-        if self.image_distance_sq * self.k * self.k < 1:
-            raise ValueError("probe point closer than 1/k to the image")
 
 
 @dataclass(frozen=True)
@@ -439,7 +432,7 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
         d2 = distance_sq(z)
         if d2 < min_d2:
             continue
-        out.append(ProbePoint(z, k, d2))
+        out.append(ProbePoint(z, d2))
     return out
 
 

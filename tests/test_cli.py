@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,6 +11,7 @@ from plgp.cli import main
 from plgp.complexes import plmap_from_obj
 from plgp.exact import rat
 from plgp.fiber import derive_seed
+from plgp.nerve import Cover
 from plgp.perturb import MaximalVerdicts
 
 FIXTURES = Path(plgp.__file__).parent / "fixtures"
@@ -89,6 +91,18 @@ class TestEmbed:
         )
         assert code == 2
         assert "contradicts" in err
+
+    def test_m_flag_contradicts_bare_complex(self, capsys, tmp_path):
+        source = tmp_path / "bare.json"
+        source.write_text(json.dumps({"maximal_simplices": [["a", "b"]], "m": 3}))
+        argv = ["embed", "--input", str(source), "--delta", "1/2",
+                "--out", str(tmp_path / "x.json")]
+        code, text, err = run(capsys, *argv, "--m", "5")
+        assert (code, text) == (2, "")
+        assert err == "--m 5 contradicts the input complex's ambient dimension 3\n"
+        code, text, _ = run(capsys, *argv, "--m", "3")
+        assert code == 0
+        assert json.loads(text)["manifest"]["parameters"]["m"] == 3
 
     def test_ambient_bound_refused_before_subdividing(self, capsys, monkeypatch, tmp_path):
         # the images are 8 apart: subdividing to delta 1/2 alone would take
@@ -329,6 +343,35 @@ class TestNerve:
         )
         assert code == 3
 
+    def test_one_verdict_per_cover(self, capsys, monkeypatch, tmp_path):
+        # refinement and nerve_complex both read each cover's cached verdict
+        verdicts = []
+        violation = Cover.__dict__["violation"]
+
+        def counting(cover):
+            verdicts.append(cover)
+            return violation.func(cover)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(Cover, "violation")
+        monkeypatch.setattr(Cover, "violation", spy)
+        built = []
+        build_cover = plgp.nerve.build_cover
+
+        def building(cloud, radius):
+            built.append(build_cover(cloud, radius))
+            return built[-1]
+
+        monkeypatch.setattr(plgp.nerve, "build_cover", building)
+        code, text, _ = run(
+            capsys,
+            "nerve", "--points", CLOUD, "--marks", MARKS, "--radius", "2",
+            "--out", str(tmp_path / "nerve.json"),
+        )
+        assert code == 0
+        assert len(built) == 2 and json.loads(text)["refined"] is True
+        assert [id(c) for c in verdicts] == [id(c) for c in built]
+
     def test_malformed_csv(self, capsys, tmp_path):
         points = tmp_path / "bad.csv"
         points.write_text("0,zero\n")
@@ -552,6 +595,46 @@ class TestReproducibility:
         code, second, _ = run(capsys, *recorded)
         assert code == 0
         assert first == second
+
+
+MALFORMED = {
+    "marks-list": ("nerve", [0, 5]),
+    "marks-float-index": ("nerve", {"b1": [0.9], "b2": [5]}),
+    "marks-bool-index": ("nerve", {"b1": [True], "b2": [5]}),
+    "marks-string-list": ("nerve", {"b1": "0", "b2": [5]}),
+    "m-float": ("embed", {"maximal_simplices": [["a", "b"]], "m": 2.9}),
+    "m-bool": ("embed", {"maximal_simplices": [["a"]], "m": True}),
+    "fibered-m-float": ("fibered", dict(json.loads(Path(OCTA).read_text()), m=3.7)),
+    "simplex-string": ("embed", {"maximal_simplices": ["abc"], "m": 5}),
+    "vertices-string": (
+        "embed", {"maximal_simplices": [["a"]], "vertices": "xyz", "m": 3}
+    ),
+    "marked-string": (
+        "embed",
+        {"maximal_simplices": [["a"], ["b"]], "marked": {"B1": "ab"}, "m": 3},
+    ),
+    "image-string": (
+        "embed", {"maximal_simplices": [["a"]], "m": 3, "images": {"a": "000"}}
+    ),
+}
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_not_coerced(self, capsys, tmp_path, case):
+        command, obj = MALFORMED[case]
+        source = tmp_path / "input.json"
+        source.write_text(json.dumps(obj))
+        out = str(tmp_path / "x.json")
+        argv = {
+            "nerve": ["--points", CLOUD, "--marks", str(source), "--radius", "2",
+                      "--out", out],
+            "embed": ["--input", str(source), "--delta", "1/2", "--out", out],
+            "fibered": ["--instance", str(source), "--delta", "1/2", "--samples", "0"],
+        }[command]
+        code, text, err = run(capsys, command, *argv)
+        assert (code, text) == (2, "")
+        assert err.endswith("\n") and err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -7,7 +7,7 @@ import pytest
 from plgp.complexes import complex_to_obj, validate
 import plgp.nerve as nerve_module
 from plgp.errors import PreconditionError, SeparationError
-from plgp.exact import dist_sq
+from plgp.exact import dist_sq, integer_points
 from plgp.nerve import (
     Cover,
     PointCloud,
@@ -16,7 +16,6 @@ from plgp.nerve import (
     nerve_complex,
     point_cloud,
     refine_for_separation,
-    witness_violation,
 )
 
 
@@ -73,7 +72,7 @@ class TestRefineForSeparation:
         cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
         cover = refine_for_separation(cloud, 1)
         assert cover.radius == F(1, 4)
-        assert cover.separated and not witness_violation(cover)
+        assert cover.separated and not cover.violation
 
     def test_already_separating_radius_unchanged(self):
         cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
@@ -82,7 +81,9 @@ class TestRefineForSeparation:
 
     def test_touching_marks_rejected(self):
         cloud = point_cloud([[0], [0], [1]], b1=[0], b2=[1])
-        with pytest.raises(SeparationError):
+        with pytest.raises(
+            SeparationError, match="marked sets touch; no separating radius exists"
+        ):
             refine_for_separation(cloud, 1)
 
     def test_no_marks_skips_separation(self):
@@ -96,9 +97,9 @@ class TestRefineForSeparation:
             [[0], [F(2, 5)], [F(3, 5)], [1]], b1=[0], b2=[3]
         )
         base = build_cover(cloud, F(9, 20))
-        assert base.separated and witness_violation(base)
+        assert base.separated and base.violation
         cover = refine_for_separation(cloud, F(9, 20))
-        assert not witness_violation(cover)
+        assert not cover.violation
         nerve = nerve_complex(cover)
         assert not validate(nerve)
 
@@ -124,6 +125,41 @@ class TestRefineForSeparation:
         rows, b1, b2 = bench_workloads.cloud_rows(1)
         bench = point_cloud(rows, b1, b2)
         assert self.built_radii(monkeypatch, bench, 2) == [2, 1]
+
+    def test_violating_halved_radius_is_rebuilt_once_unchecked(self, monkeypatch):
+        # at r = 3/10 the elements about 3/10 and 7/10 meet B1 and B2 and
+        # share the witness 1/2; at 3/20 the four-link chain is at most
+        # 3/5 < 1 long, so that cover is returned without its verdict
+        cloud = point_cloud(
+            [[0], [F(3, 10)], [F(1, 2)], [F(7, 10)], [1]], b1=[0], b2=[4]
+        )
+        assert build_cover(cloud, F(3, 10)).violation
+        assert self.built_radii(monkeypatch, cloud, F(3, 5)) == [
+            F(3, 5),
+            F(3, 10),
+            F(3, 20),
+        ]
+        cover = refine_for_separation(cloud, F(3, 5))
+        assert "violation" not in vars(cover)
+        assert cover_fields(cover) == cover_fields(oracle_refine(cloud, F(3, 5)))
+        assert not cover.violation and not validate(nerve_complex(cover))
+
+    def test_separating_request_computes_no_marked_distance(self, monkeypatch):
+        # the marked-set distance is taken on a second integer frame; a
+        # request that already separates needs only its own cover's frame
+        frames = []
+
+        def spy(points):
+            frames.append(points)
+            return integer_points(points)
+
+        monkeypatch.setattr(nerve_module, "integer_points", spy)
+        cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
+        assert refine_for_separation(cloud, F(1, 5)).radius == F(1, 5)
+        assert len(frames) == 1
+        frames.clear()
+        assert refine_for_separation(cloud, 1).radius == F(1, 4)
+        assert len(frames) == 3
 
 
 def oracle_cover(cloud, radius):
@@ -151,8 +187,23 @@ def oracle_cover(cloud, radius):
     )
 
 
+def oracle_violation(cover):
+    """The verdict by its set definition: an element meeting B1 and one
+    meeting B2 share a sample point, so one nerve simplex holds both."""
+    members = {}
+    for p, inc in enumerate(cover.incidence):
+        for i in inc:
+            members.setdefault(i, set()).add(p)
+    return any(
+        members[i] & members[j]
+        for i in cover.b1_elements
+        for j in cover.b2_elements
+    )
+
+
 def oracle_refine(cloud, radius):
-    """Halving refinement over oracle covers, with a Fraction distance."""
+    """Halving refinement over oracle covers, with a Fraction distance; it
+    checks every cover it builds, the last one included."""
     cover = oracle_cover(cloud, radius)
     if not cloud.b1 or not cloud.b2:
         return cover
@@ -163,13 +214,13 @@ def oracle_refine(cloud, radius):
     )
     if d_sq == 0:
         raise SeparationError("marked sets touch")
-    if cover.separated and not witness_violation(cover):
+    if cover.separated and not oracle_violation(cover):
         return cover
     r = Fraction(radius)
     while 4 * r * r >= d_sq:
         r /= 2
     cover = oracle_cover(cloud, r)
-    while witness_violation(cover):
+    while oracle_violation(cover):
         r /= 2
         cover = oracle_cover(cloud, r)
     return cover
@@ -215,6 +266,7 @@ class TestIntegerCoverOracle:
                 cloud = random_cloud(rng, m, radius)
                 got = build_cover(cloud, radius)
                 assert cover_fields(got) == cover_fields(oracle_cover(cloud, radius))
+                assert got.violation == oracle_violation(got)
                 try:
                     expected = oracle_refine(cloud, radius)
                 except SeparationError:
@@ -224,6 +276,28 @@ class TestIntegerCoverOracle:
                 got = refine_for_separation(cloud, radius)
                 assert cover_fields(got) == cover_fields(expected)
 
+    def test_chain_clouds_refine_like_the_oracle(self, monkeypatch):
+        # marks 0 and e1 with points between them: the halved radius often
+        # still violates, so the unchecked rebuild at its half is compared
+        # with the oracle's checked loop
+        rng = random.Random(0)
+        rebuilt = 0
+        for _ in range(60):
+            m = rng.choice((1, 2))
+            points = [[F(0)] * m, [F(1)] + [F(0)] * (m - 1)]
+            for _ in range(rng.randint(3, 12)):
+                points.append(
+                    [F(rng.randint(1, 39), 40)]
+                    + [F(rng.randint(-3, 3), 40) for _ in range(m - 1)]
+                )
+            cloud = point_cloud(points, b1=[0], b2=[1])
+            radius = F(rng.randint(5, 40), 20)
+            radii = TestRefineForSeparation.built_radii(monkeypatch, cloud, radius)
+            rebuilt += len(radii) == 3
+            got = refine_for_separation(cloud, radius)
+            assert cover_fields(got) == cover_fields(oracle_refine(cloud, radius))
+        assert rebuilt > 0
+
     def test_boundary_pair_at_non_dyadic_radius(self):
         just_outside = [F(3, 7), F(4, 7) + F(1, 10**9)]
         cloud = point_cloud([[0, 0], [F(3, 7), F(4, 7)], just_outside])
@@ -231,8 +305,9 @@ class TestIntegerCoverOracle:
         assert cover.incidence == ((0, 1), (0, 1, 2), (1, 2))
         assert cover_fields(cover) == cover_fields(oracle_cover(cloud, F(5, 7)))
 
-    def test_benchmark_cloud_refines_like_the_oracle(self, bench_workloads):
-        rows, b1, b2 = bench_workloads.cloud_rows(1)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_cloud_refines_like_the_oracle(self, bench_workloads, seed):
+        rows, b1, b2 = bench_workloads.cloud_rows(seed)
         cloud = point_cloud(rows, b1, b2)
         got = refine_for_separation(cloud, 2)
         expected = oracle_refine(cloud, 2)
@@ -289,7 +364,7 @@ class TestNerveComplex:
         # its own center, which is what nerve_complex tests
         cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
         cover = build_cover(cloud, 2)
-        assert not cover.separated and witness_violation(cover)
+        assert not cover.separated and cover.violation
         with pytest.raises(
             SeparationError, match="nerve simplex contains marked vertices from both sides"
         ):

@@ -36,7 +36,6 @@ from plgp.perturb import (
 )
 from plgp.secant import (
     CoverCertificate,
-    ProbePoint,
     SecantRecord,
     _ProbeEchelons,
     cover_certificate_to_obj,
@@ -501,12 +500,6 @@ class TestProbeRegion:
     def test_negative_count_rejected(self):
         with pytest.raises(PreconditionError, match="sample count must be nonnegative"):
             probe_region_samples(two_segments_map(), 3, -2, seed=0)
-
-    def test_invalid_probe_point_rejected(self):
-        with pytest.raises(ValueError):
-            ProbePoint((F(3), F(0), F(0)), F(2), F(9))
-        with pytest.raises(ValueError):
-            ProbePoint((F(1), F(0), F(0)), F(2), F(1, 100))
 
 
 def flats_pair_records(h, z, s1, s2):
