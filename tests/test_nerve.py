@@ -305,8 +305,17 @@ class TestIntegerCoverOracle:
         assert cover.incidence == ((0, 1), (0, 1, 2), (1, 2))
         assert cover_fields(cover) == cover_fields(oracle_cover(cloud, F(5, 7)))
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_benchmark_cloud_refines_like_the_oracle(self, bench_workloads, seed):
+    def test_benchmark_cloud_refines_like_the_oracle(self, bench_workloads):
+        self.check_benchmark_cloud(bench_workloads, 1)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_other_benchmark_clouds_refine_like_the_oracle(
+        self, bench_workloads, seed
+    ):
+        self.check_benchmark_cloud(bench_workloads, seed)
+
+    @staticmethod
+    def check_benchmark_cloud(bench_workloads, seed):
         rows, b1, b2 = bench_workloads.cloud_rows(seed)
         cloud = point_cloud(rows, b1, b2)
         got = refine_for_separation(cloud, 2)
