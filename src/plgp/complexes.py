@@ -51,6 +51,16 @@ def maximal_faces(faces) -> list:
     return sorted(faces - covered, key=simplex_key)
 
 
+def later_sharing(tops) -> list:
+    """Per index i, the set of later indices j > i whose simplices share a
+    vertex with tops[i], read off a vertex -> index map built once."""
+    by_vertex = {}
+    for j, s in enumerate(tops):
+        for v in s:
+            by_vertex.setdefault(v, []).append(j)
+    return [{j for v in s for j in by_vertex[v] if j > i} for i, s in enumerate(tops)]
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     vertices: tuple          # all vertex ids, canonical order
@@ -266,16 +276,24 @@ def closeness_bound(h0: PLMap, h: PLMap) -> Fraction:
 
     Returns (max vertex displacement) + (max image diameter of h0's simplices),
     each reported as a certified rational upper bound on the exact square root
-    (exact on perfect squares, otherwise slack 2^-20).
+    (exact on perfect squares, otherwise slack 2^-20).  Displacements are
+    squared on Python ints, both maps' images scaled by one common
+    denominator.
     """
     if h0.complex != h.complex:
         raise ValueError("closeness bound requires maps on the same complex")
     if h0.m != h.m:
         raise ValueError("ambient dimension mismatch")
-    disp = max(
-        (dist_sq(h0.images[v], h.images[v]) for v in h0.complex.vertices),
-        default=Fraction(0),
+    vertices = h0.complex.vertices
+    scale, rows = integer_points(
+        [h0.images[v] for v in vertices] + [h.images[v] for v in vertices]
     )
+    n = len(vertices)
+    disp = max(
+        (sum((x - y) ** 2 for x, y in zip(a, b)) for a, b in zip(rows[:n], rows[n:])),
+        default=0,
+    )
+    disp = Fraction(disp, scale * scale)
     return sqrt_upper(disp) + sqrt_upper(max_image_diameter_sq(h0))
 
 

@@ -24,10 +24,11 @@ def rat(value) -> Fraction:
     """Coerce ints, Fractions, and strings ("p/q", "p", "0.25") to an exact Fraction.
 
     Floats are rejected: every coordinate entering the toolkit must be exact.
+    Booleans are rejected too, not read as the integers they subclass.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

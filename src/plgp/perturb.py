@@ -30,6 +30,17 @@ simplex fails without a rank.
 All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.
+
+A resample round moves exactly the vertices of the failing unions.  On the
+unperturbed map of round 0 (moved_vertices) the tops are ranked first: if
+one fails, every vertex moves, since its pair with each other top fails.
+Then the vertex-sharing pairs, off complexes.later_sharing, on the same
+Echelon.full_rank kernel.  When their failing unions already hold every
+vertex, as on subdivided maps, no further pair can add to the set, so no
+vertex-disjoint pair is ranked and no certificate is built.  Otherwise the
+complete MaximalVerdicts, which every later round builds, is built on the
+same top echelons, whose kept reductions it reuses, and its failing unions
+are the set; a passing round 0 reports it.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .complexes import PLMap, integer_images
+from .complexes import PLMap, integer_images, later_sharing
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
     Echelon,
@@ -65,19 +76,27 @@ class PerturbationReport:
     certificate: MaximalVerdicts
 
 
+def _top_echelons(images, tops) -> list:
+    """One Echelon per top sigma: its rows v - v0 about its first vertex v0."""
+    echelons = []
+    for sigma in tops:
+        first = next(iter(sigma))
+        echelons.append(Echelon(images, images[first], sigma - {first}))
+    return echelons
+
+
 class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
     simplices and on every pair of distinct ones."""
 
-    def __init__(self, h: PLMap):
+    def __init__(self, h: PLMap, echelons=None):
+        """echelons, when given, are _top_echelons on h's integer images,
+        as moved_vertices hands them over; each is dropped after its row."""
         self.map = h
         self.scale, self.images = integer_images(h)
         self.tops = tops = h.complex.maximal_simplices()
-        # one Echelon per top sigma: its rows v - v0 about its first vertex v0
-        echelons = []
-        for sigma in tops:
-            first = next(iter(sigma))
-            echelons.append(Echelon(self.images, self.images[first], sigma - {first}))
+        if echelons is None:
+            echelons = _top_echelons(self.images, tops)
         self.bad_tops = bad = [not e.independent for e in echelons]
         # one flag per pair in combinations(tops, 2) order, set iff the pair's
         # union is dependent; a pair holding a failing top is set with no rank
@@ -155,14 +174,46 @@ def _displacement_bound(d2, half):
     return hi
 
 
+def _union(unions) -> set:
+    """The union of the vertex sets, taken one at a time as they stream."""
+    moved = set()
+    for union in unions:
+        moved |= union
+    return moved
+
+
+def moved_vertices(h: PLMap):
+    """(moved, certificate): moved is the set
+    set().union(*MaximalVerdicts(h).failing_unions()), the vertices a
+    resample round moves; certificate is h's complete MaximalVerdicts, or
+    None when the tops and vertex-sharing pairs already move every vertex
+    (module docstring)."""
+    tops = h.complex.maximal_simplices()
+    echelons = _top_echelons(integer_images(h)[1], tops)
+    if not all(e.independent for e in echelons):
+        # a failing top's union with each other top: every vertex
+        return set(h.complex.vertices), None
+    moved = set()
+    for sigma, e, later in zip(tops, echelons, later_sharing(tops)):
+        for j, ok in zip(later, e.full_rank(*(tops[j] - sigma for j in later))[1:]):
+            if not ok:
+                moved |= sigma | tops[j]
+    if moved and len(moved) == len(h.complex.vertices):
+        return moved, None
+    # the certificate takes the echelons over, with the reductions kept on them
+    cert = MaximalVerdicts(h, echelons)
+    return _union(cert.failing_unions()), cert
+
+
 def perturb_to_general_position(
     h0: PLMap, delta, seed: int, max_rounds: int = DEFAULT_MAX_ROUNDS
 ):
     delta = rat(delta)
     if delta <= 0:
         raise PreconditionError("delta must be positive")
-    cert = general_position_certificate(h0)
-    if cert.overall:
+    require_ambient_bound(h0.m, h0.complex.dimension)
+    moved, cert = moved_vertices(h0)
+    if not moved:
         zero = Fraction(0)
         return h0, PerturbationReport(seed, 0, zero, zero, cert)
     half = delta / 2
@@ -172,9 +223,8 @@ def perturb_to_general_position(
     displacements = {}
     images = dict(h0.images)
     for round_index in range(1, max_rounds + 1):
-        moved = set()
-        for union in cert.failing_unions():
-            moved |= union
+        if round_index > 1:
+            moved = _union(cert.failing_unions())
         for v in sorted(moved, key=str):
             d = displacements[v] = _draw_displacement(rng, h0.m, half, j_max)
             # a failing round's map is dropped, so its images update in place
@@ -187,6 +237,8 @@ def perturb_to_general_position(
             return current, PerturbationReport(
                 seed, round_index, _displacement_bound(max_d2, half), max_d2, cert
             )
+    if cert is None:  # no round ran, and round 0 built no certificate
+        cert = MaximalVerdicts(h0)
     raise PerturbationBudgetError(
         "no general-position certificate within %d resample rounds" % max_rounds,
         certificate=cert,

@@ -74,7 +74,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import BarycentricPoint, PLMap, sorted_vertices
+from .complexes import BarycentricPoint, PLMap, later_sharing, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
     Echelon,
@@ -232,7 +232,7 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     the exact distance is computed only to word a failure.
 
     Returns, per top index i, the set of later indices j whose tops share a
-    vertex with tops[i], read off a vertex -> top-index map built once.
+    vertex with tops[i] (complexes.later_sharing).
     """
 
     def fail(message):
@@ -240,19 +240,13 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
             raise PreconditionError("probe point lies on the image")
         raise DegenerateGeometryError(message)
 
-    by_vertex = {}
-    for j, s in enumerate(tops):
-        for v in s:
-            by_vertex.setdefault(v, []).append(j)
-    sharing = []
-    for i, s1 in enumerate(tops):
-        later = {j for v in s1 for j in by_vertex[v] if j > i}
+    sharing = later_sharing(tops)
+    for s1, later in zip(tops, sharing):
         alone, *shared = echelons[s1].full_rank(*(tops[j] - s1 for j in sorted(later)))
         if not alone:
             fail("probe point affinely dependent with a maximal simplex image")
         if not all(shared):
             fail("probe point affinely dependent with an adjacent pair's image union")
-        sharing.append(later)
     return sharing
 
 

@@ -616,6 +616,11 @@ MALFORMED = {
     "image-string": (
         "embed", {"maximal_simplices": [["a"]], "m": 3, "images": {"a": "000"}}
     ),
+    "image-bool": (
+        "embed",
+        {"maximal_simplices": [["a"]], "m": 3, "images": {"a": [True, False, 0]}},
+    ),
+    "fibered-eta-bool": ("fibered", dict(json.loads(Path(OCTA).read_text()), eta=[True])),
 }
 
 

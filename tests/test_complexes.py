@@ -21,6 +21,7 @@ from plgp.complexes import (
     complex_to_obj,
     evaluate,
     image_diameter_sq,
+    later_sharing,
     max_image_diameter_sq,
     plmap_from_obj,
     plmap_to_obj,
@@ -29,7 +30,7 @@ from plgp.complexes import (
     validate,
 )
 from plgp.errors import PreconditionError, SubdivisionCapError
-from plgp.exact import vec
+from plgp.exact import dist_sq, sqrt_upper, vec
 
 
 def edge_map(p, q, ids=("a", "b")) -> PLMap:
@@ -287,6 +288,17 @@ class TestMaxImageDiameter:
         assert max_image_diameter_sq(h) == Fraction(25, 36) == self.oracle(h)
 
 
+class TestLaterSharing:
+    def test_seeded_random_maps_match_the_pairwise_test(self):
+        rng = random.Random(2026)
+        for _ in range(100):
+            tops = random_complex_map(rng).complex.maximal_simplices()
+            assert later_sharing(tops) == [
+                {j for j in range(i + 1, len(tops)) if tops[i] & tops[j]}
+                for i in range(len(tops))
+            ]
+
+
 class TestClosenessBound:
     def test_identity_map_gives_max_diameter(self):
         h = edge_map((0, 0, 0), (1, 0, 0))
@@ -308,6 +320,24 @@ class TestClosenessBound:
         h1 = edge_map((0, 0, 0), (1, 0, 0), ids=("a", "c"))
         with pytest.raises(ValueError):
             closeness_bound(h0, h1)
+
+    def test_seeded_maps_match_the_fraction_formula(self):
+        # the integer-frame displacement against one Fraction dist_sq per
+        # vertex; moved images draw on other denominators than the map's
+        rng = random.Random(2025)
+        for _ in range(100):
+            h0 = random_complex_map(rng)
+            moved = {
+                v: tuple(x + Fraction(rng.randrange(-9, 10), rng.choice((1, 5, 2 ** 32)))
+                         for x in p)
+                if rng.randrange(2) else p
+                for v, p in h0.images.items()
+            }
+            h = PLMap(h0.complex, h0.m, moved)
+            disp = max(dist_sq(h0.images[v], h.images[v]) for v in h0.complex.vertices)
+            got = closeness_bound(h0, h)
+            assert got == sqrt_upper(disp) + sqrt_upper(max_image_diameter_sq(h0))
+            assert isinstance(got, Fraction)
 
 
 class TestJson:

@@ -109,6 +109,11 @@ class TestRationals:
         with pytest.raises(ValueError):
             rat(0.25)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected(self, value):
+        with pytest.raises(ValueError):
+            rat(value)
+
     def test_malformed_literal(self):
         with pytest.raises(ValueError):
             rat("1/0")

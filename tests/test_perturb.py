@@ -16,6 +16,7 @@ from plgp.complexes import (
     barycentric_subdivide,
     closeness_bound,
     evaluate,
+    later_sharing,
     plmap_from_obj,
     sorted_vertices,
     subdivide_until,
@@ -38,6 +39,7 @@ from plgp.perturb import (
     _draw_displacement,
     certificate_to_obj,
     general_position_certificate,
+    moved_vertices,
     perturb_to_general_position,
     report_to_obj,
     require_ambient_bound,
@@ -308,6 +310,20 @@ def shared_sizes(mv):
     return {len(t1 & t2) for t1, t2 in combinations(mv.tops, 2)}
 
 
+def flat_top_map():
+    # ghi is flat, e repeats b's image; the edges share 0 or 1 vertex
+    e = [[int(i == j) for j in range(5)] for i in range(5)]
+    return map_of(
+        [["a", "b"], ["b", "c"], ["c", "d"], ["e", "f"], ["g", "h", "i"]],
+        {"a": [0] * 5, "b": e[0], "c": e[1], "d": e[2], "e": e[0], "f": e[3],
+         "g": e[4], "h": [0, 0, 0, 0, 2], "i": [0, 0, 0, 0, 3]}, 5,
+    )
+
+
+def fixture_map(name):
+    return plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
+
+
 class TestPerTopCertificate:
     """bad_pairs from one elimination per top against the per-pair union rank."""
 
@@ -342,14 +358,7 @@ class TestPerTopCertificate:
         assert set(range(n + 1)) <= shared
 
     def test_flat_top_and_repeated_image_across_tops(self):
-        # ghi is flat, e repeats b's image; the edges share 0 or 1 vertex
-        e = [[int(i == j) for j in range(5)] for i in range(5)]
-        h = map_of(
-            [["a", "b"], ["b", "c"], ["c", "d"], ["e", "f"], ["g", "h", "i"]],
-            {"a": [0] * 5, "b": e[0], "c": e[1], "d": e[2], "e": e[0], "f": e[3],
-             "g": e[4], "h": [0, 0, 0, 0, 2], "i": [0, 0, 0, 0, 3]}, 5,
-        )
-        mv = self.check(h, reference=True)
+        mv = self.check(flat_top_map(), reference=True)
         assert mv.bad_tops == [False, False, False, False, True]
         assert bytes(mv.bad_pairs) == bytes([0, 0, 1, 1, 0, 1, 1, 0, 1, 1])
 
@@ -421,13 +430,132 @@ class TestPerTopCertificate:
 
     @pytest.mark.parametrize("name,delta", list(FIXTURE_FAILING))
     def test_fixture_maps(self, name, delta):
-        h0 = plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
-        h1 = subdivide_until(h0, delta)
+        h1 = subdivide_until(fixture_map(name), delta)
         mv = self.check(h1)
         assert sum(mv.bad_pairs) == self.FIXTURE_FAILING[name, delta]
         h, report = perturb_to_general_position(h1, delta, seed=1)
         assert not any(self.check(h).bad_pairs)
         assert report.rounds == (1 if any(mv.bad_pairs) else 0)
+
+
+def count_ranked_extras(monkeypatch):
+    """Record the extra vertex sets of every Echelon.full_rank call from now on."""
+    extras = []
+    full_rank = Echelon.full_rank
+
+    def counting(self, *ts):
+        extras.extend(ts)
+        return full_rank(self, *ts)
+
+    monkeypatch.setattr(Echelon, "full_rank", counting)
+    return extras
+
+
+def refuse_full_certificate(monkeypatch):
+    def refuse(self, h):
+        raise AssertionError("complete certificate built")
+
+    monkeypatch.setattr(MaximalVerdicts, "__init__", refuse)
+
+
+class TestMovedVertices:
+    """moved_vertices against the union of the complete certificate's
+    failing unions, the set a resample round moves."""
+
+    def check(self, h):
+        moved, cert = moved_vertices(h)
+        assert moved == set().union(*MaximalVerdicts(h).failing_unions())
+        # a certificate is left out only when every vertex moves
+        if cert is None:
+            assert moved and moved == set(h.complex.vertices)
+        else:
+            assert cert.map is h and set().union(*cert.failing_unions()) == moved
+        return moved
+
+    @pytest.mark.parametrize("n,m", sorted(TestPerTopCertificate.CORPUS))
+    def test_per_top_corpus(self, n, m):
+        seed, count = TestPerTopCertificate.CORPUS[(n, m)]
+        rng = random.Random(seed)
+        for k in range(count):
+            h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3])
+            assert self.check(h1)
+            h, _ = perturb_to_general_position(h1, F(1, 2), seed=k)
+            assert not self.check(h)
+
+    def test_seeded_random_maps(self):
+        rng = random.Random(2010)
+        sizes = [len(self.check(random_map(rng))) for _ in range(60)]
+        assert 0 in sizes and len(set(sizes)) > 2
+
+    def test_flat_top_moves_every_vertex_without_a_reduction(self, monkeypatch):
+        h = flat_top_map()
+        self.check(h)
+
+        def refuse(*args):
+            raise AssertionError("reduced a row on a map with a failing top")
+
+        monkeypatch.setattr(Echelon, "reduce", refuse)
+        refuse_full_certificate(monkeypatch)
+        assert moved_vertices(h) == (set(h.complex.vertices), None)
+
+    @pytest.mark.parametrize("case", ["passing", "sharing pairs cover nothing",
+                                      "sharing pairs cover some vertices"])
+    def test_certificate_built_on_round_zero_echelons(self, monkeypatch, case):
+        # when the failing tops and sharing pairs leave a vertex unmoved, the
+        # complete certificate is built on round 0's one Echelon per top
+        h, expected = {
+            "passing": (generic_segments(), set()),
+            # the sharing pair ab, bc passes; of the vertex-disjoint pairs
+            # only de, fg fails: both lie in the plane z = 7
+            "sharing pairs cover nothing": (map_of(
+                [["a", "b"], ["b", "c"], ["d", "e"], ["f", "g"]],
+                {"a": [0, 0, 0], "b": [1, 0, 0], "c": [1, 1, 3], "d": [0, 2, 7],
+                 "e": [1, 3, 7], "f": [0, 5, 7], "g": [2, 4, 7]}, 3,
+            ), set("defg")),
+            # abc is collinear, so the sharing pair ab, bc fails; de and fg
+            # lie in the plane z = 1; hi is generic and stays
+            "sharing pairs cover some vertices": (map_of(
+                [["a", "b"], ["b", "c"], ["d", "e"], ["f", "g"], ["h", "i"]],
+                {"a": [0, 0, 0], "b": [1, 0, 0], "c": [2, 0, 0], "d": [0, 2, 1],
+                 "e": [1, 3, 1], "f": [3, 5, 1], "g": [2, 7, 1], "h": [5, 1, 9],
+                 "i": [7, 4, 2]}, 3,
+            ), set("abcdefg")),
+        }[case]
+        assert self.check(h) == expected
+        made = []
+        echelon_init = Echelon.__init__
+
+        def recording(self, *args):
+            made.append(args)
+            echelon_init(self, *args)
+
+        monkeypatch.setattr(Echelon, "__init__", recording)
+        moved, cert = moved_vertices(h)
+        assert moved == expected and cert.overall == (not expected)
+        assert len(made) == len(cert.tops)
+
+    @pytest.mark.parametrize("name,delta", list(TestPerTopCertificate.FIXTURE_FAILING))
+    def test_fixture_maps_rank_no_vertex_disjoint_pair(self, monkeypatch, name, delta):
+        h1 = subdivide_until(fixture_map(name), delta)
+        assert self.check(h1) == set(h1.complex.vertices)
+        sharing = sum(map(len, later_sharing(h1.complex.maximal_simplices())))
+        extras = count_ranked_extras(monkeypatch)
+        refuse_full_certificate(monkeypatch)
+        assert moved_vertices(h1) == (set(h1.complex.vertices), None)
+        # one extra vertex set per vertex-sharing pair, and no other rank
+        assert len(extras) == sharing
+
+    @pytest.mark.parametrize("failing", ["sharing pair", "vertex-disjoint pair"])
+    def test_no_rounds_carries_a_failing_certificate(self, failing):
+        h0 = {
+            "sharing pair": subdivide_until(fixture_map("triangles5"), F(1, 2)),
+            "vertex-disjoint pair": coplanar_segments(),
+        }[failing]
+        with pytest.raises(PerturbationBudgetError) as err:
+            perturb_to_general_position(h0, F(1, 2), seed=0, max_rounds=0)
+        cert = err.value.certificate
+        assert cert.map is h0 and not cert.overall
+        assert set().union(*cert.failing_unions()) == moved_vertices(h0)[0]
 
 
 class TestPerturb:
@@ -454,23 +582,24 @@ class TestPerturb:
         assert report.max_displacement ** 2 >= report.max_displacement_sq
 
     def test_bound_checked_once_per_perturbation(self, monkeypatch):
-        certificates = []
+        first_rounds = []
         bounds = []
+        round_zero = plgp.perturb.moved_vertices
 
-        def certificate(h):
-            certificates.append(h)
-            return general_position_certificate(h)
+        def first_round(h):
+            first_rounds.append(h)
+            return round_zero(h)
 
         def bound(m, n):
             bounds.append((m, n))
             require_ambient_bound(m, n)
 
-        monkeypatch.setattr(plgp.perturb, "general_position_certificate", certificate)
+        monkeypatch.setattr(plgp.perturb, "moved_vertices", first_round)
         monkeypatch.setattr(plgp.perturb, "require_ambient_bound", bound)
         h0 = coplanar_segments()
         h, report = perturb_to_general_position(h0, F(1, 10), seed=0)
         assert report.rounds >= 1 and report.certificate.overall
-        assert certificates == [h0] and bounds == [(3, 1)]
+        assert first_rounds == [h0] and bounds == [(3, 1)]
 
     def test_only_drawn_vertices_move(self):
         h0 = coplanar_segments()
@@ -493,8 +622,10 @@ class TestPerturb:
             perturb_to_general_position(coplanar_segments(), F(-1, 2), seed=0)
 
     def test_resample_holds_one_failing_union_at_a_time(self, monkeypatch):
-        # the moved set streams the failing unions: when each is produced, at
-        # most the one before it (the loop's last) may still be alive
+        # a perturbed round's moved set streams its failing unions: when each
+        # is produced, at most the one before it (the loop's last) may still
+        # be alive.  At delta 2^-32 every draw is zero (j_max = 0), so each
+        # round fails with round 0's 30 unions and round 2 streams them.
         class Watched(frozenset):
             pass
 
@@ -516,9 +647,9 @@ class TestPerturb:
         monkeypatch.setattr(MaximalVerdicts, "failing_unions", watched)
         h0 = plmap_from_obj(json.loads((FIXTURES / "triangles5.json").read_text()))
         h1 = subdivide_until(h0, F(1, 2))
-        h, report = perturb_to_general_position(h1, F(1, 2), seed=7)
-        assert report.rounds >= 1 and report.certificate.overall
-        assert len(refs) >= 30
+        with pytest.raises(PerturbationBudgetError):
+            perturb_to_general_position(h1, F(1, 2 ** 32), seed=7, max_rounds=2)
+        assert len(refs) == 30
         assert most_alive <= 1
 
     def test_deterministic(self):
