@@ -171,7 +171,7 @@ def cmd_analyze(args, argv) -> int:
             "manifest": manifest,
             "pairs": [pair_to_obj(rec) for rec in sample["records"]],
             "certificate": cover_certificate_to_obj(cover, sample["records"]),
-            "certifies": ["zero_dim_certificate.valid"],
+            "certifies": ["zero_dim_certificate.valid"] if cover.valid else [],
         }
     )
     return 0
@@ -220,6 +220,7 @@ def cmd_probe(args, argv) -> int:
         {"k": args.k, "samples": args.samples, "epsilon": args.epsilon},
     )
     valid = sum(sample["certificate"]["valid"] for sample in samples)
+    claim = "zero_dim_certificate.valid at every sample"
     max_secants = max((sample["secants"] for sample in samples), default=0)
     pass_rate = 1.0 if not probes else valid / len(probes)
     _emit(
@@ -232,7 +233,7 @@ def cmd_probe(args, argv) -> int:
                 "min_line_distance": min_line_dist,
                 "certificate_pass_rate": pass_rate,
             },
-            "certifies": ["zero_dim_certificate.valid at every sample"],
+            "certifies": [claim] if valid == len(samples) else [],
         }
     )
     return 0
@@ -289,13 +290,17 @@ def cmd_fibered(args, argv) -> int:
             "eta": args.eta,
         },
     )
+    covers_valid = all(
+        entry["certificate"]["valid"]
+        for fiber in report["fibers"].values()
+        for sample in fiber["samples"]
+        for entry in sample.get("eta", {}).values()
+    )
     _emit(
         {
             "manifest": manifest,
-            "certifies": [
-                "eta filters monotone",
-                "zero_dim_certificate.valid at every sample",
-            ],
+            "certifies": ["eta filters monotone"]
+            + (["zero_dim_certificate.valid at every sample"] if covers_valid else []),
             **report,
         }
     )

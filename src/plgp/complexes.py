@@ -381,6 +381,9 @@ def plmap_from_obj(obj) -> PLMap:
         raise ValueError("map JSON lacks the ambient dimension m")
     if not isinstance(obj.get("images"), dict):
         raise ValueError("map JSON lacks an images object")
+    unknown = sorted(set(map(str, obj["images"])) - set(c.vertices))
+    if unknown:
+        raise ValueError("image of %r, a vertex the complex lacks" % unknown[0])
     images = {
         str(v): vec(json_list(coords, "the image of %s" % v))
         for v, coords in obj["images"].items()

@@ -31,16 +31,15 @@ All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.
 
-A resample round moves exactly the vertices of the failing unions.  On the
-unperturbed map of round 0 (moved_vertices) the tops are ranked first: if
-one fails, every vertex moves, since its pair with each other top fails.
-Then the vertex-sharing pairs, off complexes.later_sharing, on the same
-Echelon.full_rank kernel.  When their failing unions already hold every
-vertex, as on subdivided maps, no further pair can add to the set, so no
-vertex-disjoint pair is ranked and no certificate is built.  Otherwise the
-complete MaximalVerdicts, which every later round builds, is built on the
-same top echelons, whose kept reductions it reuses, and its failing unions
-are the set; a passing round 0 reports it.
+A resample round moves exactly the vertices of the failing unions, which
+every certificate, round 0's included, collects as moved.  The tops are
+ranked first: if one fails, every vertex moves, since its pair with each
+other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
+complexes.later_sharing.  When their failing unions hold every vertex, as
+on subdivided maps before perturbation, no other pair can add to the set;
+otherwise the vertex-disjoint pairs are ranked, each echelon dropped after
+its row.  No pair is ranked twice: a certificate that stopped early ranks
+the rest on the first read of bad_pairs, which only tests make.
 """
 
 from __future__ import annotations
@@ -76,42 +75,86 @@ class PerturbationReport:
     certificate: MaximalVerdicts
 
 
-def _top_echelons(images, tops) -> list:
-    """One Echelon per top sigma: its rows v - v0 about its first vertex v0."""
-    echelons = []
-    for sigma in tops:
-        first = next(iter(sigma))
-        echelons.append(Echelon(images, images[first], sigma - {first}))
-    return echelons
+def _top_echelon(images, sigma) -> Echelon:
+    """sigma's rows v - v0 about its first vertex v0, in one Echelon."""
+    first = next(iter(sigma))
+    return Echelon(images, images[first], sigma - {first})
+
+
+def _dropping(items):
+    """items' entries in order, each dropped from the list as it is yielded."""
+    for i, item in enumerate(items):
+        items[i] = None
+        yield item
 
 
 class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
-    simplices and on every pair of distinct ones."""
+    simplices and on every pair of distinct ones.  moved holds the vertices
+    of the failing unions, the set a resample round moves."""
 
-    def __init__(self, h: PLMap, echelons=None):
-        """echelons, when given, are _top_echelons on h's integer images,
-        as moved_vertices hands them over; each is dropped after its row."""
+    def __init__(self, h: PLMap):
         self.map = h
         self.scale, self.images = integer_images(h)
         self.tops = tops = h.complex.maximal_simplices()
-        if echelons is None:
-            echelons = _top_echelons(self.images, tops)
+        echelons = [_top_echelon(self.images, sigma) for sigma in tops]
         self.bad_tops = bad = [not e.independent for e in echelons]
-        # one flag per pair in combinations(tops, 2) order, set iff the pair's
-        # union is dependent; a pair holding a failing top is set with no rank
-        self.bad_pairs = flags = bytearray()
-        for i, sigma in enumerate(tops):
-            e = echelons[i]
-            echelons[i] = None  # keep no reductions past sigma's row
-            if bad[i]:
-                flags.extend(b"\x01" * (len(tops) - i - 1))
+        self._flags = bytearray(len(tops) * (len(tops) - 1) // 2)
+        self.moved = moved = set()
+        # per top, the later tops ranked with it; None once every pair is
+        self._ranked = [frozenset()] * len(tops)
+        if any(bad):
+            # a failing top's pair with each other top fails
+            moved.update(h.complex.vertices)
+        else:
+            sharing = self._ranked = later_sharing(tops)
+            self._rank(zip(echelons, sharing))
+            if len(moved) < len(h.complex.vertices):
+                self._rank(zip(_dropping(echelons), self._unranked(sharing)))
+                self._ranked = None
+        self.overall = not moved
+
+    def _unranked(self, ranked):
+        """Per top i, the later tops j not in ranked[i] whose pair with i
+        holds no failing top."""
+        failing = {j for j, b in enumerate(self.bad_tops) if b}
+        count = len(self.tops)
+        for i, done in enumerate(ranked):
+            yield () if i in failing else set(range(i + 1, count)) - failing - done
+
+    def _rank(self, rows):
+        """Rank each pair (i, j), j in later, per row i = (tops[i]'s Echelon,
+        later): a failing pair's flag is set and its union joins moved."""
+        tops, flags, moved = self.tops, self._flags, self.moved
+        count = len(tops)
+        for i, (e, later) in enumerate(rows):
+            if not later:
                 continue
-            later = [tau - sigma for tau, b in zip(tops[i + 1:], bad[i + 1:]) if not b]
-            ok = iter(e.full_rank(*later)[1:])
-            for b in bad[i + 1:]:
-                flags.append(b or not next(ok))
-        self.overall = not any(bad) and 1 not in flags
+            sigma = tops[i]
+            verdicts = e.full_rank(*[tops[j] - sigma for j in later])
+            if False in verdicts:
+                # the flag of pair (i, j) is at base + j
+                base = i * (2 * count - i - 3) // 2 - 1
+                for j, ok in zip(later, verdicts[1:]):
+                    if not ok:
+                        flags[base + j] = 1
+                        moved |= sigma | tops[j]
+
+    @property
+    def bad_pairs(self) -> bytearray:
+        """One flag per pair in combinations(tops, 2) order, set iff the
+        pair's union is dependent; a pair holding a failing top is set with
+        no rank.  A certificate that stopped early ranks its unranked pairs
+        on the first read, on echelons built again."""
+        if self._ranked is not None:
+            rows = self._unranked(self._ranked)
+            self._ranked = None
+            echelons = (_top_echelon(self.images, sigma) for sigma in self.tops)
+            self._rank(zip(echelons, rows))
+            for k, pair in enumerate(combinations(self.bad_tops, 2)):
+                if True in pair:
+                    self._flags[k] = 1
+        return self._flags
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""
@@ -121,16 +164,6 @@ class MaximalVerdicts:
             return False
         rows = [[a - b for a, b in zip(self.images[v], p0)] for v in rest]
         return len(_echelon_int(rows)) == len(rows)
-
-    def failing_unions(self):
-        """The failing maximal simplices, then the failing maximal pairs' unions."""
-        for t, bad in zip(self.tops, self.bad_tops):
-            if bad:
-                yield t
-        if 1 in self.bad_pairs:
-            for (t1, t2), bad in zip(combinations(self.tops, 2), self.bad_pairs):
-                if bad:
-                    yield t1 | t2
 
 
 def require_ambient_bound(m: int, n: int) -> None:
@@ -174,37 +207,6 @@ def _displacement_bound(d2, half):
     return hi
 
 
-def _union(unions) -> set:
-    """The union of the vertex sets, taken one at a time as they stream."""
-    moved = set()
-    for union in unions:
-        moved |= union
-    return moved
-
-
-def moved_vertices(h: PLMap):
-    """(moved, certificate): moved is the set
-    set().union(*MaximalVerdicts(h).failing_unions()), the vertices a
-    resample round moves; certificate is h's complete MaximalVerdicts, or
-    None when the tops and vertex-sharing pairs already move every vertex
-    (module docstring)."""
-    tops = h.complex.maximal_simplices()
-    echelons = _top_echelons(integer_images(h)[1], tops)
-    if not all(e.independent for e in echelons):
-        # a failing top's union with each other top: every vertex
-        return set(h.complex.vertices), None
-    moved = set()
-    for sigma, e, later in zip(tops, echelons, later_sharing(tops)):
-        for j, ok in zip(later, e.full_rank(*(tops[j] - sigma for j in later))[1:]):
-            if not ok:
-                moved |= sigma | tops[j]
-    if moved and len(moved) == len(h.complex.vertices):
-        return moved, None
-    # the certificate takes the echelons over, with the reductions kept on them
-    cert = MaximalVerdicts(h, echelons)
-    return _union(cert.failing_unions()), cert
-
-
 def perturb_to_general_position(
     h0: PLMap, delta, seed: int, max_rounds: int = DEFAULT_MAX_ROUNDS
 ):
@@ -212,8 +214,8 @@ def perturb_to_general_position(
     if delta <= 0:
         raise PreconditionError("delta must be positive")
     require_ambient_bound(h0.m, h0.complex.dimension)
-    moved, cert = moved_vertices(h0)
-    if not moved:
+    cert = MaximalVerdicts(h0)
+    if cert.overall:
         zero = Fraction(0)
         return h0, PerturbationReport(seed, 0, zero, zero, cert)
     half = delta / 2
@@ -223,8 +225,7 @@ def perturb_to_general_position(
     displacements = {}
     images = dict(h0.images)
     for round_index in range(1, max_rounds + 1):
-        if round_index > 1:
-            moved = _union(cert.failing_unions())
+        moved, cert = cert.moved, None  # no two certificates alive at once
         for v in sorted(moved, key=str):
             d = displacements[v] = _draw_displacement(rng, h0.m, half, j_max)
             # a failing round's map is dropped, so its images update in place
@@ -237,8 +238,6 @@ def perturb_to_general_position(
             return current, PerturbationReport(
                 seed, round_index, _displacement_bound(max_d2, half), max_d2, cert
             )
-    if cert is None:  # no round ran, and round 0 built no certificate
-        cert = MaximalVerdicts(h0)
     raise PerturbationBudgetError(
         "no general-position certificate within %d resample rounds" % max_rounds,
         certificate=cert,

@@ -18,3 +18,35 @@ def bench_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def ranked_pairs(monkeypatch):
+    """Per general-position certificate built from now on, the pairs it
+    ranks: (sigma, tau - sigma) for each extra vertex set tau - sigma that
+    Echelon.full_rank receives on top sigma's Echelon."""
+    import plgp.perturb
+    from plgp.exact import Echelon
+
+    groups = []
+    top_echelon = plgp.perturb._top_echelon
+    full_rank = Echelon.full_rank
+    init = plgp.perturb.MaximalVerdicts.__init__
+
+    def tagged(images, sigma):
+        e = top_echelon(images, sigma)
+        e.sigma = sigma
+        return e
+
+    def recording(self, *ts):
+        groups[-1].extend((self.sigma, t) for t in ts)
+        return full_rank(self, *ts)
+
+    def starting(self, h):
+        groups.append([])
+        init(self, h)
+
+    monkeypatch.setattr(plgp.perturb, "_top_echelon", tagged)
+    monkeypatch.setattr(Echelon, "full_rank", recording)
+    monkeypatch.setattr(plgp.perturb.MaximalVerdicts, "__init__", starting)
+    return groups

@@ -1,14 +1,19 @@
 import csv
+import dataclasses
 import functools
 import json
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import plgp
+import plgp.cli
+import plgp.fiber
 from plgp.cli import main
-from plgp.complexes import plmap_from_obj
+from plgp.complexes import plmap_from_obj, plmap_to_obj, subdivide_until
 from plgp.exact import rat
 from plgp.fiber import derive_seed
 from plgp.nerve import Cover
@@ -284,6 +289,80 @@ class TestProbe:
         )
         assert code == 5
         assert err.strip()
+
+
+def invalid_covers(monkeypatch, module):
+    """Make module's zero_dim_certificate return its cover with mesh_ok False."""
+    certificate = module.zero_dim_certificate
+
+    def invalid(*args):
+        return dataclasses.replace(certificate(*args), mesh_ok=False)
+
+    monkeypatch.setattr(module, "zero_dim_certificate", invalid)
+
+
+class TestCertifies:
+    """A claim is listed in certifies only when every reported cover is valid."""
+
+    def test_analyze(self, capsys, quad_map, monkeypatch):
+        argv = ["analyze", "--map", quad_map, "--z", "0,0,5", "--k", "3"]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(text)["certifies"] == ["zero_dim_certificate.valid"]
+        invalid_covers(monkeypatch, plgp.cli)
+        code, text, _ = run(capsys, *argv)
+        report = json.loads(text)
+        assert code == 0 and report["certificate"]["valid"] is False
+        assert report["certifies"] == []
+
+    def test_probe(self, capsys, quad_map, monkeypatch):
+        argv = ["probe", "--map", quad_map, "--samples", "2", "--seed", "2"]
+        code, text, _ = run(capsys, *argv)
+        claim = ["zero_dim_certificate.valid at every sample"]
+        assert code == 0 and json.loads(text)["certifies"] == claim
+        invalid_covers(monkeypatch, plgp.cli)
+        code, text, _ = run(capsys, *argv)
+        report = json.loads(text)
+        assert code == 0 and report["summary"]["certificate_pass_rate"] == 0.0
+        assert report["certifies"] == []
+
+    def test_fibered(self, capsys, monkeypatch):
+        argv = ["fibered", "--instance", OCTA, "--delta", "1/2", "--seed", "7",
+                "--k", "3", "--samples", "1", "--eta", "1"]
+        code, text, _ = run(capsys, *argv)
+        claims = ["eta filters monotone", "zero_dim_certificate.valid at every sample"]
+        assert code == 0 and json.loads(text)["certifies"] == claims
+        invalid_covers(monkeypatch, plgp.fiber)
+        code, text, _ = run(capsys, *argv)
+        report = json.loads(text)
+        assert code == 0 and report["certifies"] == claims[:1]
+        entries = [
+            entry
+            for fiber in report["fibers"].values()
+            for sample in fiber["samples"]
+            for entry in sample["eta"].values()
+        ]
+        assert entries and not any(e["certificate"]["valid"] for e in entries)
+
+
+class TestUncertifiedMap:
+    """The unperturbed, subdivided triangles5 map fails on its vertex-sharing
+    pairs, which move every vertex, so no vertex-disjoint pair is ranked."""
+
+    @pytest.mark.parametrize("command", [
+        ["probe", "--samples", "1", "--seed", "1"],
+        ["analyze", "--z", "2,2,2,2,2"],
+    ])
+    def test_refused(self, capsys, tmp_path, ranked_pairs, command):
+        h1 = subdivide_until(plmap_from_obj(json.loads(Path(TRIANGLES).read_text())), F(1, 2))
+        path = tmp_path / "unperturbed.json"
+        path.write_text(json.dumps(plmap_to_obj(h1)))
+        code, text, err = run(capsys, command[0], "--map", str(path), *command[1:])
+        assert (code, text) == (3, "")
+        assert "map is not in certified general position" in err
+        tops = h1.complex.maximal_simplices()
+        sharing = Counter((t1, t2 - t1) for t1, t2 in combinations(tops, 2) if t1 & t2)
+        (ranked,) = ranked_pairs
+        assert Counter(ranked) == sharing
 
 
 class TestNerve:
@@ -597,6 +676,14 @@ class TestReproducibility:
         assert first == second
 
 
+# two generic segments in R^3
+TWO_SEGMENTS = {
+    "maximal_simplices": [["a", "b"], ["c", "d"]],
+    "m": 3,
+    "images": {"a": ["0", "0", "0"], "b": ["1", "0", "0"], "c": ["0", "1", "1"],
+               "d": ["1", "1", "2"]},
+}
+
 MALFORMED = {
     "marks-list": ("nerve", [0, 5]),
     "marks-float-index": ("nerve", {"b1": [0.9], "b2": [5]}),
@@ -620,11 +707,29 @@ MALFORMED = {
         "embed",
         {"maximal_simplices": [["a"]], "m": 3, "images": {"a": [True, False, 0]}},
     ),
+    "image-of-unknown-vertex": ("embed", dict(TWO_SEGMENTS, images={
+        **TWO_SEGMENTS["images"], "ghost": ["7"],
+    })),
     "fibered-eta-bool": ("fibered", dict(json.loads(Path(OCTA).read_text()), eta=[True])),
 }
 
 
 class TestMalformedValues:
+    @pytest.mark.parametrize("command", ["analyze", "embed"])
+    def test_image_of_unknown_vertex(self, capsys, tmp_path, command):
+        source = tmp_path / "map.json"
+        obj = dict(TWO_SEGMENTS, images={**TWO_SEGMENTS["images"], "ghost": ["7"]})
+        source.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        argv = {
+            "analyze": ["--map", str(source), "--z", "5,5,5"],
+            "embed": ["--input", str(source), "--delta", "1/2", "--out", str(out)],
+        }[command]
+        code, text, err = run(capsys, command, *argv)
+        assert (code, text) == (2, "")
+        assert err == "image of 'ghost', a vertex the complex lacks\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_refused_not_coerced(self, capsys, tmp_path, case):
         command, obj = MALFORMED[case]

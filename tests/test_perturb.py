@@ -2,6 +2,7 @@ import json
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -16,7 +17,6 @@ from plgp.complexes import (
     barycentric_subdivide,
     closeness_bound,
     evaluate,
-    later_sharing,
     plmap_from_obj,
     sorted_vertices,
     subdivide_until,
@@ -39,7 +39,6 @@ from plgp.perturb import (
     _draw_displacement,
     certificate_to_obj,
     general_position_certificate,
-    moved_vertices,
     perturb_to_general_position,
     report_to_obj,
     require_ambient_bound,
@@ -116,7 +115,8 @@ class TestCertificate:
 
     def test_failed_vertices_collects_participants(self):
         cert = general_position_certificate(coplanar_segments())
-        assert set().union(*cert.failing_unions()) == {"a", "b", "c", "d"}
+        assert cert.moved == {"a", "b", "c", "d"}
+        assert set().union(*failing_unions(cert)) == cert.moved
 
     def test_serialization_elides_verdicts_when_clean(self):
         # a failing certificate is never printed (the CLI exits 4), and it
@@ -152,6 +152,14 @@ def reference_certificate(h):
     return simplex_verdicts, pair_verdicts, overall, bad
 
 
+def failing_unions(cert):
+    """The failing maximal simplices, then the failing maximal pairs' unions,
+    read off bad_tops and bad_pairs."""
+    failing = [t for t, bad in zip(cert.tops, cert.bad_tops) if bad]
+    pairs = combinations(cert.tops, 2)
+    return failing + [t1 | t2 for (t1, t2), bad in zip(pairs, cert.bad_pairs) if bad]
+
+
 def face_verdicts(cert):
     """The certificate's verdict on every face and every face pair, in
     sorted_simplices order: ([(s, ok), ...], [(s1, s2, ok), ...]).
@@ -159,7 +167,7 @@ def face_verdicts(cert):
     A union is ranked only when it lies inside a failing maximal union;
     every other union lies inside a passing one and is independent.
     """
-    failing = list(cert.failing_unions())
+    failing = failing_unions(cert)
 
     def ok(union):
         return not any(union <= f for f in failing) or cert.independent(union)
@@ -217,11 +225,12 @@ class TestMaximalPairOracle:
         simplex_verdicts, pair_verdicts, overall, bad = reference_certificate(h)
         cert = general_position_certificate(h)
         assert cert.overall == overall
+        assert cert.moved == bad
         assert face_verdicts(cert) == (simplex_verdicts, pair_verdicts)
         obj = certificate_to_obj(cert)
         assert obj["simplices_checked"] == len(simplex_verdicts)
         assert obj["pairs_checked"] == len(pair_verdicts)
-        assert set().union(*cert.failing_unions()) == bad
+        assert set().union(*failing_unions(cert)) == bad
         again = general_position_certificate(h)
         assert again.bad_tops == cert.bad_tops
         assert bytes(again.bad_pairs) == bytes(cert.bad_pairs)
@@ -251,7 +260,7 @@ class TestMaximalPairOracle:
         def refuse(self, *args):
             raise AssertionError("verdicts iterated")
 
-        monkeypatch.setattr(MaximalVerdicts, "failing_unions", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "bad_pairs", property(refuse))
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         obj = certificate_to_obj(cert)
         assert obj == {"overall": True, "simplices_checked": 6, "pairs_checked": 15}
@@ -324,18 +333,26 @@ def fixture_map(name):
     return plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
 
 
+def check_certificate(h, reference=False):
+    """MaximalVerdicts(h) with its moved set and bad_pairs checked against
+    the per-pair union ranks and, with reference, reference_certificate."""
+    mv = MaximalVerdicts(h)
+    moved = set(mv.moved)
+    # read after moved: a certificate that stopped early completes here
+    flags = bytes(mv.bad_pairs)
+    assert flags == per_pair_flags(mv)
+    assert moved == mv.moved == set().union(*failing_unions(mv))
+    assert mv.overall == (not moved)
+    if reference:
+        assert flags == reference_pair_flags(h, mv.tops)
+        assert moved == reference_certificate(h)[3]
+    return mv
+
+
 class TestPerTopCertificate:
     """bad_pairs from one elimination per top against the per-pair union rank."""
 
     CORPUS = {(1, 3): (71, 9), (2, 5): (72, 6), (3, 7): (73, 3)}
-
-    def check(self, h, reference=False):
-        mv = MaximalVerdicts(h)
-        flags = bytes(mv.bad_pairs)
-        assert flags == per_pair_flags(mv)
-        if reference:
-            assert flags == reference_pair_flags(h, mv.tops)
-        return mv
 
     @pytest.mark.parametrize("n,m", sorted(CORPUS))
     def test_subdivided_and_perturbed_maps(self, n, m):
@@ -346,19 +363,19 @@ class TestPerTopCertificate:
         for k in range(count):
             h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3])
             small = len(h1.complex.simplices) <= 30
-            mv = self.check(h1, reference=small)
+            mv = check_certificate(h1, reference=small)
             bad_tops += sum(mv.bad_tops)
             bad_pairs += sum(mv.bad_pairs)
             good_pairs += mv.bad_pairs.count(0)
             shared |= shared_sizes(mv)
             h, report = perturb_to_general_position(h1, F(1, 2), seed=k)
             assert report.rounds >= 1
-            assert not any(self.check(h, reference=small).bad_pairs)
+            assert not any(check_certificate(h, reference=small).bad_pairs)
         assert bad_tops and bad_pairs and good_pairs
         assert set(range(n + 1)) <= shared
 
     def test_flat_top_and_repeated_image_across_tops(self):
-        mv = self.check(flat_top_map(), reference=True)
+        mv = check_certificate(flat_top_map(), reference=True)
         assert mv.bad_tops == [False, False, False, False, True]
         assert bytes(mv.bad_pairs) == bytes([0, 0, 1, 1, 0, 1, 1, 0, 1, 1])
 
@@ -370,7 +387,7 @@ class TestPerTopCertificate:
             {"a": [0, 0, 0], "b": [1, 0, 0], "c": [0, 1, 0], "d": [0, 0, 1],
              "e": [1, 1, 1], "f": [2, 0, 1], "g": [0, 3, 1], "h": [1, 1, 5]}, 3,
         )
-        mv = self.check(h, reference=True)
+        mv = check_certificate(h, reference=True)
         assert mv.bad_tops == [False, False, False]
         assert bytes(mv.bad_pairs) == b"\x01\x01\x01"
 
@@ -418,6 +435,28 @@ class TestPerTopCertificate:
                 good_pairs += mv.bad_pairs.count(0)
         assert bad_tops and bad_pairs and good_pairs
 
+    def test_certificate_keeps_no_echelon(self, monkeypatch):
+        refs = []
+        init = Echelon.__init__
+
+        def spy(self, *args):
+            refs.append(weakref.ref(self))
+            init(self, *args)
+
+        monkeypatch.setattr(Echelon, "__init__", spy)
+        for h in [
+            generic_segments(),  # passes: every pair ranked
+            coplanar_segments(),  # a vertex-disjoint pair fails
+            flat_top_map(),  # a failing top stops the walk
+            subdivide_until(fixture_map("triangles5"), F(1, 2)),  # sharing pairs do
+        ]:
+            refs.clear()
+            cert = MaximalVerdicts(h)
+            assert len(refs) == len(cert.tops)
+            assert all(r() is None for r in refs)
+            cert.bad_pairs
+            assert all(r() is None for r in refs)
+
     # the failing pairs of each subdivided fixture map before perturbation;
     # triangles in R^5 leave 3 free columns and edges in R^3 leave 2, so
     # the finer maps' verdicts come from the 3x3 and 2x2 determinants
@@ -431,46 +470,32 @@ class TestPerTopCertificate:
     @pytest.mark.parametrize("name,delta", list(FIXTURE_FAILING))
     def test_fixture_maps(self, name, delta):
         h1 = subdivide_until(fixture_map(name), delta)
-        mv = self.check(h1)
+        mv = check_certificate(h1)
         assert sum(mv.bad_pairs) == self.FIXTURE_FAILING[name, delta]
         h, report = perturb_to_general_position(h1, delta, seed=1)
-        assert not any(self.check(h).bad_pairs)
+        assert not any(check_certificate(h).bad_pairs)
         assert report.rounds == (1 if any(mv.bad_pairs) else 0)
 
 
-def count_ranked_extras(monkeypatch):
-    """Record the extra vertex sets of every Echelon.full_rank call from now on."""
-    extras = []
-    full_rank = Echelon.full_rank
-
-    def counting(self, *ts):
-        extras.extend(ts)
-        return full_rank(self, *ts)
-
-    monkeypatch.setattr(Echelon, "full_rank", counting)
-    return extras
-
-
-def refuse_full_certificate(monkeypatch):
-    def refuse(self, h):
-        raise AssertionError("complete certificate built")
-
-    monkeypatch.setattr(MaximalVerdicts, "__init__", refuse)
+def pair_keys(cert, sharing=None):
+    """The (sigma, tau - sigma) keys of cert's pairs of passing tops, all of
+    them or only those that share a vertex (sharing True) or not (False)."""
+    return Counter(
+        (t1, t2 - t1)
+        for (t1, t2), (b1, b2) in zip(
+            combinations(cert.tops, 2), combinations(cert.bad_tops, 2)
+        )
+        if not (b1 or b2) and sharing in (None, bool(t1 & t2))
+    )
 
 
 class TestMovedVertices:
-    """moved_vertices against the union of the complete certificate's
-    failing unions, the set a resample round moves."""
+    """MaximalVerdicts.moved, the set a resample round moves, against the
+    reference certificate's failing vertices and the per-pair union ranks."""
 
     def check(self, h):
-        moved, cert = moved_vertices(h)
-        assert moved == set().union(*MaximalVerdicts(h).failing_unions())
-        # a certificate is left out only when every vertex moves
-        if cert is None:
-            assert moved and moved == set(h.complex.vertices)
-        else:
-            assert cert.map is h and set().union(*cert.failing_unions()) == moved
-        return moved
+        small = len(h.complex.simplices) <= 30
+        return set(check_certificate(h, reference=small).moved)
 
     @pytest.mark.parametrize("n,m", sorted(TestPerTopCertificate.CORPUS))
     def test_per_top_corpus(self, n, m):
@@ -495,14 +520,13 @@ class TestMovedVertices:
             raise AssertionError("reduced a row on a map with a failing top")
 
         monkeypatch.setattr(Echelon, "reduce", refuse)
-        refuse_full_certificate(monkeypatch)
-        assert moved_vertices(h) == (set(h.complex.vertices), None)
+        assert MaximalVerdicts(h).moved == set(h.complex.vertices)
 
     @pytest.mark.parametrize("case", ["passing", "sharing pairs cover nothing",
                                       "sharing pairs cover some vertices"])
     def test_certificate_built_on_round_zero_echelons(self, monkeypatch, case):
         # when the failing tops and sharing pairs leave a vertex unmoved, the
-        # complete certificate is built on round 0's one Echelon per top
+        # vertex-disjoint pairs are ranked on the same one Echelon per top
         h, expected = {
             "passing": (generic_segments(), set()),
             # the sharing pair ab, bc passes; of the vertex-disjoint pairs
@@ -530,20 +554,22 @@ class TestMovedVertices:
             echelon_init(self, *args)
 
         monkeypatch.setattr(Echelon, "__init__", recording)
-        moved, cert = moved_vertices(h)
-        assert moved == expected and cert.overall == (not expected)
+        cert = MaximalVerdicts(h)
+        assert cert.moved == expected and cert.overall == (not expected)
         assert len(made) == len(cert.tops)
 
     @pytest.mark.parametrize("name,delta", list(TestPerTopCertificate.FIXTURE_FAILING))
-    def test_fixture_maps_rank_no_vertex_disjoint_pair(self, monkeypatch, name, delta):
+    def test_fixture_maps_rank_no_vertex_disjoint_pair(self, ranked_pairs, name, delta):
         h1 = subdivide_until(fixture_map(name), delta)
         assert self.check(h1) == set(h1.complex.vertices)
-        sharing = sum(map(len, later_sharing(h1.complex.maximal_simplices())))
-        extras = count_ranked_extras(monkeypatch)
-        refuse_full_certificate(monkeypatch)
-        assert moved_vertices(h1) == (set(h1.complex.vertices), None)
-        # one extra vertex set per vertex-sharing pair, and no other rank
-        assert len(extras) == sharing
+        cert = MaximalVerdicts(h1)
+        assert cert.moved == set(h1.complex.vertices)
+        # each vertex-sharing pair once, and no other pair
+        ranked = ranked_pairs[-1]
+        assert Counter(ranked) == pair_keys(cert, sharing=True)
+        # the first read of bad_pairs ranks the vertex-disjoint pairs once
+        assert sum(cert.bad_pairs) == TestPerTopCertificate.FIXTURE_FAILING[name, delta]
+        assert Counter(ranked) == pair_keys(cert)
 
     @pytest.mark.parametrize("failing", ["sharing pair", "vertex-disjoint pair"])
     def test_no_rounds_carries_a_failing_certificate(self, failing):
@@ -555,7 +581,67 @@ class TestMovedVertices:
             perturb_to_general_position(h0, F(1, 2), seed=0, max_rounds=0)
         cert = err.value.certificate
         assert cert.map is h0 and not cert.overall
-        assert set().union(*cert.failing_unions()) == moved_vertices(h0)[0]
+        assert cert.moved == set().union(*failing_unions(cert)) == self.check(h0)
+
+
+class TestRankedOnce:
+    """The pairs each certificate hands to Echelon.full_rank, none twice:
+    none when a top fails, only the vertex-sharing pairs when their failing
+    unions hold every vertex, and otherwise every pair of passing tops.  The
+    first read of bad_pairs ranks the rest, each once."""
+
+    def check(self, ranked_pairs, h):
+        cert = MaximalVerdicts(h)
+        ranked = ranked_pairs[-1]
+        first = Counter(ranked)
+        # the first read of bad_pairs ranks the rest
+        pairs = zip(combinations(cert.tops, 2), cert.bad_pairs)
+        assert Counter(ranked) == pair_keys(cert)
+        covered = set().union(*(t1 | t2 for (t1, t2), bad in pairs if bad and t1 & t2))
+        if any(cert.bad_tops):
+            walk = "failing top"
+            assert first == Counter()
+        elif covered and len(covered) == len(h.complex.vertices):
+            walk = "sharing pairs"
+            assert first == pair_keys(cert, sharing=True)
+        else:
+            walk = "complete"
+            assert first == pair_keys(cert)
+        return cert, walk
+
+    def test_passing_maps_rank_every_pair_once(self, ranked_pairs):
+        maps = [generic_segments()]
+        for name, delta in TestPerTopCertificate.FIXTURE_FAILING:
+            h1 = subdivide_until(fixture_map(name), delta)
+            maps.append(perturb_to_general_position(h1, delta, seed=1)[0])
+        for h in maps:
+            cert, walk = self.check(ranked_pairs, h)
+            assert cert.overall and walk == "complete"
+
+    def test_seeded_corpora(self, ranked_pairs):
+        walks = set()
+        for rng, make in [
+            (random.Random(2010), random_map),
+            (random.Random(74), lambda rng: seeded_complex_map(rng, 2, 5, "inside")),
+            (random.Random(75), lambda rng: seeded_complex_map(rng, 2, 5, None)),
+        ]:
+            for _ in range(20):
+                walks.add(self.check(ranked_pairs, make(rng))[1])
+        assert walks == {"failing top", "sharing pairs", "complete"}
+
+    def test_flat_top_ranks_no_pair(self, ranked_pairs):
+        assert self.check(ranked_pairs, flat_top_map())[1] == "failing top"
+
+    def test_later_rounds_stop_at_the_sharing_pairs(self, ranked_pairs):
+        # at delta 2^-32 every draw is zero (j_max = 0), so each round fails
+        # with round 0's failing sharing pairs, which hold every vertex
+        h1 = subdivide_until(fixture_map("triangles5"), F(1, 2))
+        with pytest.raises(PerturbationBudgetError) as err:
+            perturb_to_general_position(h1, F(1, 2 ** 32), seed=7, max_rounds=2)
+        cert = err.value.certificate
+        assert len(ranked_pairs) == 3
+        for ranked in ranked_pairs:
+            assert Counter(ranked) == pair_keys(cert, sharing=True)
 
 
 class TestPerturb:
@@ -582,24 +668,26 @@ class TestPerturb:
         assert report.max_displacement ** 2 >= report.max_displacement_sq
 
     def test_bound_checked_once_per_perturbation(self, monkeypatch):
-        first_rounds = []
+        certified = []
         bounds = []
-        round_zero = plgp.perturb.moved_vertices
+        init = MaximalVerdicts.__init__
 
-        def first_round(h):
-            first_rounds.append(h)
-            return round_zero(h)
+        def certificate(self, h):
+            certified.append(h)
+            init(self, h)
 
         def bound(m, n):
             bounds.append((m, n))
             require_ambient_bound(m, n)
 
-        monkeypatch.setattr(plgp.perturb, "moved_vertices", first_round)
+        monkeypatch.setattr(MaximalVerdicts, "__init__", certificate)
         monkeypatch.setattr(plgp.perturb, "require_ambient_bound", bound)
         h0 = coplanar_segments()
         h, report = perturb_to_general_position(h0, F(1, 10), seed=0)
         assert report.rounds >= 1 and report.certificate.overall
-        assert first_rounds == [h0] and bounds == [(3, 1)]
+        # one certificate per round, round 0's on the input map
+        assert certified[0] is h0 and certified[-1] is h
+        assert len(certified) == report.rounds + 1 and bounds == [(3, 1)]
 
     def test_only_drawn_vertices_move(self):
         h0 = coplanar_segments()
@@ -621,36 +709,22 @@ class TestPerturb:
         with pytest.raises(PreconditionError):
             perturb_to_general_position(coplanar_segments(), F(-1, 2), seed=0)
 
-    def test_resample_holds_one_failing_union_at_a_time(self, monkeypatch):
-        # a perturbed round's moved set streams its failing unions: when each
-        # is produced, at most the one before it (the loop's last) may still
-        # be alive.  At delta 2^-32 every draw is zero (j_max = 0), so each
-        # round fails with round 0's 30 unions and round 2 streams them.
-        class Watched(frozenset):
-            pass
-
+    def test_one_certificate_alive_at_a_time(self, monkeypatch):
+        # at delta 2^-32 every draw is zero (j_max = 0), so every round fails
         refs = []
-        most_alive = 0
-        failing_unions = MaximalVerdicts.failing_unions
+        init = MaximalVerdicts.__init__
 
-        def watch(union):
-            nonlocal most_alive
-            most_alive = max(most_alive, sum(r() is not None for r in refs))
-            union = Watched(union)
-            refs.append(weakref.ref(union))
-            return union
+        def watched(self, h):
+            assert all(r() is None for r in refs), "an earlier certificate is alive"
+            refs.append(weakref.ref(self))
+            init(self, h)
 
-        def watched(self):
-            for union in failing_unions(self):
-                yield watch(union)
-
-        monkeypatch.setattr(MaximalVerdicts, "failing_unions", watched)
-        h0 = plmap_from_obj(json.loads((FIXTURES / "triangles5.json").read_text()))
-        h1 = subdivide_until(h0, F(1, 2))
-        with pytest.raises(PerturbationBudgetError):
-            perturb_to_general_position(h1, F(1, 2 ** 32), seed=7, max_rounds=2)
-        assert len(refs) == 30
-        assert most_alive <= 1
+        monkeypatch.setattr(MaximalVerdicts, "__init__", watched)
+        with pytest.raises(PerturbationBudgetError) as err:
+            perturb_to_general_position(
+                coplanar_segments(), F(1, 2 ** 32), seed=0, max_rounds=2
+            )
+        assert len(refs) == 3 and refs[-1]() is err.value.certificate
 
     def test_deterministic(self):
         a1, r1 = perturb_to_general_position(coplanar_segments(), F(1, 10), seed=42)
