@@ -44,12 +44,12 @@ from .fiber import fibered_parameters, fibered_report, fiberwise_embed, instance
 from .flats import point_to_image_distance_sq_lower
 from .nerve import cloud_from_csv, nerve_complex, refine_for_separation
 from .perturb import (
-    general_position_certificate,
     perturb_to_general_position,
     report_to_obj,
     require_ambient_bound,
 )
 from .secant import (
+    certified,
     cover_certificate_to_obj,
     cover_parameters,
     pair_to_obj,
@@ -180,9 +180,10 @@ def cmd_analyze(args, argv) -> int:
 def cmd_probe(args, argv) -> int:
     epsilon, k = cover_parameters(args.epsilon, args.k)
     h = _load_map(args.map)
+    # one certificate serves every sample, refused before any is drawn; with
+    # no samples nothing is certified
+    cert = certified(h) if args.samples > 0 else None
     probes = probe_region_samples(h, k, args.samples, args.seed)
-    # one certificate serves every sample; with no samples nothing is certified
-    cert = general_position_certificate(h) if probes else None
     samples = []
     min_line_dist = None
     for index, probe in enumerate(probes):

@@ -38,8 +38,8 @@ other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
 complexes.later_sharing.  When their failing unions hold every vertex, as
 on subdivided maps before perturbation, no other pair can add to the set;
 otherwise the vertex-disjoint pairs are ranked, each echelon dropped after
-its row.  No pair is ranked twice: a certificate that stopped early ranks
-the rest on the first read of bad_pairs, which only tests make.
+its row.  No pair is ranked twice, and no verdict of a top or pair is kept:
+the certificate is moved and overall, whether moved is empty.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 
 from .complexes import PLMap, integer_images, later_sharing
@@ -90,71 +89,41 @@ def _dropping(items):
 
 class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
-    simplices and on every pair of distinct ones.  moved holds the vertices
-    of the failing unions, the set a resample round moves."""
+    simplices and on every pair of distinct ones, kept as moved, the
+    vertices of the failing unions (the set a resample round moves), and
+    overall, whether it is empty."""
 
     def __init__(self, h: PLMap):
         self.map = h
         self.scale, self.images = integer_images(h)
         self.tops = tops = h.complex.maximal_simplices()
         echelons = [_top_echelon(self.images, sigma) for sigma in tops]
-        self.bad_tops = bad = [not e.independent for e in echelons]
-        self._flags = bytearray(len(tops) * (len(tops) - 1) // 2)
         self.moved = moved = set()
-        # per top, the later tops ranked with it; None once every pair is
-        self._ranked = [frozenset()] * len(tops)
-        if any(bad):
+        if not all(e.independent for e in echelons):
             # a failing top's pair with each other top fails
             moved.update(h.complex.vertices)
         else:
-            sharing = self._ranked = later_sharing(tops)
-            self._rank(zip(echelons, sharing))
+            self._rank(zip(echelons, later_sharing(tops)))
             if len(moved) < len(h.complex.vertices):
-                self._rank(zip(_dropping(echelons), self._unranked(sharing)))
-                self._ranked = None
+                disjoint = (
+                    [j for j in range(i + 1, len(tops)) if tops[i].isdisjoint(tops[j])]
+                    for i in range(len(tops))
+                )
+                self._rank(zip(_dropping(echelons), disjoint))
         self.overall = not moved
-
-    def _unranked(self, ranked):
-        """Per top i, the later tops j not in ranked[i] whose pair with i
-        holds no failing top."""
-        failing = {j for j, b in enumerate(self.bad_tops) if b}
-        count = len(self.tops)
-        for i, done in enumerate(ranked):
-            yield () if i in failing else set(range(i + 1, count)) - failing - done
 
     def _rank(self, rows):
         """Rank each pair (i, j), j in later, per row i = (tops[i]'s Echelon,
-        later): a failing pair's flag is set and its union joins moved."""
-        tops, flags, moved = self.tops, self._flags, self.moved
-        count = len(tops)
+        later): a failing pair's union joins moved."""
+        tops, moved = self.tops, self.moved
         for i, (e, later) in enumerate(rows):
-            if not later:
-                continue
-            sigma = tops[i]
-            verdicts = e.full_rank(*[tops[j] - sigma for j in later])
-            if False in verdicts:
-                # the flag of pair (i, j) is at base + j
-                base = i * (2 * count - i - 3) // 2 - 1
-                for j, ok in zip(later, verdicts[1:]):
-                    if not ok:
-                        flags[base + j] = 1
-                        moved |= sigma | tops[j]
-
-    @property
-    def bad_pairs(self) -> bytearray:
-        """One flag per pair in combinations(tops, 2) order, set iff the
-        pair's union is dependent; a pair holding a failing top is set with
-        no rank.  A certificate that stopped early ranks its unranked pairs
-        on the first read, on echelons built again."""
-        if self._ranked is not None:
-            rows = self._unranked(self._ranked)
-            self._ranked = None
-            echelons = (_top_echelon(self.images, sigma) for sigma in self.tops)
-            self._rank(zip(echelons, rows))
-            for k, pair in enumerate(combinations(self.bad_tops, 2)):
-                if True in pair:
-                    self._flags[k] = 1
-        return self._flags
+            if later:
+                sigma = tops[i]
+                verdicts = e.full_rank(*[tops[j] - sigma for j in later])
+                if False in verdicts:
+                    for j, ok in zip(later, verdicts[1:]):
+                        if not ok:
+                            moved |= sigma | tops[j]
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""

@@ -130,7 +130,9 @@ class CoverCertificate:
         return self.mesh_ok and self.disjoint_ok
 
 
-def _certified(h, certificate):
+def certified(h, certificate=None):
+    """h's general-position certificate, the one given or else one built,
+    refused unless it is of h and passes."""
     cert = certificate
     if cert is None:
         cert = general_position_certificate(h)
@@ -259,7 +261,7 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
         raise ValueError("unknown simplex")
     if s1 & s2:
         raise PreconditionError("simplex pair shares vertices")
-    cert = _certified(h, certificate)
+    cert = certified(h, certificate)
     if point_to_image_distance_sq_lower(z, h) == 0:
         raise PreconditionError("probe point lies on the image")
     return _ProbeEchelons(z, cert).records(s1, s2)
@@ -272,7 +274,7 @@ def secant_set(h: PLMap, z, certificate=None):
     z = vec(z)
     if len(z) != h.m:
         raise ValueError("ambient dimension mismatch")
-    cert = _certified(h, certificate)
+    cert = certified(h, certificate)
     tops = h.complex.maximal_simplices()
     if not tops:
         raise ValueError("empty complex has no image")

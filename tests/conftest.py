@@ -22,13 +22,15 @@ def bench_workloads():
 
 @pytest.fixture
 def ranked_pairs(monkeypatch):
-    """Per general-position certificate built from now on, the pairs it
-    ranks: (sigma, tau - sigma) for each extra vertex set tau - sigma that
-    Echelon.full_rank receives on top sigma's Echelon."""
+    """Per general-position certificate built from now on, the pairs its
+    __init__ ranks: (sigma, tau - sigma) for each extra vertex set tau - sigma
+    that Echelon.full_rank receives on top sigma's Echelon.  Ranks outside
+    __init__, such as a test's own, are not recorded."""
     import plgp.perturb
     from plgp.exact import Echelon
 
     groups = []
+    building = []
     top_echelon = plgp.perturb._top_echelon
     full_rank = Echelon.full_rank
     init = plgp.perturb.MaximalVerdicts.__init__
@@ -39,12 +41,17 @@ def ranked_pairs(monkeypatch):
         return e
 
     def recording(self, *ts):
-        groups[-1].extend((self.sigma, t) for t in ts)
+        if building:
+            groups[-1].extend((self.sigma, t) for t in ts)
         return full_rank(self, *ts)
 
     def starting(self, h):
         groups.append([])
-        init(self, h)
+        building.append(h)
+        try:
+            init(self, h)
+        finally:
+            building.pop()
 
     monkeypatch.setattr(plgp.perturb, "_top_echelon", tagged)
     monkeypatch.setattr(Echelon, "full_rank", recording)

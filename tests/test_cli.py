@@ -348,21 +348,50 @@ class TestUncertifiedMap:
     """The unperturbed, subdivided triangles5 map fails on its vertex-sharing
     pairs, which move every vertex, so no vertex-disjoint pair is ranked."""
 
+    @staticmethod
+    def unperturbed(tmp_path):
+        h1 = subdivide_until(plmap_from_obj(json.loads(Path(TRIANGLES).read_text())), F(1, 2))
+        path = tmp_path / "unperturbed.json"
+        path.write_text(json.dumps(plmap_to_obj(h1)))
+        return h1, str(path)
+
     @pytest.mark.parametrize("command", [
         ["probe", "--samples", "1", "--seed", "1"],
         ["analyze", "--z", "2,2,2,2,2"],
     ])
     def test_refused(self, capsys, tmp_path, ranked_pairs, command):
-        h1 = subdivide_until(plmap_from_obj(json.loads(Path(TRIANGLES).read_text())), F(1, 2))
-        path = tmp_path / "unperturbed.json"
-        path.write_text(json.dumps(plmap_to_obj(h1)))
-        code, text, err = run(capsys, command[0], "--map", str(path), *command[1:])
+        h1, path = self.unperturbed(tmp_path)
+        code, text, err = run(capsys, command[0], "--map", path, *command[1:])
         assert (code, text) == (3, "")
         assert "map is not in certified general position" in err
         tops = h1.complex.maximal_simplices()
         sharing = Counter((t1, t2 - t1) for t1, t2 in combinations(tops, 2) if t1 & t2)
         (ranked,) = ranked_pairs
         assert Counter(ranked) == sharing
+
+    def test_probe_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
+        _, path = self.unperturbed(tmp_path)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            raise AssertionError("samples drawn for an uncertified map")
+
+        monkeypatch.setattr(plgp.cli, "probe_region_samples", spy)
+        code, text, err = run(
+            capsys, "probe", "--map", path, "--samples", "30000", "--seed", "1"
+        )
+        assert (code, text) == (3, "")
+        assert "map is not in certified general position" in err
+        assert calls == []
+
+    def test_probe_without_samples_certifies_nothing(self, capsys, tmp_path, monkeypatch):
+        _, path = self.unperturbed(tmp_path)
+        built = count_certificates(monkeypatch)
+        code, text, _ = run(capsys, "probe", "--map", path, "--samples", "0", "--seed", "1")
+        assert code == 0
+        assert json.loads(text)["samples"] == []
+        assert built == []
 
 
 class TestNerve:

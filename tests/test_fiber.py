@@ -166,8 +166,8 @@ class TestFiberwiseEmbed:
         assert embs["f"].map.images == g.images
         assert report_to_obj(embs["f"].report) == report_to_obj(report)
         cert = embs["f"].report.certificate
-        assert cert.bad_tops == report.certificate.bad_tops
-        assert bytes(cert.bad_pairs) == bytes(report.certificate.bad_pairs)
+        assert cert.moved == report.certificate.moved
+        assert cert.overall == report.certificate.overall
         assert embs["f"].reference.images == ref.images
 
     def test_two_copies_diverge_under_derived_seeds(self):

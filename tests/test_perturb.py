@@ -17,6 +17,7 @@ from plgp.complexes import (
     barycentric_subdivide,
     closeness_bound,
     evaluate,
+    later_sharing,
     plmap_from_obj,
     sorted_vertices,
     subdivide_until,
@@ -37,6 +38,7 @@ from plgp.perturb import (
     MaximalVerdicts,
     _displacement_bound,
     _draw_displacement,
+    _top_echelon,
     certificate_to_obj,
     general_position_certificate,
     perturb_to_general_position,
@@ -152,12 +154,35 @@ def reference_certificate(h):
     return simplex_verdicts, pair_verdicts, overall, bad
 
 
-def failing_unions(cert):
+def top_flags(mv):
+    """Per top, whether its image simplex is degenerate, by an integer rank."""
+    return [not mv.independent(t) for t in mv.tops]
+
+
+def kernel_pair_flags(mv):
+    """One flag per pair in combinations(tops, 2) order, set iff the pair's
+    union is dependent, from one _top_echelon(...).full_rank(...) per top;
+    a pair holding a failing top is set with no rank."""
+    tops = mv.tops
+    echelons = [_top_echelon(mv.images, sigma) for sigma in tops]
+    flags = []
+    for i, (sigma, e) in enumerate(zip(tops, echelons)):
+        later = range(i + 1, len(tops))
+        ranked = [j for j in later if e.independent and echelons[j].independent]
+        verdicts = e.full_rank(*[tops[j] - sigma for j in ranked])
+        ok = dict(zip(ranked, verdicts[1:]))
+        flags.extend(not ok.get(j, False) for j in later)
+    return bytes(flags)
+
+
+def failing_unions(cert, flags=None):
     """The failing maximal simplices, then the failing maximal pairs' unions,
-    read off bad_tops and bad_pairs."""
-    failing = [t for t, bad in zip(cert.tops, cert.bad_tops) if bad]
+    read off top_flags and the pair flags (kernel_pair_flags by default)."""
+    if flags is None:
+        flags = kernel_pair_flags(cert)
+    failing = [t for t, bad in zip(cert.tops, top_flags(cert)) if bad]
     pairs = combinations(cert.tops, 2)
-    return failing + [t1 | t2 for (t1, t2), bad in zip(pairs, cert.bad_pairs) if bad]
+    return failing + [t1 | t2 for (t1, t2), bad in zip(pairs, flags) if bad]
 
 
 def face_verdicts(cert):
@@ -165,9 +190,10 @@ def face_verdicts(cert):
     sorted_simplices order: ([(s, ok), ...], [(s1, s2, ok), ...]).
 
     A union is ranked only when it lies inside a failing maximal union;
-    every other union lies inside a passing one and is independent.
+    every other union lies inside a passing one and is independent.  A
+    passing certificate has no failing union, so nothing is ranked.
     """
-    failing = failing_unions(cert)
+    failing = [] if cert.overall else failing_unions(cert)
 
     def ok(union):
         return not any(union <= f for f in failing) or cert.independent(union)
@@ -232,8 +258,7 @@ class TestMaximalPairOracle:
         assert obj["pairs_checked"] == len(pair_verdicts)
         assert set().union(*failing_unions(cert)) == bad
         again = general_position_certificate(h)
-        assert again.bad_tops == cert.bad_tops
-        assert bytes(again.bad_pairs) == bytes(cert.bad_pairs)
+        assert (again.moved, again.overall) == (cert.moved, cert.overall)
         return overall
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_MAPS))
@@ -260,7 +285,7 @@ class TestMaximalPairOracle:
         def refuse(self, *args):
             raise AssertionError("verdicts iterated")
 
-        monkeypatch.setattr(MaximalVerdicts, "bad_pairs", property(refuse))
+        monkeypatch.setattr(Echelon, "full_rank", refuse)
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         obj = certificate_to_obj(cert)
         assert obj == {"overall": True, "simplices_checked": 6, "pairs_checked": 15}
@@ -279,8 +304,8 @@ class TestMaximalPairOracle:
 
 def per_pair_flags(mv):
     """The per-pair union rank over the integer images: the oracle for the
-    per-top elimination behind bad_pairs."""
-    bad = mv.bad_tops
+    per-top elimination of kernel_pair_flags."""
+    bad = top_flags(mv)
     return bytes(
         bad[i] or bad[j] or not mv.independent(mv.tops[i] | mv.tops[j])
         for i, j in combinations(range(len(mv.tops)), 2)
@@ -288,7 +313,7 @@ def per_pair_flags(mv):
 
 
 def reference_pair_flags(h, tops):
-    """bad_pairs read off reference_certificate's Fraction face-pair ranks."""
+    """Pair flags read off reference_certificate's Fraction face-pair ranks."""
     _, pair_verdicts, _, _ = reference_certificate(h)
     ok = {frozenset((s1, s2)): ok for s1, s2, ok in pair_verdicts}
     return bytes(not ok[frozenset((t1, t2))] for t1, t2 in combinations(tops, 2))
@@ -334,23 +359,23 @@ def fixture_map(name):
 
 
 def check_certificate(h, reference=False):
-    """MaximalVerdicts(h) with its moved set and bad_pairs checked against
-    the per-pair union ranks and, with reference, reference_certificate."""
+    """(MaximalVerdicts(h), kernel_pair_flags of its pairs): the flags checked
+    against the per-pair union ranks and, with reference,
+    reference_certificate; moved against the failing unions they give."""
     mv = MaximalVerdicts(h)
-    moved = set(mv.moved)
-    # read after moved: a certificate that stopped early completes here
-    flags = bytes(mv.bad_pairs)
+    flags = kernel_pair_flags(mv)
     assert flags == per_pair_flags(mv)
-    assert moved == mv.moved == set().union(*failing_unions(mv))
-    assert mv.overall == (not moved)
+    assert mv.moved == set().union(*failing_unions(mv, flags))
+    assert mv.overall == (not mv.moved)
     if reference:
         assert flags == reference_pair_flags(h, mv.tops)
-        assert moved == reference_certificate(h)[3]
-    return mv
+        assert mv.moved == reference_certificate(h)[3]
+    return mv, flags
 
 
 class TestPerTopCertificate:
-    """bad_pairs from one elimination per top against the per-pair union rank."""
+    """Pair flags from one elimination per top against the per-pair union
+    rank, and the certificate's moved set against the failing unions."""
 
     CORPUS = {(1, 3): (71, 9), (2, 5): (72, 6), (3, 7): (73, 3)}
 
@@ -363,21 +388,21 @@ class TestPerTopCertificate:
         for k in range(count):
             h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3])
             small = len(h1.complex.simplices) <= 30
-            mv = check_certificate(h1, reference=small)
-            bad_tops += sum(mv.bad_tops)
-            bad_pairs += sum(mv.bad_pairs)
-            good_pairs += mv.bad_pairs.count(0)
+            mv, flags = check_certificate(h1, reference=small)
+            bad_tops += sum(top_flags(mv))
+            bad_pairs += sum(flags)
+            good_pairs += flags.count(0)
             shared |= shared_sizes(mv)
             h, report = perturb_to_general_position(h1, F(1, 2), seed=k)
             assert report.rounds >= 1
-            assert not any(check_certificate(h, reference=small).bad_pairs)
+            assert not any(check_certificate(h, reference=small)[1])
         assert bad_tops and bad_pairs and good_pairs
         assert set(range(n + 1)) <= shared
 
     def test_flat_top_and_repeated_image_across_tops(self):
-        mv = check_certificate(flat_top_map(), reference=True)
-        assert mv.bad_tops == [False, False, False, False, True]
-        assert bytes(mv.bad_pairs) == bytes([0, 0, 1, 1, 0, 1, 1, 0, 1, 1])
+        mv, flags = check_certificate(flat_top_map(), reference=True)
+        assert top_flags(mv) == [False, False, False, False, True]
+        assert flags == bytes([0, 0, 1, 1, 0, 1, 1, 0, 1, 1])
 
     def test_more_extra_vertices_than_free_columns(self):
         # triangles in R^3 (below the certificate's m >= 2n+1): a pair needs
@@ -387,9 +412,9 @@ class TestPerTopCertificate:
             {"a": [0, 0, 0], "b": [1, 0, 0], "c": [0, 1, 0], "d": [0, 0, 1],
              "e": [1, 1, 1], "f": [2, 0, 1], "g": [0, 3, 1], "h": [1, 1, 5]}, 3,
         )
-        mv = check_certificate(h, reference=True)
-        assert mv.bad_tops == [False, False, False]
-        assert bytes(mv.bad_pairs) == b"\x01\x01\x01"
+        mv, flags = check_certificate(h, reference=True)
+        assert top_flags(mv) == [False, False, False]
+        assert flags == b"\x01\x01\x01"
 
     def test_failing_top_fails_its_pairs_without_a_rank(self, monkeypatch):
         # the passing edge ab sorts before the flat triangle cde
@@ -404,8 +429,9 @@ class TestPerTopCertificate:
 
         monkeypatch.setattr(Echelon, "reduce", refuse)
         mv = MaximalVerdicts(h)
-        assert mv.bad_tops == [False, True]
-        assert bytes(mv.bad_pairs) == b"\x01"
+        assert mv.moved == set("abcde")
+        assert top_flags(mv) == [False, True]
+        assert kernel_pair_flags(mv) == b"\x01"
 
     def test_each_top_eliminated_once(self, monkeypatch):
         built = []
@@ -430,9 +456,10 @@ class TestPerTopCertificate:
                 mv = MaximalVerdicts(g)
                 # one Echelon, with its reductions, per top
                 assert len(built) == len(mv.tops)
-                bad_tops += sum(mv.bad_tops)
-                bad_pairs += sum(mv.bad_pairs)
-                good_pairs += mv.bad_pairs.count(0)
+                bad_tops += sum(not e.independent for e in built)
+                flags = kernel_pair_flags(mv)
+                bad_pairs += sum(flags)
+                good_pairs += flags.count(0)
         assert bad_tops and bad_pairs and good_pairs
 
     def test_certificate_keeps_no_echelon(self, monkeypatch):
@@ -454,8 +481,40 @@ class TestPerTopCertificate:
             cert = MaximalVerdicts(h)
             assert len(refs) == len(cert.tops)
             assert all(r() is None for r in refs)
-            cert.bad_pairs
-            assert all(r() is None for r in refs)
+
+    def test_sharing_index_dropped_before_the_vertex_disjoint_pairs(self, monkeypatch):
+        h1 = subdivide_until(fixture_map("triangles5"), F(1, 2))
+        maps = [
+            coplanar_segments(),  # no sharing pair; a vertex-disjoint pair fails
+            perturb_to_general_position(h1, F(1, 2), seed=1)[0],  # passes
+        ]
+
+        class Index(list):
+            """later_sharing's list, in a type a weakref can watch."""
+
+        indexes = []
+
+        def watched(tops):
+            index = Index(later_sharing(tops))
+            indexes.append(weakref.ref(index))
+            return index
+
+        alive = []
+        full_rank = Echelon.full_rank
+
+        def checking(self, *extras):
+            # tau - sigma is a whole top only when tau and sigma share no vertex
+            if any(t in tops for t in extras):
+                alive.append(indexes[-1]() is not None)
+            return full_rank(self, *extras)
+
+        monkeypatch.setattr(plgp.perturb, "later_sharing", watched)
+        monkeypatch.setattr(Echelon, "full_rank", checking)
+        for h in maps:
+            tops = set(h.complex.maximal_simplices())
+            alive.clear()
+            MaximalVerdicts(h)
+            assert alive and not any(alive)
 
     # the failing pairs of each subdivided fixture map before perturbation;
     # triangles in R^5 leave 3 free columns and edges in R^3 leave 2, so
@@ -470,11 +529,11 @@ class TestPerTopCertificate:
     @pytest.mark.parametrize("name,delta", list(FIXTURE_FAILING))
     def test_fixture_maps(self, name, delta):
         h1 = subdivide_until(fixture_map(name), delta)
-        mv = check_certificate(h1)
-        assert sum(mv.bad_pairs) == self.FIXTURE_FAILING[name, delta]
+        _, flags = check_certificate(h1)
+        assert sum(flags) == self.FIXTURE_FAILING[name, delta]
         h, report = perturb_to_general_position(h1, delta, seed=1)
-        assert not any(check_certificate(h).bad_pairs)
-        assert report.rounds == (1 if any(mv.bad_pairs) else 0)
+        assert not any(check_certificate(h)[1])
+        assert report.rounds == (1 if any(flags) else 0)
 
 
 def pair_keys(cert, sharing=None):
@@ -483,7 +542,7 @@ def pair_keys(cert, sharing=None):
     return Counter(
         (t1, t2 - t1)
         for (t1, t2), (b1, b2) in zip(
-            combinations(cert.tops, 2), combinations(cert.bad_tops, 2)
+            combinations(cert.tops, 2), combinations(top_flags(cert), 2)
         )
         if not (b1 or b2) and sharing in (None, bool(t1 & t2))
     )
@@ -495,7 +554,7 @@ class TestMovedVertices:
 
     def check(self, h):
         small = len(h.complex.simplices) <= 30
-        return set(check_certificate(h, reference=small).moved)
+        return set(check_certificate(h, reference=small)[0].moved)
 
     @pytest.mark.parametrize("n,m", sorted(TestPerTopCertificate.CORPUS))
     def test_per_top_corpus(self, n, m):
@@ -561,15 +620,12 @@ class TestMovedVertices:
     @pytest.mark.parametrize("name,delta", list(TestPerTopCertificate.FIXTURE_FAILING))
     def test_fixture_maps_rank_no_vertex_disjoint_pair(self, ranked_pairs, name, delta):
         h1 = subdivide_until(fixture_map(name), delta)
-        assert self.check(h1) == set(h1.complex.vertices)
-        cert = MaximalVerdicts(h1)
+        cert, flags = check_certificate(h1)
         assert cert.moved == set(h1.complex.vertices)
         # each vertex-sharing pair once, and no other pair
-        ranked = ranked_pairs[-1]
+        (ranked,) = ranked_pairs
         assert Counter(ranked) == pair_keys(cert, sharing=True)
-        # the first read of bad_pairs ranks the vertex-disjoint pairs once
-        assert sum(cert.bad_pairs) == TestPerTopCertificate.FIXTURE_FAILING[name, delta]
-        assert Counter(ranked) == pair_keys(cert)
+        assert sum(flags) == TestPerTopCertificate.FIXTURE_FAILING[name, delta]
 
     @pytest.mark.parametrize("failing", ["sharing pair", "vertex-disjoint pair"])
     def test_no_rounds_carries_a_failing_certificate(self, failing):
@@ -587,18 +643,14 @@ class TestMovedVertices:
 class TestRankedOnce:
     """The pairs each certificate hands to Echelon.full_rank, none twice:
     none when a top fails, only the vertex-sharing pairs when their failing
-    unions hold every vertex, and otherwise every pair of passing tops.  The
-    first read of bad_pairs ranks the rest, each once."""
+    unions hold every vertex, and otherwise every pair of passing tops."""
 
     def check(self, ranked_pairs, h):
         cert = MaximalVerdicts(h)
-        ranked = ranked_pairs[-1]
-        first = Counter(ranked)
-        # the first read of bad_pairs ranks the rest
-        pairs = zip(combinations(cert.tops, 2), cert.bad_pairs)
-        assert Counter(ranked) == pair_keys(cert)
+        first = Counter(ranked_pairs[-1])
+        pairs = zip(combinations(cert.tops, 2), kernel_pair_flags(cert))
         covered = set().union(*(t1 | t2 for (t1, t2), bad in pairs if bad and t1 & t2))
-        if any(cert.bad_tops):
+        if any(top_flags(cert)):
             walk = "failing top"
             assert first == Counter()
         elif covered and len(covered) == len(h.complex.vertices):
