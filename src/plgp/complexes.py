@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .errors import PreconditionError, SubdivisionCapError
 from .exact import (
@@ -29,6 +30,7 @@ from .exact import (
 )
 
 SUBDIVIDE_ROUND_CAP = 30
+SUBDIVIDE_TOP_BUDGET = 10 ** 6
 
 
 def simplex_key(simplex):
@@ -253,14 +255,36 @@ def subdivide_until(h: PLMap, delta, max_rounds: int = SUBDIVIDE_ROUND_CAP) -> P
 
     Comparison is on squared quantities, exactly.  delta must be a positive,
     finite rational; the round cap guards against degenerate requests.
+
+    Before subdividing, the rounds are predicted from the mesh bound: one
+    subdivision of a simplex of dimension at most n shrinks every image
+    diameter by at least n/(n+1).  So at most the predicted rounds run (and
+    at most max_rounds), and each multiplies the maximal simplices by at
+    most (n+1)!; a request that needs a round and whose predicted count
+    T ((n+1)!)^rounds exceeds SUBDIVIDE_TOP_BUDGET is refused with nothing
+    subdivided.
     """
     delta = rat(delta)
     if delta <= 0:
         raise PreconditionError("delta must be a positive rational")
     threshold = (delta / 2) ** 2
+    worst = max_image_diameter_sq(h)
+    n = h.complex.dimension
+    rounds, bound = 0, worst
+    while bound >= threshold and rounds < max_rounds:
+        bound *= Fraction(n, n + 1) ** 2
+        rounds += 1
+    tops = len(h.complex.maximal_simplices()) * factorial(n + 1) ** rounds
+    if rounds and tops > SUBDIVIDE_TOP_BUDGET:
+        raise SubdivisionCapError(
+            f"subdivision budget of {SUBDIVIDE_TOP_BUDGET} maximal simplices "
+            f"exceeded: {rounds} predicted rounds give up to {tops}",
+            achieved_diameter_sq=worst,
+        )
     current, rounds = h, 0
-    while (worst := max_image_diameter_sq(current)) >= threshold and rounds < max_rounds:
+    while worst >= threshold and rounds < max_rounds:
         current = barycentric_subdivide(current)
+        worst = max_image_diameter_sq(current)
         rounds += 1
     if worst < threshold:
         return current

@@ -9,12 +9,18 @@ root instead (sqrt_upper / sqrt_bracket).
 Elimination is fraction-free (Bareiss): rows are scaled to integers once, and
 every interior division in the elimination is exact integer division, which
 bounds coefficient swell to minor-sized determinants.
+
+Many square determinants of one shape are decided at once as pairings of
+Plücker vectors (plucker, laplace_dual), packed into big integers by
+Kronecker substitution (PackedPairings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 SQRT_SLACK = Fraction(1, 2**20)
@@ -244,12 +250,12 @@ class Echelon:
         are not, with no reduction.
 
         t's k reduced rows have f = len(free) entries each.  They cannot have
-        full rank when k > f; one row has it iff it is nonzero; and k rows
-        in k = f columns have it iff their one determinant is nonzero (2x2,
-        or a.(b x c) for 3x3).  Each reduced row is the row's remainder
-        times the last pivot, which is nonzero and so changes no rank; the
-        tests are exact integer arithmetic, and read the kept rows without
-        changing them.  Any other shape runs _echelon_int on copies.
+        full rank when k > f; one row has it iff it is nonzero; and two rows
+        in two columns have it iff their 2x2 determinant is nonzero.  Each
+        reduced row is the row's remainder times the last pivot, which is
+        nonzero and so changes no rank; the tests are exact integer
+        arithmetic, and read the kept rows without changing them.  Any
+        other shape runs _echelon_int on copies.
         """
         if not self.independent:
             return [False] * (1 + len(extras))
@@ -265,19 +271,131 @@ class Echelon:
             elif k == f == 2:
                 (a0, a1), (b0, b1) = map(reduce, t)
                 verdicts.append(a0 * b1 != a1 * b0)
-            elif k == f == 3:
-                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = map(reduce, t)
-                verdicts.append(
-                    a0 * (b1 * c2 - b2 * c1)
-                    + a1 * (b2 * c0 - b0 * c2)
-                    + a2 * (b0 * c1 - b1 * c0)
-                    != 0
-                )
             else:
                 # copies: _echelon_int works in place
                 rows = [list(reduce(v)) for v in t]
                 verdicts.append(len(_echelon_int(rows)) == k)
         return verdicts
+
+
+@cache
+def _expansions(n, r):
+    """Per r-subset s of range(n), in combinations order, the terms of the
+    Laplace expansion of the minor on columns s along its last row: (column
+    s[t], the index of s without s[t] among the (r-1)-subsets, whether the
+    term is negated)."""
+    index = {s: i for i, s in enumerate(combinations(range(n), r - 1))}
+    return [
+        [(s[t], index[s[:t] + s[t + 1:]], (r - 1 + t) % 2) for t in range(r)]
+        for s in combinations(range(n), r)
+    ]
+
+
+def plucker(rows) -> list:
+    """The maximal minors of an integer matrix of k rows and n >= k columns,
+    one per k-subset of the columns in combinations order: the rows'
+    Plücker coordinates, all zero iff the rows are dependent.
+
+    The minors of the first r rows come from those of the first r - 1 by
+    Laplace expansion along row r, so no minor is expanded twice.
+    """
+    n = len(rows[0]) if rows else 0
+    minors = [1]
+    for r, row in enumerate(rows, 1):
+        expanded = []
+        for terms in _expansions(n, r):
+            acc = 0
+            for c, q, odd in terms:
+                if odd:
+                    acc -= row[c] * minors[q]
+                else:
+                    acc += row[c] * minors[q]
+            expanded.append(acc)
+        minors = expanded
+    return minors
+
+
+@cache
+def _complements(k):
+    """Per k-subset s of range(2k), in combinations order: the index of its
+    complement and the sign of its term in the generalized Laplace
+    expansion along the first k rows, (-1)^(k(k+3)/2 + sum(s))."""
+    subsets = list(combinations(range(2 * k), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    return [
+        (index[tuple(c for c in range(2 * k) if c not in s)], (k * (k + 3) // 2 + sum(s)) % 2)
+        for s in subsets
+    ]
+
+
+def laplace_dual(p, k) -> list:
+    """q with det [A; B] = sum(p_s * q_s) for k x 2k integer matrices A and
+    B, p = plucker(A) and q = laplace_dual(plucker(B), k): B's minors moved
+    to the complementary column sets, with the Laplace signs."""
+    return [-p[c] if odd else p[c] for c, odd in _complements(k)]
+
+
+def _slot_hits(data, pattern, width) -> list:
+    """The indices s of the width-byte slots data[s*width:(s+1)*width] equal
+    to pattern (of width bytes), found by bytes.find; a match that starts
+    inside a slot straddles two and is skipped."""
+    hits = []
+    pos = data.find(pattern)
+    while pos >= 0:
+        if pos % width == 0:
+            hits.append(pos // width)
+        pos = data.find(pattern, pos - pos % width + width)
+    return hits
+
+
+class PackedPairings:
+    """The pairings sum(p_s * q_js) of one integer vector p with every vector
+    q_j of a family, computed for all j at once by Kronecker substitution
+    (Harvey 2009, "Faster polynomial multiplication via multipoint Kronecker
+    substitution").
+
+    The family is packed once: per coordinate s one integer, the sum over j
+    of (q_js + K) * 2^(W j), where the offset K = max |q_js| makes every slot
+    non-negative, so a right shift drops whole slots exactly.  With bound an
+    upper bound on sum |p_s| over the vectors p to be paired, W is the least
+    multiple of 8 with max(bound, 1) * K < 2^(W-2), so every pairing lies
+    strictly within 2^(W-2) of zero and every packed slot, at most 2K, fits
+    in W bits.  Then sum_s p_s * (packed_s >> W start)
+    plus (BIAS - K sum p) times the shifted unit, BIAS = 2^(W-1), is an
+    integer whose base-2^W digits are the pairings plus BIAS, one slot per
+    j >= start: the sum is exact, and each digit lies in [0, 2^W).
+    """
+
+    def __init__(self, vectors, bound):
+        offset = max((abs(x) for q in vectors for x in q), default=0)
+        self.width = width = ((max(bound, 1) * offset).bit_length() + 9) // 8
+        self.count = len(vectors)
+        self.bound, self.offset = bound, offset
+        self.columns = [
+            int.from_bytes(
+                b"".join((x + offset).to_bytes(width, "little") for x in column), "little"
+            )
+            for column in zip(*vectors)
+        ]
+        self.unit = int.from_bytes((1).to_bytes(width, "little") * self.count, "little")
+        self.bias = 1 << (8 * width - 1)
+        self._bias_bytes = self.bias.to_bytes(width, "little")
+
+    def slots(self, p, start=0) -> bytes:
+        """sum(p_s * q_js) + BIAS for each j from start on, as consecutive
+        width-byte little-endian slots; p must have sum |p_s| <= bound."""
+        if sum(map(abs, p)) > self.bound:
+            raise ValueError("a pairing vector exceeds the packed bound")
+        shift = 8 * self.width * start
+        total = sum(x * (column >> shift) for x, column in zip(p, self.columns))
+        total += (self.bias - self.offset * sum(p)) * (self.unit >> shift)
+        return total.to_bytes(self.width * (self.count - start), "little")
+
+    def zeros(self, p, start=0) -> list:
+        """The indices j >= start, ascending, with sum(p_s * q_js) == 0: the
+        slots equal to BIAS."""
+        hits = _slot_hits(self.slots(p, start), self._bias_bytes, self.width)
+        return [start + s for s in hits]
 
 
 def _solve_echelon_int(rows, n):

@@ -20,16 +20,27 @@ own rank, which nothing takes, since a failing certificate is resampled and
 never reported.  A report counts every face and face pair as checked.
 
 Each maximal simplex sigma is eliminated once, in one exact.Echelon about
-its first vertex: that decides sigma, and every pair of sigma with a later
-passing maximal simplex tau from the vertices tau - sigma reduced against
-sigma's echelon.  Those k reduced rows lie in sigma's f free columns, and
-the pair's rank is full iff theirs is: never when k > f, and for one row
-or k = f (a 2x2, or the 3x3 a.(b x c) of triangles in R^5) one nonzero
-test or one determinant, with no elimination.  A pair holding a failing
-simplex fails without a rank.
+its first vertex: that decides sigma, and each pair of sigma with a later
+passing maximal simplex tau that shares a vertex, from the vertices
+tau - sigma reduced against sigma's echelon.  Those k reduced rows lie in
+sigma's f free columns, and the pair's rank is full iff theirs is: never
+when k > f, and for one row, or two rows in two columns, one nonzero test
+or one 2x2 determinant; any other shape takes one small elimination.  A
+pair holding a failing simplex fails without a rank.
 All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.
+
+The vertex-disjoint pairs are decided by Plücker coordinates when the map
+is square: every maximal simplex has k vertices and m + 1 = 2k, as for
+n-simplices at m = 2n+1.  Then a pair's 2k homogeneous rows (1, image) make
+a square matrix, independent iff its determinant is nonzero, and the
+generalized Laplace expansion makes that determinant a pairing of the two
+simplices' Plücker vectors (exact.plucker, exact.laplace_dual).  One
+exact.PackedPairings decides each top's pairings with every later top in
+one big-integer walk; no echelon is kept for it.  Any other shape (m > 2n+1,
+or maximal simplices of mixed dimension) ranks its vertex-disjoint pairs on
+the echelons, as the sharing pairs are ranked.
 
 A resample round moves exactly the vertices of the failing unions, which
 every certificate, round 0's included, collects as moved.  The tops are
@@ -37,9 +48,11 @@ ranked first: if one fails, every vertex moves, since its pair with each
 other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
 complexes.later_sharing.  When their failing unions hold every vertex, as
 on subdivided maps before perturbation, no other pair can add to the set;
-otherwise the vertex-disjoint pairs are ranked, each echelon dropped after
-its row.  No pair is ranked twice, and no verdict of a top or pair is kept:
-the certificate is moved and overall, whether moved is empty.
+otherwise the vertex-disjoint pairs are decided.  Each echelon is dropped
+after its row, or in the square case all of them after the sharing pass,
+and each Plücker vector after its row.  No pair is decided twice, and no
+verdict of a top or pair is kept: the certificate is moved and overall,
+whether moved is empty.
 """
 
 from __future__ import annotations
@@ -53,8 +66,11 @@ from .complexes import PLMap, integer_images, later_sharing
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
     Echelon,
+    PackedPairings,
     _echelon_int,
+    laplace_dual,
     norm_sq,
+    plucker,
     rat,
     rat_str,
     sqrt_bracket,
@@ -87,6 +103,31 @@ def _dropping(items):
         yield item
 
 
+def _packed_moved(tops, images) -> set:
+    """The vertices of the failing vertex-disjoint pairs of tops that each
+    have k vertices, with images in R^(2k-1) on one integer frame.
+
+    Each top's homogeneous rows (1, image) give its Plücker vector p, and a
+    pair's union is independent iff the square determinant of its 2k rows,
+    sum(p_i * laplace_dual(p_j)), is nonzero.  One PackedPairings of the
+    duals decides each top's pairs with every later top in one walk; the
+    hits of vertex-sharing pairs, whose determinants repeat a row, are
+    dropped, since the sharing pass decided them.
+    """
+    k = len(tops[0])
+    ps = [plucker([(1, *images[v]) for v in t]) for t in tops]
+    packed = PackedPairings(
+        [laplace_dual(p, k) for p in ps], max(sum(map(abs, p)) for p in ps)
+    )
+    moved = set()
+    for i, p in enumerate(_dropping(ps)):
+        sigma = tops[i]
+        for j in packed.zeros(p, i + 1):
+            if sigma.isdisjoint(tops[j]):
+                moved |= sigma | tops[j]
+    return moved
+
+
 class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
     simplices and on every pair of distinct ones, kept as moved, the
@@ -105,11 +146,15 @@ class MaximalVerdicts:
         else:
             self._rank(zip(echelons, later_sharing(tops)))
             if len(moved) < len(h.complex.vertices):
-                disjoint = (
-                    [j for j in range(i + 1, len(tops)) if tops[i].isdisjoint(tops[j])]
-                    for i in range(len(tops))
-                )
-                self._rank(zip(_dropping(echelons), disjoint))
+                if all(2 * len(t) == h.m + 1 for t in tops):
+                    echelons.clear()  # the packed walk reads no echelon
+                    moved |= _packed_moved(tops, self.images)
+                else:
+                    disjoint = (
+                        [j for j in range(i + 1, len(tops)) if tops[i].isdisjoint(tops[j])]
+                        for i in range(len(tops))
+                    )
+                    self._rank(zip(_dropping(echelons), disjoint))
         self.overall = not moved
 
     def _rank(self, rows):

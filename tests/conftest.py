@@ -23,16 +23,19 @@ def bench_workloads():
 @pytest.fixture
 def ranked_pairs(monkeypatch):
     """Per general-position certificate built from now on, the pairs its
-    __init__ ranks: (sigma, tau - sigma) for each extra vertex set tau - sigma
-    that Echelon.full_rank receives on top sigma's Echelon.  Ranks outside
-    __init__, such as a test's own, are not recorded."""
+    __init__ decides: (sigma, tau - sigma) for each extra vertex set
+    tau - sigma that Echelon.full_rank receives on top sigma's Echelon, and
+    for each vertex-disjoint pair (sigma, tau) that the packed walk decides
+    in sigma's row.  Decisions outside __init__, such as a test's own, are
+    not recorded."""
     import plgp.perturb
-    from plgp.exact import Echelon
+    from plgp.exact import Echelon, PackedPairings
 
     groups = []
     building = []
     top_echelon = plgp.perturb._top_echelon
     full_rank = Echelon.full_rank
+    zeros = PackedPairings.zeros
     init = plgp.perturb.MaximalVerdicts.__init__
 
     def tagged(images, sigma):
@@ -45,6 +48,17 @@ def ranked_pairs(monkeypatch):
             groups[-1].extend((self.sigma, t) for t in ts)
         return full_rank(self, *ts)
 
+    def pairing(self, p, start=0):
+        # row start - 1 pairs its top with every later one; the walk keeps
+        # the vertex-disjoint pairs, full_rank decided the others
+        if building:
+            tops = building[-1].complex.maximal_simplices()
+            sigma = tops[start - 1]
+            groups[-1].extend(
+                (sigma, tau) for tau in tops[start:] if sigma.isdisjoint(tau)
+            )
+        return zeros(self, p, start)
+
     def starting(self, h):
         groups.append([])
         building.append(h)
@@ -55,5 +69,6 @@ def ranked_pairs(monkeypatch):
 
     monkeypatch.setattr(plgp.perturb, "_top_echelon", tagged)
     monkeypatch.setattr(Echelon, "full_rank", recording)
+    monkeypatch.setattr(PackedPairings, "zeros", pairing)
     monkeypatch.setattr(plgp.perturb.MaximalVerdicts, "__init__", starting)
     return groups

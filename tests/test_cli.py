@@ -11,6 +11,7 @@ import pytest
 
 import plgp
 import plgp.cli
+import plgp.complexes
 import plgp.fiber
 from plgp.cli import main
 from plgp.complexes import plmap_from_obj, plmap_to_obj, subdivide_until
@@ -186,6 +187,25 @@ class TestEmbed:
         assert text == ""
         assert not out.exists()
         assert err == "no general-position certificate within 32 resample rounds\n"
+
+    def test_subdivision_over_budget_exits_4_unsubdivided(self, capsys, tmp_path, monkeypatch):
+        def refuse(h):
+            raise AssertionError("subdivided past the budget")
+
+        monkeypatch.setattr(plgp.complexes, "barycentric_subdivide", refuse)
+        out = tmp_path / "x.json"
+        code, text, err = run(
+            capsys,
+            "embed", "--input", TRIANGLES, "--delta", "1/1000",
+            "--seed", "7", "--out", str(out),
+        )
+        assert code == 4
+        assert text == ""
+        assert not out.exists()
+        assert err == (
+            "subdivision budget of 1000000 maximal simplices exceeded: "
+            "17 predicted rounds give up to 33853318889472\n"
+        )
 
 
 class TestAnalyze:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +203,125 @@ class TestSubdivideUntil:
         out = subdivide_until(h, delta)
         for s in out.complex.simplices:
             assert image_diameter_sq(out, s) < (delta / 2) ** 2
+
+
+FIXTURES = Path(complexes_module.__file__).parent / "fixtures"
+
+
+def fixture_map(name) -> PLMap:
+    return plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
+
+
+class Refused(Exception):
+    pass
+
+
+def refuse_subdivision(monkeypatch):
+    def refuse(h):
+        raise Refused()
+
+    monkeypatch.setattr(complexes_module, "barycentric_subdivide", refuse)
+
+
+PREDICTION = re.compile(r"(\d+) predicted rounds give up to (\d+)$")
+
+
+def predicted(monkeypatch, h, delta, max_rounds=complexes_module.SUBDIVIDE_ROUND_CAP):
+    """(rounds, tops) that subdivide_until predicts, read off its refusal
+    under a budget of 0, with nothing subdivided; (0, T) when it predicts
+    no round and returns h itself."""
+    monkeypatch.setattr(complexes_module, "SUBDIVIDE_TOP_BUDGET", 0)
+    refuse_subdivision(monkeypatch)
+    try:
+        out = subdivide_until(h, delta, max_rounds=max_rounds)
+    except SubdivisionCapError as err:
+        assert err.achieved_diameter_sq == max_image_diameter_sq(h)
+        rounds, tops = PREDICTION.search(str(err)).groups()
+        return int(rounds), int(tops)
+    finally:
+        monkeypatch.undo()
+    assert out is h
+    return 0, len(h.complex.maximal_simplices())
+
+
+class TestSubdivisionBudget:
+    """The rounds and maximal simplices subdivide_until predicts from the
+    n/(n+1) mesh bound, checked by arithmetic; nothing over budget is
+    subdivided."""
+
+    def test_triangles5_far_below_the_budget_is_refused_unsubdivided(self, monkeypatch):
+        h = fixture_map("triangles5")
+        refuse_subdivision(monkeypatch)
+        with pytest.raises(SubdivisionCapError) as err:
+            subdivide_until(h, Fraction(1, 1000))
+        # 2 triangles, 6 = 3! children per round, 17 rounds
+        assert str(err.value).endswith("17 predicted rounds give up to %d" % (2 * 6 ** 17))
+        assert 2 * 6 ** 17 == 33853318889472
+        assert err.value.achieved_diameter_sq == max_image_diameter_sq(h)
+
+    def test_the_budget_admits_every_fixture_to_delta_1_16(self, monkeypatch):
+        budget = complexes_module.SUBDIVIDE_TOP_BUDGET
+        for name in ("triangles5", "hexagon", "quadrilateral"):
+            h = fixture_map(name)
+            rounds, tops = predicted(monkeypatch, h, Fraction(1, 16))
+            assert 0 < tops <= budget
+            refuse_subdivision(monkeypatch)
+            with pytest.raises(Refused):
+                subdivide_until(h, Fraction(1, 16))
+            monkeypatch.undo()
+        assert predicted(monkeypatch, fixture_map("triangles5"), Fraction(1, 16)) == (6, 93312)
+
+    def test_the_budget_is_a_bound_on_the_predicted_count(self, monkeypatch):
+        h = fixture_map("triangles5")
+        refuse_subdivision(monkeypatch)
+        monkeypatch.setattr(complexes_module, "SUBDIVIDE_TOP_BUDGET", 93311)
+        with pytest.raises(SubdivisionCapError, match="up to 93312$"):
+            subdivide_until(h, Fraction(1, 16))
+        monkeypatch.setattr(complexes_module, "SUBDIVIDE_TOP_BUDGET", 93312)
+        with pytest.raises(Refused):
+            subdivide_until(h, Fraction(1, 16))
+
+    def test_a_map_fine_enough_needs_no_budget(self, monkeypatch):
+        # no round is predicted, so the map's own size is not refused
+        h = fixture_map("triangles5")
+        refuse_subdivision(monkeypatch)
+        monkeypatch.setattr(complexes_module, "SUBDIVIDE_TOP_BUDGET", 1)
+        assert subdivide_until(h, 100) is h
+
+    def test_unit_edge_prediction_by_arithmetic(self, monkeypatch):
+        # an edge of length L halves per round: the least r with
+        # L^2 / 4^r < (delta/2)^2, and 2^r edges
+        h = edge_map((0, 0, 0), (8, 0, 0))
+        for delta, rounds in ((Fraction(32), 0), (Fraction(16), 1), (Fraction(1), 5),
+                              (Fraction(1, 2), 6), (Fraction(1, 1000), 14)):
+            assert 8 ** 2 / Fraction(4) ** rounds < (delta / 2) ** 2
+            assert rounds == 0 or 8 ** 2 / Fraction(4) ** (rounds - 1) >= (delta / 2) ** 2
+            assert predicted(monkeypatch, h, delta) == (rounds, 2 ** rounds)
+        # the round cap bounds the prediction too
+        assert predicted(monkeypatch, h, Fraction(1, 1000), max_rounds=3) == (3, 8)
+
+    def test_prediction_bounds_the_subdivision(self, monkeypatch):
+        rng = random.Random(81)
+        seen = set()
+        for _ in range(12):
+            pts = [[rng.randrange(0, 3) for _ in range(3)] for _ in range(3)]
+            h = triangle_map(*pts)
+            delta = Fraction(rng.randrange(4, 13), 2)
+            rounds, tops = predicted(monkeypatch, h, delta)
+            calls = []
+
+            def counting(g, calls=calls):
+                calls.append(g)
+                return barycentric_subdivide(g)
+
+            monkeypatch.setattr(complexes_module, "barycentric_subdivide", counting)
+            out = subdivide_until(h, delta)
+            monkeypatch.undo()
+            assert len(calls) <= rounds
+            assert len(out.complex.maximal_simplices()) <= tops == 6 ** rounds
+            seen.add((len(calls) < rounds, rounds > 0))
+        # the bound is met exactly on some triangles and loose on others
+        assert seen == {(False, False), (False, True), (True, True)}
 
 
 class TestEvaluate:

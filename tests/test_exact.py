@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,16 @@ from hypothesis import strategies as st
 from plgp.exact import (
     AffineSolution,
     Echelon,
+    PackedPairings,
     _echelon_int,
+    _slot_hits,
     Matrix,
     affinely_independent,
     det,
     integer_points,
     inverse_int,
+    laplace_dual,
+    plucker,
     primitive_vector,
     rank,
     rat,
@@ -545,9 +551,9 @@ class TestEchelons:
 class TestFullRankShapes:
     """Echelon.full_rank on every shape of extra set t, k = |t| reduced rows
     in f free columns with k in 0..4 and f in 1..4, against the Fraction
-    rank of the stacked rows.  The closed forms (k = 1, k = f = 2 and
-    k = f = 3) read the kept reduced rows in place, so the test also holds
-    every kept row to its list object and its contents."""
+    rank of the stacked rows.  The closed forms (k = 1 and k = f = 2) read
+    the kept reduced rows in place, and the elimination works on copies, so
+    the test also holds every kept row to its list object and its contents."""
 
     BIG = 2**70
 
@@ -631,3 +637,163 @@ class TestFullRankShapes:
                 assert verdicts == {False}
             else:
                 assert verdicts == {True, False}, (k, f)
+
+
+class TestPlucker:
+    """plucker's maximal minors against the cofactor oracle, and the
+    generalized Laplace expansion against the Fraction det."""
+
+    def test_minors_against_the_cofactor_oracle(self):
+        rng = random.Random(65)
+        for _ in range(100):
+            k = rng.randrange(0, 4)
+            n = rng.randrange(max(k, 1), k + 4)
+            bound = 2 ** 70 if rng.random() < 0.2 else 3
+            rows = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.3:
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+            want = [
+                cofactor_det([[r[c] for c in s] for r in rows])
+                for s in combinations(range(n), k)
+            ]
+            assert plucker(rows) == want
+
+    def test_laplace_sum_equals_the_fraction_det(self):
+        # homogeneous rows (1, x), as the certificate builds them, on 200
+        # seeded square pairs; a repeated row or point makes some singular
+        rng = random.Random(66)
+        singular = 0
+        for _ in range(200):
+            k = rng.randrange(1, 5)
+            bound = 2 ** 64 if rng.random() < 0.3 else 2
+            a, b = (
+                [[1] + [rng.randrange(-bound, bound + 1) for _ in range(2 * k - 1)]
+                 for _ in range(k)]
+                for _ in range(2)
+            )
+            if rng.random() < 0.2:
+                b[0] = list(rng.choice(a))
+            got = sum(map(mul, plucker(a), laplace_dual(plucker(b), k)))
+            want = det(Matrix.from_rows(a + b))
+            assert got == want
+            singular += want == 0
+        assert 0 < singular < 200
+
+
+def decoded(packed, p, start=0):
+    """The slots of packed.slots(p, start), each read back minus the bias."""
+    data, w = packed.slots(p, start), packed.width
+    assert len(data) == w * (packed.count - start)
+    return [
+        int.from_bytes(data[s : s + w], "little") - packed.bias
+        for s in range(0, len(data), w)
+    ]
+
+
+def pairings(p, vectors):
+    return [sum(map(mul, p, q)) for q in vectors]
+
+
+class TestPackedPairings:
+    """Every slot of the packed walk is its pairing plus the bias, and zeros
+    finds exactly the zero pairings, whatever lies in the slots around."""
+
+    def check(self, vectors, ps):
+        bound = max(sum(map(abs, p)) for p in ps)
+        packed = PackedPairings(vectors, bound)
+        offset = max(abs(x) for q in vectors for x in q)
+        # W is the least multiple of 8 with bound * offset < 2^(W - 2)
+        w = packed.width
+        assert max(bound, 1) * offset < 2 ** (8 * w - 2) <= 2 ** 8 * max(bound, 1) * offset
+        for p in ps:
+            for start in range(len(vectors) + 1):
+                want = pairings(p, vectors[start:])
+                assert decoded(packed, p, start) == want
+                assert packed.zeros(p, start) == [
+                    start + j for j, x in enumerate(want) if x == 0
+                ]
+        return packed
+
+    def test_seeded_families(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            size = rng.randrange(1, 7)
+            big = 2 ** rng.randrange(1, 90)
+            vectors = [
+                [rng.randrange(-big, big + 1) for _ in range(size)]
+                for _ in range(rng.randrange(1, 12))
+            ]
+            ps = [[rng.randrange(-big, big + 1) for _ in range(size)] for _ in range(3)]
+            # a zero pairing: q orthogonal to the first p
+            p = ps[0]
+            if size > 1:
+                vectors[rng.randrange(len(vectors))] = [p[1], -p[0]] + [0] * (size - 2)
+            self.check(vectors, ps)
+
+    def test_dependent_pair_between_unit_pairings(self):
+        p = [3, -2, 5]
+        vectors = [[1, 1, 0], [0, 2, 1], [2, 3, 0], [-1, -1, 0], [0, -2, -1]]
+        assert pairings(p, vectors) == [1, 1, 0, -1, -1]
+        assert self.check(vectors, [p]).zeros(p) == [2]
+
+    def test_dependent_pair_between_pairings_at_the_bound(self):
+        # q = +-K sign(p) attains |p . q| = sum |p| * K, the bound itself
+        p = [7, -(2 ** 40), 2 ** 33 + 1]
+        big = 2 ** 50 - 3
+        sign = [1, -1, 1]
+        top = [big * s for s in sign]
+        vectors = [top, [-x for x in top], [2 ** 40, 7, 0], [-x for x in top], top]
+        bound = sum(map(abs, p))
+        assert pairings(p, vectors) == [bound * big, -bound * big, 0, -bound * big, bound * big]
+        assert self.check(vectors, [p]).zeros(p) == [2]
+
+    @pytest.mark.parametrize("bits", range(56, 73))
+    def test_extreme_coordinates_fill_the_slot(self, bits):
+        # bound * K = 2^bits - 1, with K = 2^bits - 1 and p a unit vector,
+        # or split as (2^h - 1)(2^h + 1) when bits = 2h: every slot reaches
+        # +-(2^bits - 1), on whichever side of a byte boundary bits + 2 lies
+        cases = [([1, 0], 2 ** bits - 1)]
+        if bits % 2 == 0:
+            half = bits // 2
+            cases.append(([2 ** (half - 1), -(2 ** (half - 1) + 1)], 2 ** half - 1))
+        for p, big in cases:
+            extreme = sum(map(abs, p)) * big
+            assert extreme == 2 ** bits - 1
+            vectors = [[big * (1 if x > 0 else -1) if x else big for x in p]]
+            vectors += [[-x for x in vectors[0]], [p[1], -p[0]], vectors[0]]
+            assert pairings(p, vectors) == [extreme, -extreme, 0, extreme]
+            packed = self.check(vectors, [p])
+            assert packed.width == -(-(bits + 2) // 8)
+
+    def test_a_vector_beyond_the_bound_is_refused(self):
+        packed = PackedPairings([[1, 2], [3, 4]], 5)
+        assert packed.zeros([-4, 1]) == []
+        with pytest.raises(ValueError):
+            packed.zeros([-4, 2])
+
+    def test_empty_family(self):
+        packed = PackedPairings([], 3)
+        assert packed.slots([1, 2]) == b"" and packed.zeros([1, 2]) == []
+
+
+class TestSlotHits:
+    def test_only_slot_aligned_matches(self):
+        # width 4, pattern 00 00 00 80: a match at byte 2 straddles slots 0
+        # and 1, the one at byte 8 fills slot 2
+        pattern = b"\0\0\0\x80"
+        data = b"\x07\x07\0\0" + b"\0\x80\x05\x05" + pattern + b"\0\0\0\0"
+        assert data.find(pattern) == 2
+        assert _slot_hits(data, pattern, 4) == [2]
+
+    def test_seeded_bytes_against_the_slicing_oracle(self):
+        rng = random.Random(68)
+        for _ in range(300):
+            width = rng.randrange(1, 6)
+            pattern = bytes(rng.choice(b"\0\x80") for _ in range(width))
+            data = bytes(
+                rng.choice(b"\0\0\x80\x01") for _ in range(width * rng.randrange(0, 30))
+            )
+            assert _slot_hits(data, pattern, width) == [
+                s for s in range(len(data) // width)
+                if data[s * width : (s + 1) * width] == pattern
+            ]

@@ -26,6 +26,7 @@ from plgp.errors import PerturbationBudgetError, PreconditionError
 from plgp.exact import (
     Echelon,
     Matrix,
+    PackedPairings,
     affinely_independent,
     norm_sq,
     solve_affine,
@@ -38,6 +39,7 @@ from plgp.perturb import (
     MaximalVerdicts,
     _displacement_bound,
     _draw_displacement,
+    _packed_moved,
     _top_echelon,
     certificate_to_obj,
     general_position_certificate,
@@ -319,8 +321,9 @@ def reference_pair_flags(h, tops):
     return bytes(not ok[frozenset((t1, t2))] for t1, t2 in combinations(tops, 2))
 
 
-def seeded_complex_map(rng, n, m, repeat):
-    """A random n-complex in R^m on a coarse integer grid, subdivided once.
+def seeded_complex_map(rng, n, m, repeat, pure=False):
+    """A random n-complex in R^m on a coarse integer grid, subdivided once;
+    with pure, only n-simplices, so square at m = 2n+1.
 
     repeat gives one vertex of the first top the image of another vertex
     of that top ("inside": its subdivided tops are flat) or of a vertex off
@@ -330,7 +333,8 @@ def seeded_complex_map(rng, n, m, repeat):
     """
     verts = "abcdefgh"[: rng.randrange(n + 3, n + 6)]
     maximal = [rng.sample(verts, n + 1) for _ in range(rng.randrange(2, 4))]
-    maximal.append(rng.sample(verts, rng.randrange(1, n + 1)))
+    if not pure:
+        maximal.append(rng.sample(verts, rng.randrange(1, n + 1)))
     images = {v: [rng.randrange(-1, 2) for _ in range(m)] for v in verts}
     first = maximal[0]
     if repeat == "inside":
@@ -501,6 +505,7 @@ class TestPerTopCertificate:
 
         alive = []
         full_rank = Echelon.full_rank
+        zeros = PackedPairings.zeros
 
         def checking(self, *extras):
             # tau - sigma is a whole top only when tau and sigma share no vertex
@@ -508,17 +513,25 @@ class TestPerTopCertificate:
                 alive.append(indexes[-1]() is not None)
             return full_rank(self, *extras)
 
+        def pairing(self, p, start=0):
+            # the packed walk decides only vertex-disjoint pairs
+            alive.append(indexes[-1]() is not None)
+            return zeros(self, p, start)
+
         monkeypatch.setattr(plgp.perturb, "later_sharing", watched)
         monkeypatch.setattr(Echelon, "full_rank", checking)
+        monkeypatch.setattr(PackedPairings, "zeros", pairing)
         for h in maps:
             tops = set(h.complex.maximal_simplices())
             alive.clear()
             MaximalVerdicts(h)
             assert alive and not any(alive)
 
-    # the failing pairs of each subdivided fixture map before perturbation;
-    # triangles in R^5 leave 3 free columns and edges in R^3 leave 2, so
-    # the finer maps' verdicts come from the 3x3 and 2x2 determinants
+    # the failing pairs of each subdivided fixture map before perturbation,
+    # by kernel_pair_flags on Echelon.full_rank; every fixture map is square
+    # (|sigma| + |tau| = m + 1), so the certificate decides its
+    # vertex-disjoint pairs in the packed walk, once the sharing pairs leave
+    # a vertex unmoved
     FIXTURE_FAILING = {
         ("triangles5", F(1, 2)): 30,
         ("hexagon", F(1, 4)): 738,
@@ -585,7 +598,7 @@ class TestMovedVertices:
                                       "sharing pairs cover some vertices"])
     def test_certificate_built_on_round_zero_echelons(self, monkeypatch, case):
         # when the failing tops and sharing pairs leave a vertex unmoved, the
-        # vertex-disjoint pairs are ranked on the same one Echelon per top
+        # vertex-disjoint pairs are decided with no further Echelon
         h, expected = {
             "passing": (generic_segments(), set()),
             # the sharing pair ab, bc passes; of the vertex-disjoint pairs
@@ -641,9 +654,10 @@ class TestMovedVertices:
 
 
 class TestRankedOnce:
-    """The pairs each certificate hands to Echelon.full_rank, none twice:
-    none when a top fails, only the vertex-sharing pairs when their failing
-    unions hold every vertex, and otherwise every pair of passing tops."""
+    """The pairs each certificate decides, on Echelon.full_rank or in the
+    packed walk, none twice: none when a top fails, only the vertex-sharing
+    pairs when their failing unions hold every vertex, and otherwise every
+    pair of passing tops."""
 
     def check(self, ranked_pairs, h):
         cert = MaximalVerdicts(h)
@@ -694,6 +708,95 @@ class TestRankedOnce:
         assert len(ranked_pairs) == 3
         for ranked in ranked_pairs:
             assert Counter(ranked) == pair_keys(cert, sharing=True)
+
+
+def disjoint_unions(mv, flags):
+    """The vertices of the flagged vertex-disjoint pairs of mv's tops."""
+    pairs = combinations(mv.tops, 2)
+    return set().union(
+        *(t1 | t2 for (t1, t2), bad in zip(pairs, flags) if bad and t1.isdisjoint(t2))
+    )
+
+
+class TestPackedWalk:
+    """The vertex-disjoint pairs of square maps, decided by one packed
+    Plücker walk per top, against the per-top and per-pair union ranks."""
+
+    @pytest.mark.parametrize("n,m", sorted(TestPerTopCertificate.CORPUS))
+    def test_seeded_corpora(self, n, m):
+        seed, count = TestPerTopCertificate.CORPUS[(n, m)]
+        rng = random.Random(seed + 10)
+        failing = passing = 0
+        for k in range(count):
+            h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3], pure=True)
+            h, _ = perturb_to_general_position(h1, F(1, 2), seed=k)
+            for g in (h1, h):
+                mv = MaximalVerdicts(g)
+                flags = kernel_pair_flags(mv)
+                assert flags == per_pair_flags(mv)
+                moved = _packed_moved(mv.tops, mv.images)
+                assert moved == disjoint_unions(mv, flags)
+                failing += bool(moved)
+                passing += not moved
+                check_certificate(g, reference=len(g.complex.simplices) <= 30)
+        assert failing and passing
+
+    def test_failing_top_fails_every_disjoint_pair(self):
+        # a flat triangle's Plücker vector is zero, so each of its pairs hits
+        h = map_of(
+            [["a", "b", "c"], ["d", "e", "f"], ["g", "h", "i"]],
+            {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [2, 0, 0, 0, 0],
+             "d": [0, 1, 0, 0, 0], "e": [0, 0, 1, 0, 0], "f": [0, 0, 0, 1, 0],
+             "g": [0, 0, 0, 0, 1], "h": [1, 1, 1, 1, 1], "i": [3, 1, 4, 1, 5]}, 5,
+        )
+        mv = MaximalVerdicts(h)
+        assert mv.moved == set("abcdefghi")
+        assert _packed_moved(mv.tops, mv.images) == set("abcdefghi")
+        assert disjoint_unions(mv, kernel_pair_flags(mv)) == set("abcdefghi")
+
+    SHAPES = {
+        # edges in R^3 and triangles in R^5 are square: |sigma| + |tau| = m + 1
+        "edges in R^3": (generic_segments(), True),
+        "coplanar edges in R^3": (coplanar_segments(), True),
+        "triangles in R^5": (map_of(
+            [["a", "b", "c"], ["d", "e", "f"]],
+            {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [0, 1, 0, 0, 0],
+             "d": [0, 0, 1, 0, 0], "e": [0, 0, 0, 1, 0], "f": [0, 0, 0, 0, 1]}, 5,
+        ), True),
+        "edges in R^5": (two_segments(
+            [0] * 5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]
+        ), False),
+        "a triangle beside an edge in R^5": (map_of(
+            [["a", "b", "c"], ["d", "e"]],
+            {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [0, 1, 0, 0, 0],
+             "d": [0, 0, 1, 0, 0], "e": [0, 0, 0, 1, 0]}, 5,
+        ), False),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_square_maps_take_the_packed_walk(self, monkeypatch, shape):
+        h, square = self.SHAPES[shape]
+        walks = []
+        packed_moved = plgp.perturb._packed_moved
+        full_rank = Echelon.full_rank
+        tops = set(h.complex.maximal_simplices())
+
+        def packed(*args):
+            walks.append("packed")
+            return packed_moved(*args)
+
+        def ranking(self, *extras):
+            # tau - sigma is a whole top only when tau and sigma share no vertex
+            if any(t in tops for t in extras):
+                walks.append("echelon")
+            return full_rank(self, *extras)
+
+        monkeypatch.setattr(plgp.perturb, "_packed_moved", packed)
+        monkeypatch.setattr(Echelon, "full_rank", ranking)
+        mv = MaximalVerdicts(h)
+        assert set(walks) == {"packed" if square else "echelon"}
+        flags = kernel_pair_flags(mv)
+        assert mv.moved == set().union(*failing_unions(mv, flags))
 
 
 class TestPerturb:
