@@ -249,13 +249,13 @@ class Echelon:
         t, whether s's rows with t's do.  Every verdict is False when s's
         are not, with no reduction.
 
-        t's k reduced rows have f = len(free) entries each.  They cannot have
-        full rank when k > f; one row has it iff it is nonzero; and two rows
-        in two columns have it iff their 2x2 determinant is nonzero.  Each
-        reduced row is the row's remainder times the last pivot, which is
-        nonzero and so changes no rank; the tests are exact integer
-        arithmetic, and read the kept rows without changing them.  Any
-        other shape runs _echelon_int on copies.
+        t's k reduced rows have f = len(free) entries each.  One row has
+        full rank iff it is nonzero, and two rows in two columns iff their
+        2x2 determinant is nonzero.  Each reduced row is the row's remainder
+        times the last pivot, which is nonzero and so changes no rank; the
+        tests are exact integer arithmetic, and read the kept rows without
+        changing them.  Any other shape, k > f included, runs _echelon_int
+        on copies.
         """
         if not self.independent:
             return [False] * (1 + len(extras))
@@ -264,9 +264,7 @@ class Echelon:
         verdicts = [True]
         for t in extras:
             k = len(t)
-            if k > f:
-                verdicts.append(False)
-            elif k == 1:
+            if k == 1:
                 verdicts.append(any(reduce(next(iter(t)))))
             elif k == f == 2:
                 (a0, a1), (b0, b1) = map(reduce, t)

@@ -23,10 +23,11 @@ Each maximal simplex sigma is eliminated once, in one exact.Echelon about
 its first vertex: that decides sigma, and each pair of sigma with a later
 passing maximal simplex tau that shares a vertex, from the vertices
 tau - sigma reduced against sigma's echelon.  Those k reduced rows lie in
-sigma's f free columns, and the pair's rank is full iff theirs is: never
-when k > f, and for one row, or two rows in two columns, one nonzero test
-or one 2x2 determinant; any other shape takes one small elimination.  A
-pair holding a failing simplex fails without a rank.
+sigma's f free columns, and the pair's rank is full iff theirs is: for
+one row, or two rows in two columns, one nonzero test or one 2x2
+determinant; any other shape takes one small elimination.  Under
+m >= 2n+1 every pair ranked has k <= n + 1 <= m - n <= f.  A pair holding
+a failing simplex fails without a rank.
 All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.
@@ -48,11 +49,13 @@ ranked first: if one fails, every vertex moves, since its pair with each
 other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
 complexes.later_sharing.  When their failing unions hold every vertex, as
 on subdivided maps before perturbation, no other pair can add to the set;
-otherwise the vertex-disjoint pairs are decided.  Each echelon is dropped
-after its row, or in the square case all of them after the sharing pass,
-and each Plücker vector after its row.  No pair is decided twice, and no
-verdict of a top or pair is kept: the certificate is moved and overall,
-whether moved is empty.
+otherwise the vertex-disjoint pairs are decided.  Both echelon passes, and
+the probe's adjacency ranks about z (secant), read their failing unions
+off one walk, failing_unions: one Echelon.full_rank per top.  Each echelon
+is dropped after its row, or in the square case all of them after the
+sharing pass, and each Plücker vector after its row.  No pair is decided
+twice, and no verdict of a top or pair is kept: the certificate is moved
+and overall, whether moved is empty.
 """
 
 from __future__ import annotations
@@ -103,6 +106,21 @@ def _dropping(items):
         yield item
 
 
+def failing_unions(tops, rows):
+    """Per row i = (tops[i]'s Echelon, later indices j), in order: (i, None)
+    when tops[i] is dependent, else (i, j) for each j whose union with
+    tops[i] is dependent, read off one Echelon.full_rank per row."""
+    for i, (e, later) in enumerate(rows):
+        sigma = tops[i]
+        alone, *verdicts = e.full_rank(*[tops[j] - sigma for j in later])
+        if not alone:
+            yield i, None
+        else:
+            for j, ok in zip(later, verdicts):
+                if not ok:
+                    yield i, j
+
+
 def _packed_moved(tops, images) -> set:
     """The vertices of the failing vertex-disjoint pairs of tops that each
     have k vertices, with images in R^(2k-1) on one integer frame.
@@ -144,7 +162,8 @@ class MaximalVerdicts:
             # a failing top's pair with each other top fails
             moved.update(h.complex.vertices)
         else:
-            self._rank(zip(echelons, later_sharing(tops)))
+            for i, j in failing_unions(tops, zip(echelons, later_sharing(tops))):
+                moved |= tops[i] | tops[j]
             if len(moved) < len(h.complex.vertices):
                 if all(2 * len(t) == h.m + 1 for t in tops):
                     echelons.clear()  # the packed walk reads no echelon
@@ -154,21 +173,9 @@ class MaximalVerdicts:
                         [j for j in range(i + 1, len(tops)) if tops[i].isdisjoint(tops[j])]
                         for i in range(len(tops))
                     )
-                    self._rank(zip(_dropping(echelons), disjoint))
+                    for i, j in failing_unions(tops, zip(_dropping(echelons), disjoint)):
+                        moved |= tops[i] | tops[j]
         self.overall = not moved
-
-    def _rank(self, rows):
-        """Rank each pair (i, j), j in later, per row i = (tops[i]'s Echelon,
-        later): a failing pair's union joins moved."""
-        tops, moved = self.tops, self.moved
-        for i, (e, later) in enumerate(rows):
-            if later:
-                sigma = tops[i]
-                verdicts = e.full_rank(*[tops[j] - sigma for j in later])
-                if False in verdicts:
-                    for j, ok in zip(later, verdicts[1:]):
-                        if not ok:
-                            moved |= sigma | tops[j]
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""

@@ -54,7 +54,9 @@ kernel's oracle in the tests.
 
 The probe's _ProbeEchelons maps each top to its Echelon: its echelon
 rows, pivots and free columns, and the reduced rows R1(w - z) so far.  The
-ranks of (ii) build them, and the pair walk reuses them.  Only the rows
+ranks of (ii), perturb.failing_unions about z, build them; they raise on
+the first failure and return nothing.  The pair walk reuses the echelons
+and picks its vertex-disjoint pairs itself, by isdisjoint.  Only the rows
 i' <= i, the pairs (i', j) with j > i', use top i's Echelon, so secant_set
 deletes it after row i.
 
@@ -93,7 +95,7 @@ from .flats import (
     line_to_obj,
     point_to_image_distance_sq_lower,
 )
-from .perturb import GRID, general_position_certificate
+from .perturb import GRID, failing_unions, general_position_certificate
 
 PROBE_BUDGET_FACTOR = 1000
 
@@ -225,31 +227,25 @@ class _ProbeEchelons(dict):
 
 
 def _assert_adjacent_secant_free(h, z, echelons, tops):
-    """z is affinely independent of every maximal image simplex and of every
-    vertex-sharing maximal pair's image union, by integer ranks on the frame.
+    """Refuse z unless it is affinely independent of every maximal image
+    simplex and of every vertex-sharing maximal pair's image union, by
+    integer ranks on the frame; returns nothing.
 
-    Both are read off Echelon.full_rank about z: s1's echelon, and the
-    rows of s2 - s1 reduced against it.  Passing ranks also put z off the
-    image, which lies in the union of the maximal simplices' affine hulls;
-    the exact distance is computed only to word a failure.
-
-    Returns, per top index i, the set of later indices j whose tops share a
-    vertex with tops[i] (complexes.later_sharing).
+    The failures are perturb.failing_unions about z, on the tops'
+    echelons and their later vertex-sharing tops (complexes.later_sharing),
+    and the first one is raised.  Passing ranks also put z off the image,
+    which lies in the union of the maximal simplices' affine hulls; the
+    exact distance is computed only to word a failure.
     """
-
-    def fail(message):
+    rows = ((echelons[s], sorted(later)) for s, later in zip(tops, later_sharing(tops)))
+    for _, j in failing_unions(tops, rows):
         if point_to_image_distance_sq_lower(z, h) == 0:
             raise PreconditionError("probe point lies on the image")
-        raise DegenerateGeometryError(message)
-
-    sharing = later_sharing(tops)
-    for s1, later in zip(tops, sharing):
-        alone, *shared = echelons[s1].full_rank(*(tops[j] - s1 for j in sorted(later)))
-        if not alone:
-            fail("probe point affinely dependent with a maximal simplex image")
-        if not all(shared):
-            fail("probe point affinely dependent with an adjacent pair's image union")
-    return sharing
+        raise DegenerateGeometryError(
+            "probe point affinely dependent with a maximal simplex image"
+            if j is None
+            else "probe point affinely dependent with an adjacent pair's image union"
+        )
 
 
 def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
@@ -279,12 +275,12 @@ def secant_set(h: PLMap, z, certificate=None):
     if not tops:
         raise ValueError("empty complex has no image")
     echelons = _ProbeEchelons(z, cert)
-    sharing = _assert_adjacent_secant_free(h, z, echelons, tops)
+    _assert_adjacent_secant_free(h, z, echelons, tops)
     by_key = {}
     for i, s1 in enumerate(tops):
-        for j in range(i + 1, len(tops)):
-            if j not in sharing[i]:
-                for rec in echelons.records(s1, tops[j]):
+        for s2 in tops[i + 1:]:
+            if s1.isdisjoint(s2):
+                for rec in echelons.records(s1, s2):
                     by_key.setdefault(line_key(rec.line), rec)
         del echelons[s1]  # no later row uses it
     return [by_key[key] for key in sorted(by_key)]

@@ -15,6 +15,7 @@ from plgp.complexes import (
     PLMap,
     SimplicialComplex,
     plmap_from_obj,
+    plmap_to_obj,
     sorted_vertices,
     subdivide_until,
 )
@@ -922,6 +923,104 @@ class TestPairPrune:
             assert calls == brute
             sharing += sum(len(extras) for _, extras in brute)
         assert sharing >= 100
+
+
+def hinge_map():
+    """Edges ab and bc in the plane x3 = 0 and de on the vertical line
+    x1 = x2 = 2, above it: certified, tops in the order ab, bc, de."""
+    c = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["d", "e"]])
+    return PLMap(c, 3, {
+        "a": vec([0, 0, 0]), "b": vec([1, 0, 0]), "c": vec([0, 1, 0]),
+        "d": vec([2, 2, 1]), "e": vec([2, 2, 2]),
+    })
+
+
+class TestAdjacencyRefusals:
+    """The adjacency ranks' refusals, through secant_set and through
+    `plgp analyze` (exit 3, the message alone on stderr).  The first failing
+    top or union in top order is refused: on the hinge map the union of ab
+    and bc (row 0) precedes de alone (row 2)."""
+
+    ADJACENT = "probe point affinely dependent with an adjacent pair's image union"
+    TOP = "probe point affinely dependent with a maximal simplex image"
+    CASES = {
+        # in aff(ab u bc), off aff(ab) and off the image
+        "sharing-union": ("-1,-1,0", ADJACENT),
+        # on aff(ab), the first top, beyond b
+        "top": ("3,0,0", TOP),
+        # on aff(ab u bc) and on aff(de), below d: ab's row fails first
+        "union-before-later-top": ("2,2,0", ADJACENT),
+    }
+
+    def test_hinge_map(self):
+        h = hinge_map()
+        assert [sorted_vertices(t) for t in h.complex.maximal_simplices()] == [
+            ("a", "b"), ("b", "c"), ("d", "e")
+        ]
+        assert general_position_certificate(h).overall
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_secant_set(self, case):
+        z, message = self.CASES[case]
+        with pytest.raises(DegenerateGeometryError) as info:
+            secant_set(hinge_map(), vec(z.split(",")))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_analyze(self, capsys, tmp_path, case):
+        z, message = self.CASES[case]
+        path = tmp_path / "hinge.json"
+        path.write_text(json.dumps(plmap_to_obj(hinge_map())))
+        code = main(["analyze", "--map", str(path), "--z=" + z])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", message + "\n")
+
+
+class TestExtraSetsFitTheFreeColumns:
+    """Under m >= 2n+1 every extra set t that Echelon.full_rank receives,
+    from the certificate's pair passes or from secant_set's adjacency ranks,
+    has |t| <= len(free): the sharing pairs and the probe's unions about z
+    have |tau - sigma| <= n, and the non-square vertex-disjoint walk has
+    |tau| <= n + 1 <= m - n, the least free column count."""
+
+    def test_certificate_and_probe(self, monkeypatch):
+        shapes = {"certificate": [], "probe": []}
+        caller = ["certificate"]
+        full_rank = Echelon.full_rank
+
+        def spy(self, *extras):
+            shapes[caller[0]].extend((len(t), len(self.free)) for t in extras)
+            return full_rank(self, *extras)
+
+        monkeypatch.setattr(Echelon, "full_rank", spy)
+        rng = random.Random(49)
+        for n in range(4):
+            for m in (2 * n + 1, 2 * n + 2):
+                for pure in (True, False):
+                    for _ in range(3):
+                        verts = range(rng.randrange(n + 3, 3 * n + 7))
+                        sizes = [n + 1] * rng.randrange(3, 8)
+                        if not pure:
+                            sizes += [rng.randrange(1, n + 2) for _ in range(3)]
+                        c = SimplicialComplex.from_maximal(
+                            [rng.sample(verts, size) for size in sizes]
+                        )
+                        h = PLMap(c, m, {
+                            v: vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
+                            for v in c.vertices
+                        })
+                        caller[0] = "certificate"
+                        cert = MaximalVerdicts(h)
+                        assert cert.overall
+                        caller[0] = "probe"
+                        for _ in range(2):
+                            z = vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
+                            secant_set(h, z, certificate=cert)
+        for name, seen in shapes.items():
+            assert len(seen) >= 200, name
+            assert all(k <= f for k, f in seen), name
+        # the bound is met: a vertex-disjoint n-simplex on an n-simplex's echelon
+        assert any(k == f for k, f in shapes["certificate"])
 
 
 def forbid_fraction_kernels(monkeypatch):
