@@ -11,8 +11,9 @@ every interior division in the elimination is exact integer division, which
 bounds coefficient swell to minor-sized determinants.
 
 Many square determinants of one shape are decided at once as pairings of
-Plücker vectors (plucker, laplace_dual), packed into big integers by
-Kronecker substitution (PackedPairings).
+Plücker vectors (plucker, built one row at a time by expand, and
+laplace_dual), packed into big integers by Kronecker substitution
+(PackedPairings), whose slots also give the pairings' signs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import mul
 
 SQRT_SLACK = Fraction(1, 2**20)
 
@@ -289,48 +291,58 @@ def _expansions(n, r):
     ]
 
 
+def expand(minors, r, row):
+    """The maximal minors of r rows with one more row below them, yielded
+    one at a time in combinations order, from the r rows' maximal minors
+    (over len(row) columns, in combinations order) by Laplace expansion
+    along the new row."""
+    for terms in _expansions(len(row), r + 1):
+        acc = 0
+        for c, q, odd in terms:
+            if odd:
+                acc -= row[c] * minors[q]
+            else:
+                acc += row[c] * minors[q]
+        yield acc
+
+
 def plucker(rows) -> list:
     """The maximal minors of an integer matrix of k rows and n >= k columns,
     one per k-subset of the columns in combinations order: the rows'
     Plücker coordinates, all zero iff the rows are dependent.
 
     The minors of the first r rows come from those of the first r - 1 by
-    Laplace expansion along row r, so no minor is expanded twice.
+    one expand along row r, so no minor is expanded twice.
     """
-    n = len(rows[0]) if rows else 0
     minors = [1]
-    for r, row in enumerate(rows, 1):
-        expanded = []
-        for terms in _expansions(n, r):
-            acc = 0
-            for c, q, odd in terms:
-                if odd:
-                    acc -= row[c] * minors[q]
-                else:
-                    acc += row[c] * minors[q]
-            expanded.append(acc)
-        minors = expanded
+    for r, row in enumerate(rows):
+        minors = list(expand(minors, r, row))
     return minors
 
 
 @cache
-def _complements(k):
-    """Per k-subset s of range(2k), in combinations order: the index of its
-    complement and the sign of its term in the generalized Laplace
-    expansion along the first k rows, (-1)^(k(k+3)/2 + sum(s))."""
-    subsets = list(combinations(range(2 * k), k))
-    index = {s: i for i, s in enumerate(subsets)}
+def _complements(r, n):
+    """Per r-subset s of range(n), in combinations order: the index of its
+    complement among the (n - r)-subsets and the sign of its term in the
+    generalized Laplace expansion along the first r rows,
+    (-1)^(r(r+3)/2 + sum(s))."""
+    index = {s: i for i, s in enumerate(combinations(range(n), n - r))}
     return [
-        (index[tuple(c for c in range(2 * k) if c not in s)], (k * (k + 3) // 2 + sum(s)) % 2)
-        for s in subsets
+        (index[tuple(c for c in range(n) if c not in s)], (r * (r + 3) // 2 + sum(s)) % 2)
+        for s in combinations(range(n), r)
     ]
 
 
-def laplace_dual(p, k) -> list:
-    """q with det [A; B] = sum(p_s * q_s) for k x 2k integer matrices A and
-    B, p = plucker(A) and q = laplace_dual(plucker(B), k): B's minors moved
-    to the complementary column sets, with the Laplace signs."""
-    return [-p[c] if odd else p[c] for c, odd in _complements(k)]
+def laplace_dual(p, r, n=None) -> list:
+    """q with det [A; B] = sum(a_s * q_s) for integer matrices A of r rows
+    and B of n - r rows over n columns (n = 2r unless given), a = plucker(A)
+    and q = laplace_dual(plucker(B), r, n): B's minors moved to the
+    complementary column sets, with the Laplace signs."""
+    return [-p[c] if odd else p[c] for c, odd in _complements(r, 2 * r if n is None else n)]
+
+
+# a slot's top byte -> 1 when the slot lies below the bias 2^(W-1)
+_NEGATIVE = bytes(int(b < 0x80) for b in range(256))
 
 
 def _slot_hits(data, pattern, width) -> list:
@@ -384,10 +396,20 @@ class PackedPairings:
         width-byte little-endian slots; p must have sum |p_s| <= bound."""
         if sum(map(abs, p)) > self.bound:
             raise ValueError("a pairing vector exceeds the packed bound")
-        shift = 8 * self.width * start
-        total = sum(x * (column >> shift) for x, column in zip(p, self.columns))
-        total += (self.bias - self.offset * sum(p)) * (self.unit >> shift)
+        columns, unit = self.columns, self.unit
+        if start:
+            shift = 8 * self.width * start
+            columns, unit = [c >> shift for c in columns], unit >> shift
+        total = sum(map(mul, p, columns)) + (self.bias - self.offset * sum(p)) * unit
         return total.to_bytes(self.width * (self.count - start), "little")
+
+    def signs(self, p) -> tuple:
+        """(negative, zeros) for the pairings of p with every vector: bytes
+        with 1 where a pairing is negative, its slot's top byte below the
+        bias's 0x80, and 0 elsewhere; and the indices, ascending, of the zero
+        pairings, the slots equal to BIAS."""
+        data, w = self.slots(p), self.width
+        return data[w - 1 :: w].translate(_NEGATIVE), _slot_hits(data, self._bias_bytes, w)
 
     def zeros(self, p, start=0) -> list:
         """The indices j >= start, ascending, with sum(p_s * q_js) == 0: the
@@ -485,17 +507,14 @@ class AffineSolution:
 
 def primitive_vector(v) -> tuple:
     """Scale to coprime integers with positive leading nonzero entry."""
-    v = tuple(Fraction(x) for x in v)
-    if all(x == 0 for x in v):
-        return v
-    m = lcm(*(x.denominator for x in v))
-    ints = [int(x * m) for x in v]
+    v = [Fraction(x) for x in v]
+    _, ints = widen_frame(1, v)
     g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    if g == 0:
+        return tuple(v)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)
 
 
 def solve_affine(a: Matrix, b) -> AffineSolution | None:

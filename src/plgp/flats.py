@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DegenerateGeometryError, PreconditionError
@@ -35,7 +36,6 @@ from .exact import (
     solve_affine,
     vec,
     vec_add,
-    vec_dot,
     vec_scale,
     vec_sub,
     widen_frame,
@@ -202,10 +202,14 @@ def canonical_line(line: AffineFlat) -> AffineFlat:
 
 def line_through(z, direction) -> AffineFlat:
     """The canonical line through the point z along a nonzero direction of
-    rationals or ints."""
+    rationals or ints.  Its base, the point closest to the origin, is
+    (Z (d.d) - (Z.d) d) / (w (d.d)) for the primitive direction d and
+    z = Z / w, on integers: one Fraction per coordinate."""
     direction = primitive_vector(direction)
-    t = -vec_dot(z, direction) / vec_dot(direction, direction)
-    foot = vec_add(z, vec_scale(t, direction))
+    d = [x.numerator for x in direction]
+    wide, ints = widen_frame(1, z)
+    zd, dd = sum(map(mul, ints, d)), sum(map(mul, d, d))
+    foot = tuple(Fraction(a * dd - zd * b, wide * dd) for a, b in zip(ints, d))
     return AffineFlat(len(z), foot, (direction,), canonical=True)
 
 

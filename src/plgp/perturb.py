@@ -33,7 +33,8 @@ denominator, the lcm over the map, which leaves affine independence
 unchanged.
 
 The vertex-disjoint pairs are decided by Plücker coordinates when the map
-is square: every maximal simplex has k vertices and m + 1 = 2k, as for
+is square (is_square, the one test of it, which the probe's Plücker walk in
+secant shares): every maximal simplex has k vertices and m + 1 = 2k, as for
 n-simplices at m = 2n+1.  Then a pair's 2k homogeneous rows (1, image) make
 a square matrix, independent iff its determinant is nonzero, and the
 generalized Laplace expansion makes that determinant a pairing of the two
@@ -41,7 +42,9 @@ simplices' Plücker vectors (exact.plucker, exact.laplace_dual).  One
 exact.PackedPairings decides each top's pairings with every later top in
 one big-integer walk; no echelon is kept for it.  Any other shape (m > 2n+1,
 or maximal simplices of mixed dimension) ranks its vertex-disjoint pairs on
-the echelons, as the sharing pairs are ranked.
+the echelons, as the sharing pairs are ranked.  A passing certificate of a
+square map also keeps, built on the first probe's request, the Plücker
+vectors and facet duals every probe of the map reads (FacetPairings).
 
 A resample round moves exactly the vertices of the failing unions, which
 every certificate, round 0's included, collects as moved.  The tops are
@@ -50,22 +53,24 @@ other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
 complexes.later_sharing.  When their failing unions hold every vertex, as
 on subdivided maps before perturbation, no other pair can add to the set;
 otherwise the vertex-disjoint pairs are decided.  Both echelon passes, and
-the probe's adjacency ranks about z (secant), read their failing unions
-off one walk, failing_unions: one Echelon.full_rank per top.  Each echelon
-is dropped after its row, or in the square case all of them after the
-sharing pass, and each Plücker vector after its row.  No pair is decided
-twice, and no verdict of a top or pair is kept: the certificate is moved
-and overall, whether moved is empty.
+the probe's adjacency ranks about z on a map that is not square (secant),
+read their failing unions off one walk, failing_unions: one
+Echelon.full_rank per top.  Each echelon is dropped after its row, or in
+the square case all of them after the sharing pass, and each Plücker
+vector after its row.  No pair is decided twice, and no verdict of a top
+or pair is kept: the certificate is moved and overall, whether moved is
+empty.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 
-from .complexes import PLMap, integer_images, later_sharing
+from .complexes import PLMap, integer_images, later_sharing, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
     Echelon,
@@ -121,6 +126,14 @@ def failing_unions(tops, rows):
                     yield i, j
 
 
+def is_square(tops, m) -> bool:
+    """Whether every top has k vertices with m + 1 = 2k, as n-simplices at
+    m = 2n+1: then a vertex-disjoint pair's 2k homogeneous rows (1, image)
+    make a square matrix.  The certificate's packed walk and the probe's
+    Plücker walk (secant) run on exactly these maps."""
+    return all(2 * len(t) == m + 1 for t in tops)
+
+
 def _packed_moved(tops, images) -> set:
     """The vertices of the failing vertex-disjoint pairs of tops that each
     have k vertices, with images in R^(2k-1) on one integer frame.
@@ -146,6 +159,55 @@ def _packed_moved(tops, images) -> set:
     return moved
 
 
+class FacetPairings:
+    """A square map's Plücker data on the certificate's integer frame, read
+    by the probe's walk (secant).  Per top: its sorted vertices, its rows
+    (1, image) and their Plücker vector.  packed(bound) holds, per top and
+    facet t, the top without its t-th vertex, the dual (exact.laplace_dual)
+    of the facet's Plücker vector against k + 1 rows of 2k columns, negated
+    when t is odd, in top-major order, in one exact.PackedPairings; the
+    duals live only while they are packed, and are packed again only when
+    a bound exceeds the packing's own."""
+
+    def __init__(self, tops, images):
+        self.k = len(tops[0])
+        self.images = images
+        self.vertices = [sorted_vertices(t) for t in tops]
+        ps = [plucker(self.rows(i)) for i in range(len(tops))]
+        # each vector as fixed-width signed bytes, a fraction of its ints'
+        # memory, since the certificate keeps them for every probe
+        self._width = w = (max(abs(x) for p in ps for x in p).bit_length() + 8) // 8
+        self._pluckers = [b"".join(x.to_bytes(w, "little", signed=True) for x in p) for p in ps]
+        self._packed = None
+
+    def rows(self, i) -> list:
+        """Top i's rows (1, image), its vertices in sorted order."""
+        return [(1, *self.images[v]) for v in self.vertices[i]]
+
+    def top_plucker(self, i) -> list:
+        """Top i's Plücker vector."""
+        data, w = self._pluckers[i], self._width
+        return [
+            int.from_bytes(data[o : o + w], "little", signed=True)
+            for o in range(0, len(data), w)
+        ]
+
+    def _duals(self):
+        k = self.k
+        for i in range(len(self.vertices)):
+            rows = self.rows(i)
+            for t in range(k):
+                q = laplace_dual(plucker(rows[:t] + rows[t + 1:]), k + 1, 2 * k)
+                yield [-x for x in q] if t % 2 else q
+
+    def packed(self, bound) -> PackedPairings:
+        """The duals packed for pairing vectors p with sum |p| <= bound."""
+        if self._packed is None or self._packed.bound < bound:
+            # a power of two, so the probes of one map mostly share a packing
+            self._packed = PackedPairings(list(self._duals()), 1 << bound.bit_length())
+        return self._packed
+
+
 class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
     simplices and on every pair of distinct ones, kept as moved, the
@@ -165,7 +227,7 @@ class MaximalVerdicts:
             for i, j in failing_unions(tops, zip(echelons, later_sharing(tops))):
                 moved |= tops[i] | tops[j]
             if len(moved) < len(h.complex.vertices):
-                if all(2 * len(t) == h.m + 1 for t in tops):
+                if is_square(tops, h.m):
                     echelons.clear()  # the packed walk reads no echelon
                     moved |= _packed_moved(tops, self.images)
                 else:
@@ -176,6 +238,12 @@ class MaximalVerdicts:
                     for i, j in failing_unions(tops, zip(_dropping(echelons), disjoint)):
                         moved |= tops[i] | tops[j]
         self.overall = not moved
+
+    @cached_property
+    def facet_pairings(self) -> FacetPairings:
+        """The FacetPairings of a square map, built on first use and kept:
+        every probe of the map reads the same ones."""
+        return FacetPairings(self.tops, self.images)
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""

@@ -12,12 +12,52 @@ degenerate input, not a miss.  Those ranks also prove z off the image (every
 image point lies in the affine hull of a maximal simplex), so the exact
 distance to the image is computed only to word a failed rank.
 
-Each vertex-disjoint pair is decided, and its record built, from two small
-systems on Python ints: the images and z are scaled by one common
+Everything runs on Python ints: the images and z are scaled by one common
 denominator per map and probe.  For s1 = conv(v_i) and s2 = conv(w_j), a
 secant through z is points p1 = sum mu_i v_i and p2 = sum nu_j w_j, with
 mu >= 0 and nu >= 0 each summing to 1, such that p1 - z and p2 - z are
-nonzero and parallel.  With one exact.Echelon per top about z, the row
+nonzero and parallel.
+
+On a square map (perturb.is_square, the certificate's test too: every
+maximal simplex has k vertices and m + 1 = 2k) every top and pair is
+decided by the signs of determinants, and no elimination runs.  Write
+x^ = (1, x).  The certificate makes the 2k rows v_i^, w_j^ a basis of
+R^(2k), so z^ = sum alpha_i v_i^ + sum beta_j w_j^ for unique alpha and
+beta, and by Cramer's rule, each up to one nonzero factor,
+
+    beta_j  ~ (-1)^j det(z^, s1^, s2^ without w_j^),
+    alpha_i ~ (-1)^i det(z^, s2^, s1^ without v_i^).
+
+A secant has z = lambda p1 + (1 - lambda) p2 with lambda neither 0 nor 1,
+since z is off the image, so z^ = sum lambda mu_i v_i^ + sum (1 - lambda)
+nu_j w_j^, and by uniqueness alpha = lambda mu and beta = (1 - lambda) nu:
+neither holds two strict signs.  Conversely, let neither hold two strict
+signs.  alpha = 0 would put z^ in the span of s2^, so z in aff(s2), and
+beta = 0 z in aff(s1), which (ii) refuses; so lambda = sum alpha and
+1 - lambda = sum beta are nonzero, mu = alpha / sum alpha and
+nu = beta / sum beta are convex weights, and z = lambda p1 + (1 - lambda) p2
+lies on the line through p1 and p2, which differ since aff(s1) misses
+aff(s2).  So a pair carries a secant iff neither alpha nor beta holds two
+strict signs, and then exactly one, with witnesses mu and nu and no solve.
+
+The determinants pair Plücker vectors.  J1, the maximal minors of the
+k + 1 rows s1^, z^, is s1's Plücker vector expanded by z^'s row
+(exact.expand), and det(s1^, z^, s2^ without w_j^) is its pairing with
+the dual of that facet of s2 (exact.laplace_dual, k + 1 rows over k - 1).
+The certificate packs every top's facet duals once
+(perturb.FacetPairings); one exact.PackedPairings walk per top sigma gives
+J_sigma's pairing with every facet of every top, whose top bytes are the
+signs: pair (s1, s2)'s beta signs lie in s1's row and its alpha signs in
+s2's.  The same walk decides (ii): z is in aff(sigma) iff J_sigma = 0; a
+pair sharing one vertex u has its union with z square, dependent iff
+J_sigma's pairing with tau's facet without u is zero; a pair sharing more
+is dependent iff J_sigma expanded by the rows of tau - sigma is zero.
+The first failure in top order is refused, as the echelon ranks below
+refuse it.  Each kept pair's record is read off its 2k determinants, in
+the order of the pairs, so the first record per line is the same.
+
+Any other shape takes two small systems per pair.  With one
+exact.Echelon per top about z, the row
 x reduced against s1's Echelon, the rows v_i - z, is R1(x), its entries in
 the free columns: a linear map whose kernel is exactly the span of
 the v_i - z, the direction space of the join J1 = aff(z u s1).  So
@@ -50,7 +90,7 @@ through z and a point of s2 lies in aff(s2), which misses s1, and R2's
 kernel is then dir(s2), so the second system would put p1 on aff(s2) and
 is inconsistent.  The same holds for z in aff(s1), with the roles swapped.
 The flats construction (joins, intersections, line-simplex solves) is the
-kernel's oracle in the tests.
+oracle of both walks in the tests, and the echelon walk the Plücker walk's.
 
 The probe's _ProbeEchelons maps each top to its Echelon: its echelon
 rows, pivots and free columns, and the reduced rows R1(w - z) so far.  The
@@ -75,6 +115,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 
 from .complexes import BarycentricPoint, PLMap, later_sharing, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
@@ -82,6 +124,7 @@ from .exact import (
     Echelon,
     _echelon_int,
     _solve_echelon_int,
+    expand,
     norm_sq,
     rat,
     rat_str,
@@ -95,7 +138,7 @@ from .flats import (
     line_to_obj,
     point_to_image_distance_sq_lower,
 )
-from .perturb import GRID, failing_unions, general_position_certificate
+from .perturb import GRID, failing_unions, general_position_certificate, is_square
 
 PROBE_BUDGET_FACTOR = 1000
 
@@ -105,11 +148,6 @@ class SecantRecord:
     line: object          # canonical AffineFlat, d=1
     z: tuple
     witnesses: tuple      # two (simplex, image point, BarycentricPoint) entries
-
-    @property
-    def pair(self) -> tuple:
-        """The source simplex pair: the witnesses' simplices."""
-        return self.witnesses[0][0], self.witnesses[1][0]
 
 
 @dataclass(frozen=True)
@@ -145,20 +183,62 @@ def certified(h, certificate=None):
     return cert
 
 
+def _probe_frame(z, cert):
+    """(scale, origin, points): z and the map's vertex images, all
+    multiplied by one common denominator, scale, as integers.  The
+    certificate already holds the map's integer images; only z's
+    denominators can widen the scale."""
+    scale, origin = widen_frame(cert.scale, z)
+    points = cert.images
+    if scale != cert.scale:
+        f = scale // cert.scale
+        points = {v: tuple(f * x for x in p) for v, p in points.items()}
+    return scale, origin, points
+
+
+def _witness(frame, s, weights):
+    """The witness (s, point, BarycentricPoint) for weights (vertices, d, w),
+    w / d on s's sorted vertices, and scale * d * (point - z) in integers,
+    on the frame of a probe (_probe_frame)."""
+    verts, d, nu = weights
+    num = [
+        sum(t * frame.points[w][r] for t, w in zip(nu, verts))
+        for r in range(len(frame.origin))
+    ]
+    point = tuple(Fraction(a, d * frame.scale) for a in num)
+    bary = BarycentricPoint(verts, tuple(Fraction(t, d) for t in nu))
+    return (s, point, bary), [a - d * c for a, c in zip(num, frame.origin)]
+
+
+def _secant_record(frame, s1, mu, s2, nu) -> list:
+    """[the secant record] of the vertex-disjoint pair (s1, s2) with
+    weights mu on s1 and nu on s2, each (vertices, d, w), on a probe's
+    frame: the witnesses, and the line through z along p2 - z."""
+    witness1, gap1 = _witness(frame, s1, mu)
+    witness2, gap2 = _witness(frame, s2, nu)
+    # p1 - z and p2 - z are nonzero and parallel: every 2 x 2 minor is 0
+    assert any(gap1) and any(gap2) and all(
+        a * gap2[j] == gap1[j] * b
+        for i, (a, b) in enumerate(zip(gap1, gap2))
+        for j in range(i)
+    )
+    return [
+        SecantRecord(
+            line=line_through(frame.z, gap2),
+            z=frame.z,
+            witnesses=(witness1, witness2),
+        )
+    ]
+
+
 class _ProbeEchelons(dict):
     """One probe's Echelon of each vertex set about z, built on first use, on
-    the map's vertex images and z all multiplied by one common denominator.
-    The certificate (the map's MaximalVerdicts) already holds the map's
-    integer images; only z's denominators can widen the scale."""
+    the probe's frame (_probe_frame)."""
 
     def __init__(self, z, cert):
         super().__init__()
         self.z = z
-        self.scale, self.origin = widen_frame(cert.scale, z)
-        self.points = cert.images
-        if self.scale != cert.scale:
-            f = self.scale // cert.scale
-            self.points = {v: tuple(f * x for x in p) for v, p in self.points.items()}
+        self.scale, self.origin, self.points = _probe_frame(z, cert)
 
     def __missing__(self, s):
         e = self[s] = Echelon(self.points, self.origin, s)
@@ -188,18 +268,6 @@ class _ProbeEchelons(dict):
             return None
         return verts, d, nu
 
-    def _witness(self, s, weights):
-        """The witness (s, point, BarycentricPoint) for weights nu / d on s's
-        vertices, and scale * d * (point - z) in integers."""
-        verts, d, nu = weights
-        num = [
-            sum(t * self.points[w][r] for t, w in zip(nu, verts))
-            for r in range(len(self.origin))
-        ]
-        point = tuple(Fraction(a, d * self.scale) for a in num)
-        bary = BarycentricPoint(verts, tuple(Fraction(t, d) for t in nu))
-        return (s, point, bary), [a - d * c for a, c in zip(num, self.origin)]
-
     def records(self, s1, s2):
         """Secant records for one vertex-disjoint pair (length <= 1), read off
         its two small systems (module docstring)."""
@@ -209,21 +277,24 @@ class _ProbeEchelons(dict):
         mu = self._weights(s2, s1)
         if mu is None:
             return []
-        witness1, gap1 = self._witness(s1, mu)
-        witness2, gap2 = self._witness(s2, nu)
-        # p1 - z and p2 - z are nonzero and parallel: every 2 x 2 minor is 0
-        assert any(gap1) and any(gap2) and all(
-            a * gap2[j] == gap1[j] * b
-            for i, (a, b) in enumerate(zip(gap1, gap2))
-            for j in range(i)
-        )
-        return [
-            SecantRecord(
-                line=line_through(self.z, gap2),
-                z=self.z,
-                witnesses=(witness1, witness2),
-            )
-        ]
+        return _secant_record(self, s1, mu, s2, nu)
+
+
+# bytes 0 and 1 -> the digits int() reads in base 2
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _refuse(h, z, top):
+    """Raise the refusal of a z affinely dependent with a maximal simplex
+    image (top) or with a vertex-sharing pair's union; the exact distance to
+    the image is computed only to word it."""
+    if point_to_image_distance_sq_lower(z, h) == 0:
+        raise PreconditionError("probe point lies on the image")
+    raise DegenerateGeometryError(
+        "probe point affinely dependent with a maximal simplex image"
+        if top
+        else "probe point affinely dependent with an adjacent pair's image union"
+    )
 
 
 def _assert_adjacent_secant_free(h, z, echelons, tops):
@@ -234,18 +305,127 @@ def _assert_adjacent_secant_free(h, z, echelons, tops):
     The failures are perturb.failing_unions about z, on the tops'
     echelons and their later vertex-sharing tops (complexes.later_sharing),
     and the first one is raised.  Passing ranks also put z off the image,
-    which lies in the union of the maximal simplices' affine hulls; the
-    exact distance is computed only to word a failure.
+    which lies in the union of the maximal simplices' affine hulls.
     """
     rows = ((echelons[s], sorted(later)) for s, later in zip(tops, later_sharing(tops)))
     for _, j in failing_unions(tops, rows):
-        if point_to_image_distance_sq_lower(z, h) == 0:
-            raise PreconditionError("probe point lies on the image")
-        raise DegenerateGeometryError(
-            "probe point affinely dependent with a maximal simplex image"
-            if j is None
-            else "probe point affinely dependent with an adjacent pair's image union"
-        )
+        _refuse(h, z, j is None)
+
+
+def _echelon_walk(h, z, cert, tops):
+    """The records of the vertex-disjoint pairs (i, j), i < j, in order, on
+    one probe's echelons, after the adjacency ranks; each top's Echelon is
+    dropped after its row."""
+    echelons = _ProbeEchelons(z, cert)
+    _assert_adjacent_secant_free(h, z, echelons, tops)
+    for i, s1 in enumerate(tops):
+        for s2 in tops[i + 1:]:
+            if s1.isdisjoint(s2):
+                yield from echelons.records(s1, s2)
+        del echelons[s1]  # no later row uses it
+
+
+class _PluckerProbe:
+    """One probe's walk on a square map (perturb.is_square), read off the
+    certificate's FacetPairings (module docstring): per top sigma the join
+    vector J, sigma's Plücker vector expanded by the row of z, and its
+    pairings with every top's facets, whose signs decide every pair."""
+
+    def __init__(self, h, z, cert, tops):
+        self.h, self.z, self.tops = h, z, tops
+        self.facets = facets = cert.facet_pairings
+        self.scale, self.origin, self.points = _probe_frame(z, cert)
+        # (1, z) on the certificate's frame, times scale // cert.scale
+        row = (self.scale // cert.scale, *self.origin)
+        self.joins = [list(expand(facets.top_plucker(i), facets.k, row)) for i in range(len(tops))]
+
+    def _independent(self, i, j, zeros) -> bool:
+        """Whether z with the union of tops i < j, which share a vertex, is
+        affinely independent: for one shared vertex, the pairing of J_i with
+        j's facet without it is nonzero; otherwise J_i expanded by the rows
+        of tops[j] - tops[i] is."""
+        sigma, tau = self.tops[i], self.tops[j]
+        shared = sigma & tau
+        if len(shared) == 1:
+            t = self.facets.vertices[j].index(next(iter(shared)))
+            return j * self.facets.k + t not in zeros
+        minors, r = self.joins[i], self.facets.k + 1
+        *rest, last = tau - sigma
+        for v in rest:
+            minors = list(expand(minors, r, (1, *self.facets.images[v])))
+            r += 1
+        # the first nonzero minor decides
+        return any(expand(minors, r, (1, *self.facets.images[last])))
+
+    def _fails(self) -> list:
+        """Per top i, an int whose bit j is set when J_i's pairings with j's
+        facets hold both strict signs; refuses z on the way, top by top, as
+        _assert_adjacent_secant_free does."""
+        tops, joins, k = self.tops, self.joins, self.facets.k
+        count = len(tops)
+        packed = self.facets.packed(max(sum(map(abs, j)) for j in joins))
+        fails = []
+        for i, later in enumerate(later_sharing(tops)):
+            if not any(joins[i]):
+                _refuse(self.h, self.z, True)
+            negative, zeros = packed.signs(joins[i])
+            for j in sorted(later):
+                if not self._independent(i, j, zeros):
+                    _refuse(self.h, self.z, False)
+            # per top j, whether some but not all of its k slots are negative:
+            # one byte per top, then one bit
+            strided = [int.from_bytes(negative[t::k], "little") for t in range(k)]
+            some, every = reduce(or_, strided), reduce(and_, strided)
+            row = int((some ^ every).to_bytes(count, "big").translate(_DIGITS), 2)
+            for j in {s // k for s in zeros}:
+                # a zero slot is neither sign; a zero of a vertex-sharing
+                # pair, whose determinant repeats a row, is never read
+                if tops[i].isdisjoint(tops[j]):
+                    block = range(j * k, (j + 1) * k)
+                    both = any(negative[s] for s in block) and any(
+                        not negative[s] and s not in zeros for s in block
+                    )
+                    row = row | 1 << j if both else row & ~(1 << j)
+            fails.append(row)
+        return fails
+
+    def _weights(self, i, j) -> list:
+        """Per facet t of top j, the top without its t-th vertex, (-1)^t
+        det(tops[i]^, z^, facet^): J_i expanded by the facet's rows, the
+        pairing whose sign the walk read."""
+        k, rows = self.facets.k, self.facets.rows(j)
+        weights = []
+        for t in range(k):
+            minors = self.joins[i]
+            for r, row in enumerate(rows[:t] + rows[t + 1:], k + 1):
+                minors = list(expand(minors, r, row))
+            weights.append(-minors[0] if t % 2 else minors[0])
+        return weights
+
+    def records(self, i, j):
+        """The secant record of the vertex-disjoint pair (tops[i], tops[j])
+        whose weights hold no two strict signs: alpha off J_j and i's
+        facets, beta off J_i and j's facets (length 1)."""
+        alpha, beta = self._weights(j, i), self._weights(i, j)
+        mu = self.facets.vertices[i], sum(alpha), alpha
+        nu = self.facets.vertices[j], sum(beta), beta
+        return _secant_record(self, self.tops[i], mu, self.tops[j], nu)
+
+    def walk(self):
+        """The records of the vertex-disjoint pairs (i, j), i < j, in order,
+        that neither sign test drops."""
+        fails = self._fails()
+        count = len(self.tops)
+        for i, sigma in enumerate(self.tops):
+            # digit j is row i's bit j; a set digit past the last top
+            digits = format(fails[i] | 1 << count, "b")[::-1]
+            j = digits.find("0", i + 1)
+            while j >= 0:
+                if not fails[j] >> i & 1 and sigma.isdisjoint(self.tops[j]):
+                    yield from self.records(i, j)
+                j = digits.find("0", j + 1)
+            # no later row reads row i's bits or J_i
+            fails[i] = self.joins[i] = None
 
 
 def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
@@ -274,15 +454,13 @@ def secant_set(h: PLMap, z, certificate=None):
     tops = h.complex.maximal_simplices()
     if not tops:
         raise ValueError("empty complex has no image")
-    echelons = _ProbeEchelons(z, cert)
-    _assert_adjacent_secant_free(h, z, echelons, tops)
+    if is_square(tops, h.m):
+        found = _PluckerProbe(h, z, cert, tops).walk()
+    else:
+        found = _echelon_walk(h, z, cert, tops)
     by_key = {}
-    for i, s1 in enumerate(tops):
-        for s2 in tops[i + 1:]:
-            if s1.isdisjoint(s2):
-                for rec in echelons.records(s1, s2):
-                    by_key.setdefault(line_key(rec.line), rec)
-        del echelons[s1]  # no later row uses it
+    for rec in found:
+        by_key.setdefault(line_key(rec.line), rec)
     return [by_key[key] for key in sorted(by_key)]
 
 

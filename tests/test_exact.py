@@ -25,6 +25,7 @@ from plgp.exact import (
     Matrix,
     affinely_independent,
     det,
+    expand,
     integer_points,
     inverse_int,
     laplace_dual,
@@ -679,6 +680,43 @@ class TestPlucker:
             singular += want == 0
         assert 0 < singular < 200
 
+    def test_dual_of_any_split_equals_the_fraction_det(self):
+        # A of r rows over B of n - r rows, every 0 <= r <= n <= 6, as the
+        # probe pairs k + 1 rows with a facet's k - 1
+        rng = random.Random(69)
+        singular = 0
+        for n in range(7):
+            for r in range(n + 1):
+                for _ in range(12):
+                    bound = 2 ** 40 if rng.random() < 0.3 else 3
+                    rows = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
+                    if n > 1 and rng.random() < 0.2:
+                        i, j = rng.sample(range(n), 2)
+                        rows[i] = [2 * x for x in rows[j]]
+                    a, b = rows[:r], rows[r:]
+                    got = sum(map(mul, plucker(a), laplace_dual(plucker(b), r, n)))
+                    want = det(Matrix.from_rows(rows))
+                    assert got == want, (n, r)
+                    singular += want == 0
+        assert 0 < singular
+
+    def test_chained_expand_equals_plucker(self):
+        # expand adds one row to any prefix's minors, as the probe expands a
+        # top's Plücker vector by the row of z
+        rng = random.Random(70)
+        for _ in range(60):
+            k = rng.randrange(0, 5)
+            n = rng.randrange(max(k, 1), k + 4)
+            rows = [[rng.randrange(-2 ** 40, 2 ** 40) for _ in range(n)] for _ in range(k)]
+            minors = [1]
+            for r, row in enumerate(rows):
+                assert minors == plucker(rows[:r])
+                minors = list(expand(minors, r, row))
+            assert minors == plucker(rows) == [
+                cofactor_det([[row[c] for c in s] for row in rows])
+                for s in combinations(range(n), k)
+            ]
+
 
 def decoded(packed, p, start=0):
     """The slots of packed.slots(p, start), each read back minus the bias."""
@@ -712,6 +750,10 @@ class TestPackedPairings:
                 assert packed.zeros(p, start) == [
                     start + j for j, x in enumerate(want) if x == 0
                 ]
+            want = pairings(p, vectors)
+            assert packed.signs(p) == (
+                bytes(x < 0 for x in want), [j for j, x in enumerate(want) if x == 0]
+            )
         return packed
 
     def test_seeded_families(self):

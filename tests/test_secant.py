@@ -33,11 +33,13 @@ from plgp.flats import (
 from plgp.perturb import (
     MaximalVerdicts,
     general_position_certificate,
+    is_square,
     perturb_to_general_position,
 )
 from plgp.secant import (
     CoverCertificate,
     SecantRecord,
+    _PluckerProbe,
     _ProbeEchelons,
     cover_certificate_to_obj,
     cover_parameters,
@@ -216,10 +218,12 @@ class TestSecantSet:
         q = combination(h, far, [F(1, 2), F(1, 4), F(1, 4)])
         z = tuple(2 * b - a for a, b in zip(p, q))
         on_edge = secants_for_pair(h, z, edge, far, certificate=cert)
-        assert [r.pair for r in on_edge] == [(edge, far)]
+        assert [(r.witnesses[0][0], r.witnesses[1][0]) for r in on_edge] == [(edge, far)]
         assert {p, q} == {w[1] for w in on_edge[0].witnesses}
         whole = secant_set(h, z, certificate=cert)
-        assert [r.pair for r in whole] == [(frozenset("abc"), far)]
+        assert [(r.witnesses[0][0], r.witnesses[1][0]) for r in whole] == [
+            (frozenset("abc"), far)
+        ]
         assert line_key(whole[0].line) == line_key(on_edge[0].line)
 
     def test_adjacent_collinearity_is_degenerate(self):
@@ -250,7 +254,8 @@ class TestSecantSet:
                 "weights": [rat_str(w) for w in x2.weights],
             }
             assert pair["line"] == line_to_obj(rec.line)
-            assert rec.pair == (s1, s2)
+            assert pair["preimage1"]["simplex"] == list(sorted_vertices(s1))
+            assert pair["preimage2"]["simplex"] == list(sorted_vertices(s2))
 
     def test_record_serialization_shape(self):
         h = quad_map()
@@ -441,36 +446,64 @@ def test_probe_serializes_each_record_line_once(capsys, monkeypatch, tmp_path):
         assert [b["line"] for b in balls] == [r["line"] for r in sample["records"]]
 
 
+def padded_map(h, extra):
+    """h with each image followed by extra zero coordinates."""
+    return PLMap(h.complex, h.m + extra, {
+        v: p + (F(0),) * extra for v, p in h.images.items()
+    })
+
+
 def test_probe_releases_each_echelon_after_its_row(monkeypatch):
-    # secant_set keeps no top's Echelon past its row (i, j), j > i, and
-    # builds each top's Echelon once per probe, so none is rebuilt after it
-    # is released
+    # on a square map secant_set builds no Echelon: the Plücker walk
+    # decides every top and pair; on a map in R^6, past 2n+1, it builds each
+    # top's Echelon once per probe and keeps none past its row (i, j), j > i,
+    # so none is rebuilt after it is released
     fixture = Path(plgp.__file__).parent / "fixtures" / "triangles5.json"
     h0 = plmap_from_obj(json.loads(fixture.read_text()))
+    built = []
+    init = Echelon.__init__
+
+    def spy_init(self, points, origin, s):
+        built.append(s)
+        init(self, points, origin, s)
+
+    monkeypatch.setattr(Echelon, "__init__", spy_init)
     delta = F(1, 4)
     h, report = perturb_to_general_position(subdivide_until(h0, delta), delta, seed=7)
+    found = 0
+    for probe in probe_region_samples(h, 3, 3, seed=7):
+        built.clear()
+        found += len(secant_set(h, probe.z, certificate=report.certificate))
+        assert built == []
+    assert found > 0
+
+    delta = F(1, 2)
+    h, report = perturb_to_general_position(
+        subdivide_until(padded_map(h0, 1), delta), delta, seed=7
+    )
     tops = h.complex.maximal_simplices()
     row = {s: i for i, s in enumerate(tops)}
-    built, stale = [], []
-    missing, records = _ProbeEchelons.__missing__, _ProbeEchelons.records
-
-    def spy_missing(self, s):
-        built.append(s)
-        return missing(self, s)
+    stale = []
+    records = _ProbeEchelons.records
 
     def spy_records(self, s1, s2):
         stale.extend(s for s in tops[: row[s1]] if s in self)
         return records(self, s1, s2)
 
-    monkeypatch.setattr(_ProbeEchelons, "__missing__", spy_missing)
     monkeypatch.setattr(_ProbeEchelons, "records", spy_records)
+    # past 2n+1 a random z has no secant: z on a chord of two disjoint tops
+    rng = random.Random(7)
     found = 0
-    for probe in probe_region_samples(h, 3, 3, seed=7):
+    for _ in range(3):
+        s1, s2 = rng.choice(candidate_pairs(h))
+        p = combination(h, s1, affine_weights(rng, len(s1), True))
+        q = combination(h, s2, affine_weights(rng, len(s2), True))
         built.clear()
-        found += len(secant_set(h, probe.z, certificate=report.certificate))
+        z = tuple(a + F(5, 2) * (b - a) for a, b in zip(p, q))
+        found += len(secant_set(h, z, certificate=report.certificate))
         assert sorted(built, key=row.get) == tops
         assert stale == []
-    assert found > 0
+    assert found >= 3
 
 
 class TestProbeRegion:
@@ -601,7 +634,7 @@ class TestKernelOracle:
                 records = run()
             except Exception as exc:  # noqa: BLE001 - compared by type
                 return type(exc)
-            return [(line_key(r.line), r.witnesses, r.pair) for r in records]
+            return [(line_key(r.line), r.witnesses) for r in records]
 
         kernel = outcome(lambda: _ProbeEchelons(z, cert).records(s1, s2))
         oracle = outcome(lambda: flats_pair_records(h, z, s1, s2))
@@ -835,16 +868,24 @@ class TestPairPrune:
         assert records >= 5 and dropped >= records
 
     def test_records_take_the_candidate_pairs_in_order(self, monkeypatch):
-        # secant_set walks the vertex-disjoint pairs off the sharing index:
-        # every pair once, in the order of the plain double loop
+        # secant_set takes the vertex-disjoint pairs in the order of the
+        # plain double loop, every pair once on the echelon walk; the square
+        # maps, (n, m) = (0, 1) here, take the Plücker walk, whose sign tests
+        # keep every pair of points in R^1
         calls = []
         records = _ProbeEchelons.records
+        plucker_records = _PluckerProbe.records
 
         def spy(self, s1, s2):
             calls.append((s1, s2))
             return records(self, s1, s2)
 
+        def plucker_spy(self, i, j):
+            calls.append((self.tops[i], self.tops[j]))
+            return plucker_records(self, i, j)
+
         monkeypatch.setattr(_ProbeEchelons, "records", spy)
+        monkeypatch.setattr(_PluckerProbe, "records", plucker_spy)
         rng = random.Random(47)
         walked = 0
         for (n, m), maximal in sorted(PRUNE_COMPLEXES.items()):
@@ -923,6 +964,193 @@ class TestPairPrune:
             assert calls == brute
             sharing += sum(len(extras) for _, extras in brute)
         assert sharing >= 100
+
+
+SQUARE_COMPLEXES = {
+    # (n, m) with m = 2n+1 and every top an n-simplex: tops sharing n, ...,
+    # 1 vertices and vertex-disjoint ones
+    (0, 1): [["a"], ["b"], ["c"], ["d"], ["e"]],
+    (1, 3): [["a", "b"], ["b", "c"], ["c", "d"], ["e", "f"], ["g", "h"], ["h", "i"]],
+    (2, 5): [["a", "b", "c"], ["b", "c", "d"], ["d", "e", "f"], ["g", "h", "i"],
+             ["i", "j", "k"]],
+    (3, 7): [["a", "b", "c", "d"], ["b", "c", "d", "e"], ["d", "e", "f", "g"],
+             ["g", "h", "i", "j"], ["k", "l", "o", "p"]],
+}
+
+SQUARE_CASES = [pytest.param(n, m, id=f"n{n}-m{m}") for n, m in sorted(SQUARE_COMPLEXES)]
+
+
+def echelon_secant_set(h, z, cert):
+    """secant_set on the echelon walk, whatever the map's shape: the oracle
+    of the Plücker walk."""
+    by_key = {}
+    for rec in secant_module._echelon_walk(h, vec(z), cert, h.complex.maximal_simplices()):
+        by_key.setdefault(line_key(rec.line), rec)
+    return [by_key[key] for key in sorted(by_key)]
+
+
+def refusal(run):
+    """run's result, or the type and message of its refusal."""
+    try:
+        return run()
+    except (DegenerateGeometryError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPluckerWalk:
+    """On square maps secant_set decides every pair by Plücker signs: the
+    same records as the echelon walk and the flats enumeration, a dropped
+    pair never has a flats record, and z is refused as the echelon ranks
+    refuse it."""
+
+    def square_map(self, rng, n, m):
+        h, cert = random_certified_map(rng, SQUARE_COMPLEXES[n, m], m)
+        assert is_square(h.complex.maximal_simplices(), m)
+        return h, cert
+
+    @pytest.mark.parametrize("n, m", SQUARE_CASES)
+    def test_records_equal_the_echelon_walk_and_the_flats(self, n, m):
+        rng = random.Random(60 + n)
+        records = 0
+        for _ in range(3):
+            h, cert = self.square_map(rng, n, m)
+            for z in TestPairPrune().probes(rng, h, 10):
+                square = refusal(lambda: secant_set(h, z, certificate=cert))
+                assert square == refusal(lambda: echelon_secant_set(h, z, cert))
+                assert square == refusal(lambda: unpruned_secant_set(h, z, cert))
+                records += len(square) if isinstance(square, list) else 0
+        assert records >= 15
+
+    @pytest.mark.parametrize("n, m", SQUARE_CASES)
+    def test_dropped_pairs_have_no_flats_record(self, n, m, monkeypatch):
+        kept = []
+        records = _PluckerProbe.records
+
+        def spy(self, i, j):
+            kept.append((self.tops[i], self.tops[j]))
+            return records(self, i, j)
+
+        monkeypatch.setattr(_PluckerProbe, "records", spy)
+        rng = random.Random(70 + n)
+        dropped = found = 0
+        for _ in range(3):
+            h, cert = self.square_map(rng, n, m)
+            for z in TestPairPrune().probes(rng, h, 10):
+                z = vec(z)
+                kept.clear()
+                if not isinstance(refusal(lambda: secant_set(h, z, certificate=cert)), list):
+                    continue
+                for s1, s2 in candidate_pairs(h):
+                    flats = flats_pair_records(h, z, s1, s2)
+                    if (s1, s2) in kept:
+                        assert records_of(h, z, cert, s1, s2) == flats
+                        found += 1
+                    else:
+                        assert flats == []
+                        dropped += 1
+        assert found >= 15
+        if n > 0:  # in R^1 every pair of points has a line through z
+            assert dropped >= found
+
+    @pytest.mark.parametrize("n, m", SQUARE_CASES[1:])
+    def test_zero_slots_of_disjoint_pairs(self, n, m):
+        # z in aff(s1 u (s2 - {w})) makes the pairing of J_s1 with s2's facet
+        # without w exactly zero: a slot of neither sign, next to slots that
+        # may hold both signs (non-convex weights on s2 - {w}) or not
+        rng = random.Random(90 + n)
+        decided = 0
+        for _ in range(3):
+            h, cert = self.square_map(rng, n, m)
+            for s1, s2 in candidate_pairs(h)[:6]:
+                union = s1 | set(sorted_vertices(s2)[1:])
+                for convex in (True, False):
+                    z = combination(h, union, affine_weights(rng, len(union), convex))
+                    square = refusal(lambda: secant_set(h, z, certificate=cert))
+                    assert square == refusal(lambda: echelon_secant_set(h, z, cert))
+                    assert square == refusal(lambda: unpruned_secant_set(h, z, cert))
+                    decided += isinstance(square, list)
+        assert decided >= 12
+
+    @pytest.mark.parametrize("n, m", SQUARE_CASES)
+    def test_refusals_equal_the_echelon_ranks(self, n, m):
+        # z in the affine hull of a top, or of a vertex-sharing pair's union
+        # (keyed by the shared vertex count), off the image or on it
+        rng = random.Random(80 + n)
+        seen = set()
+        for _ in range(3):
+            h, cert = self.square_map(rng, n, m)
+            tops = h.complex.maximal_simplices()
+            unions = [(0, tops[rng.randrange(len(tops))]) for _ in range(4)]
+            unions += [
+                (len(s1 & s2), s1 | s2)
+                for s1, s2 in itertools.combinations(tops, 2)
+                if s1 & s2
+            ]
+            for shared, union in unions:
+                # off the image for non-convex weights, on it for convex ones
+                for convex in (False, False, True):
+                    z = combination(h, union, affine_weights(rng, len(union), convex))
+                    echelons = _ProbeEchelons(z, cert)
+                    want = refusal(
+                        lambda: secant_module._assert_adjacent_secant_free(h, z, echelons, tops)
+                    )
+                    assert want is not None
+                    assert refusal(lambda: secant_set(h, z, certificate=cert)) == want
+                    seen.add((shared, want[1]))
+        on_image = "probe point lies on the image"
+        assert {message for _, message in seen} >= {on_image}
+        if n > 0:  # the affine hull of a vertex is the vertex
+            assert (0, "probe point affinely dependent with a maximal simplex image") in seen
+        adjacent = "probe point affinely dependent with an adjacent pair's image union"
+        # one shared vertex is decided by a zero slot, more by an expansion;
+        # a top's hull lies in its unions with the earlier tops it meets
+        assert {s for s, message in seen if s and message == adjacent} == set(range(1, n + 1))
+
+
+def test_probe_and_analyze_on_a_map_past_2n_plus_1(capsys, tmp_path):
+    # the quadrilateral padded to R^4, past 2n+1 = 3, takes the echelon
+    # walk end to end: probe's and analyze's records are the flats
+    # enumeration's
+    fixture = Path(plgp.__file__).parent / "fixtures" / "quadrilateral.json"
+    obj = json.loads(fixture.read_text())
+    obj["m"] = 4
+    obj["images"] = {v: p + ["0"] for v, p in obj["images"].items()}
+    source, embedded = tmp_path / "quad4.json", tmp_path / "quad4-embedded.json"
+    source.write_text(json.dumps(obj))
+    argv = ["embed", "--input", str(source), "--delta", "1", "--seed", "7"]
+    assert main([*argv, "--out", str(embedded)]) == 0
+    capsys.readouterr()
+    h = plmap_from_obj(json.loads(embedded.read_text()))
+    assert not is_square(h.complex.maximal_simplices(), h.m)
+    cert = general_position_certificate(h)
+
+    def oracle(z):
+        return [record_to_obj(rec) for rec in unpruned_secant_set(h, vec(z), cert)]
+
+    argv = ["probe", "--map", str(embedded), "--k", "3", "--samples", "4", "--seed", "1"]
+    assert main(argv) == 0
+    samples = json.loads(capsys.readouterr().out)["samples"]
+    assert len(samples) == 4
+    for sample in samples:
+        assert sample["records"] == oracle(sample["z"])
+    # past 2n+1 a random z has no secant: z on chords of disjoint edges
+    rng = random.Random(9)
+    found = 0
+    for s1, s2 in candidate_pairs(h)[:4]:
+        p = combination(h, s1, affine_weights(rng, 2, True))
+        q = combination(h, s2, affine_weights(rng, 2, True))
+        z = [rat_str(a + F(5, 2) * (b - a)) for a, b in zip(p, q)]
+        assert main(["analyze", "--map", str(embedded), "--z=" + ",".join(z)]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records == oracle(z)
+        found += len(records)
+    assert found >= 4
+
+
+def records_of(h, z, cert, s1, s2):
+    """The Plücker walk's record of one vertex-disjoint pair of tops."""
+    tops = h.complex.maximal_simplices()
+    return _PluckerProbe(h, z, cert, tops).records(tops.index(s1), tops.index(s2))
 
 
 def hinge_map():
