@@ -13,7 +13,10 @@ bounds coefficient swell to minor-sized determinants.
 Many square determinants of one shape are decided at once as pairings of
 Plücker vectors (plucker, built one row at a time by expand, and
 laplace_dual), packed into big integers by Kronecker substitution
-(PackedPairings), whose slots also give the pairings' signs.
+(PackedPairings), whose slots also give the pairings' signs.  The same
+packing decides a ball cover's incidence: nerve.build_cover reads each
+point's squared distances to every center, against the radius, as the
+signs of one pairing.
 """
 
 from __future__ import annotations
@@ -374,6 +377,10 @@ class PackedPairings:
     plus (BIAS - K sum p) times the shifted unit, BIAS = 2^(W-1), is an
     integer whose base-2^W digits are the pairings plus BIAS, one slot per
     j >= start: the sum is exact, and each digit lies in [0, 2^W).
+
+    Consumers: perturb's certificate and secant's probe pair Plücker
+    vectors; nerve.build_cover pairs each point with the family
+    (q, |q|^2, 1) to read its whole ball-cover incidence row.
     """
 
     def __init__(self, vectors, bound):

@@ -9,9 +9,12 @@ bounds the nerve dimension by the maximum incidence count minus one.
 Incidence is decided on an integer frame: the cloud is scaled once by the
 lcm D of all its coordinate denominators, and a point pair at scaled squared
 distance d2 lies within radius r = num/den of each other exactly when
-d2 * den^2 <= num^2 * D^2.  Each unordered pair is tested once, on Python
-ints, and fills both incidence lists; refinement takes the squared distance
-between the marked sets on the same frame.
+d2 * den^2 <= num^2 * D^2.  That test is a pairing: with B = num^2 * D^2,
+(2 den^2 p, -den^2, B - den^2 |p|^2) paired with (q, |q|^2, 1) is
+B - den^2 |p - q|^2.  One exact.PackedPairings of the family (q, |q|^2, 1)
+gives each point's whole incidence row, ascending, as the signs of one
+packed pairing; refinement takes the squared distance between the marked
+sets on the same frame.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .complexes import SimplicialComplex, json_int, json_list
 from .errors import PreconditionError, SeparationError
-from .exact import integer_points, rat, vec
+from .exact import PackedPairings, integer_points, rat, vec
 
 
 @dataclass(frozen=True)
@@ -79,25 +83,36 @@ def _int_dist_sq(p, q) -> int:
     return d
 
 
+# turns PackedPairings.signs' negative flags, 1 and 0, into 0 and 1
+_NONNEGATIVE = bytes([1]) + bytes(255)
+
+
 def build_cover(cloud: PointCloud, radius) -> Cover:
     radius = rat(radius)
     if radius <= 0:
         raise PreconditionError("cover radius must be positive")
     scale, points = integer_points(cloud.points)
-    # dist(p, q) <= r  iff  |scale p - scale q|^2 * r.den^2 <= (r.num * scale)^2
+    # dist(p, q) <= r  iff  |scale p - scale q|^2 * r.den^2 <= (r.num * scale)^2,
+    # iff p's pairing with (q, |q|^2, 1) is non-negative
     den_sq = radius.denominator ** 2
     bound = (radius.numerator * scale) ** 2
-    incidence = [[] for _ in points]
-    for i, p in enumerate(points):
-        # each list receives lower indices first, then itself, then higher
-        # ones, so it comes out sorted
-        incidence[i].append(i)
-        for j, q in enumerate(points[i + 1:], i + 1):
-            if _int_dist_sq(p, q) * den_sq <= bound:
-                incidence[i].append(j)
-                incidence[j].append(i)
+    norms = [sum(x * x for x in q) for q in points]
+    probes = [
+        (*(2 * den_sq * x for x in p), -den_sq, bound - den_sq * n)
+        for p, n in zip(points, norms)
+    ]
+    packed = PackedPairings(
+        [(*q, n, 1) for q, n in zip(points, norms)],
+        max((sum(map(abs, v)) for v in probes), default=0),
+    )
+    indices = range(len(points))
+    # each row is read whole from one pairing, in ascending order; the
     # incidence is symmetric (centers are the points), so element i meets
     # exactly the points of incidence[i]
+    incidence = [
+        list(compress(indices, packed.signs(v)[0].translate(_NONNEGATIVE)))
+        for v in probes
+    ]
     b1_elements = frozenset(i for idx in cloud.b1 for i in incidence[idx])
     b2_elements = frozenset(i for idx in cloud.b2 for i in incidence[idx])
     return Cover(
@@ -169,10 +184,20 @@ def cloud_from_csv(points_path, marks_path=None) -> PointCloud:
     sidecar JSON {"b1": [indices], "b2": [indices]}."""
     points = []
     with open(points_path, newline="") as fh:
-        for row in csv.reader(fh):
-            cells = [cell.strip() for cell in row if cell.strip()]
+        rows = csv.reader(fh)
+        for row in rows:
+            cells = [cell.strip() for cell in row]
+            # blank rows and trailing empty cells are skipped; an empty cell
+            # before a coordinate would shift it to another axis
+            while cells and not cells[-1]:
+                cells.pop()
             if not cells:
                 continue
+            if not all(cells):
+                raise ValueError(
+                    "%s row %d: empty cell before a coordinate"
+                    % (points_path, rows.line_num)
+                )
             points.append(tuple(rat(cell) for cell in cells))
     b1 = ()
     b2 = ()

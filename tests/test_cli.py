@@ -510,6 +510,18 @@ class TestNerve:
         )
         assert code == 2
 
+    def test_csv_row_with_a_gap(self, capsys, tmp_path):
+        points = tmp_path / "gap.csv"
+        points.write_text("0,,0\n3,,0\n")
+        out = tmp_path / "x.json"
+        code, text, err = run(
+            capsys,
+            "nerve", "--points", str(points), "--radius", "1", "--out", str(out),
+        )
+        assert (code, text) == (2, "")
+        assert err == "%s row 1: empty cell before a coordinate\n" % points
+        assert not out.exists()
+
 
 class TestFibered:
     def test_octafiber_small_sweep(self, capsys):

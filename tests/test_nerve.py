@@ -7,7 +7,7 @@ import pytest
 from plgp.complexes import complex_to_obj, validate
 import plgp.nerve as nerve_module
 from plgp.errors import PreconditionError, SeparationError
-from plgp.exact import dist_sq, integer_points
+from plgp.exact import PackedPairings, dist_sq, integer_points
 from plgp.nerve import (
     Cover,
     PointCloud,
@@ -227,13 +227,21 @@ def oracle_refine(cloud, radius):
 
 
 RADII = (F(3, 7), F(5, 7), F(1), F(5, 2))
+SMALL = (1, 2, 3, 7, 256)
+# primes whose lcm over a cloud makes each packed slot many bytes wide
+WIDE = (10**9 + 7, 998244353, 2**61 - 1)
+WIDE_RADII = (
+    F(10**9 + 6, 10**9 + 7),
+    F(3 * 998244353 + 1, 998244353),
+    F(5, 2**61 - 1),
+)
 
 
-def random_cloud(rng, m, radius):
+def random_cloud(rng, m, radius, denominators=SMALL):
     """Points with mixed denominators and signs, a duplicate, and a pair at
     distance exactly radius (offset radius * (3/5, 4/5, 0, ...))."""
     points = [
-        [F(rng.randint(-3 * d, 3 * d), d) for d in rng.choices((1, 2, 3, 7, 256), k=m)]
+        [F(rng.randint(-3 * d, 3 * d), d) for d in rng.choices(denominators, k=m)]
         for _ in range(rng.randint(2, 14))
     ]
     points.append(list(rng.choice(points)))
@@ -258,23 +266,36 @@ def cover_fields(cover):
 
 
 class TestIntegerCoverOracle:
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_random_clouds_match_fraction_definition(self, m):
         rng = random.Random(m)
-        for _ in range(12):
-            for radius in RADII:
-                cloud = random_cloud(rng, m, radius)
-                got = build_cover(cloud, radius)
-                assert cover_fields(got) == cover_fields(oracle_cover(cloud, radius))
-                assert got.violation == oracle_violation(got)
-                try:
-                    expected = oracle_refine(cloud, radius)
-                except SeparationError:
-                    with pytest.raises(SeparationError):
-                        refine_for_separation(cloud, radius)
-                    continue
-                got = refine_for_separation(cloud, radius)
-                assert cover_fields(got) == cover_fields(expected)
+        clouds = [
+            (random_cloud(rng, m, radius), radius)
+            for _ in range(12)
+            for radius in RADII
+        ]
+        clouds += [
+            (random_cloud(rng, m, radius, WIDE), radius)
+            for _ in range(4)
+            for radius in WIDE_RADII
+        ]
+        # an empty cloud, and one marked point
+        clouds += [
+            (point_cloud([]), F(1)),
+            (point_cloud([[F(1, 3)] * m], b1=[0]), F(1)),
+        ]
+        for cloud, radius in clouds:
+            got = build_cover(cloud, radius)
+            assert cover_fields(got) == cover_fields(oracle_cover(cloud, radius))
+            assert got.violation == oracle_violation(got)
+            try:
+                expected = oracle_refine(cloud, radius)
+            except SeparationError:
+                with pytest.raises(SeparationError):
+                    refine_for_separation(cloud, radius)
+                continue
+            got = refine_for_separation(cloud, radius)
+            assert cover_fields(got) == cover_fields(expected)
 
     def test_chain_clouds_refine_like_the_oracle(self, monkeypatch):
         # marks 0 and e1 with points between them: the halved radius often
@@ -313,6 +334,31 @@ class TestIntegerCoverOracle:
         self, bench_workloads, seed
     ):
         self.check_benchmark_cloud(bench_workloads, seed)
+
+    @pytest.mark.parametrize("seed", range(4, 11))
+    def test_more_benchmark_clouds_cover_like_the_oracle(
+        self, bench_workloads, monkeypatch, seed
+    ):
+        # every incidence row is one packed pairing; no pair distance is taken
+        rows, b1, b2 = bench_workloads.cloud_rows(seed)
+        cloud = point_cloud(rows, b1, b2)
+        pairings = []
+        signs = PackedPairings.signs
+
+        def counting(self, p):
+            pairings.append(p)
+            return signs(self, p)
+
+        def refused(p, q):
+            raise AssertionError("build_cover took a pair distance")
+
+        monkeypatch.setattr(PackedPairings, "signs", counting)
+        monkeypatch.setattr(nerve_module, "_int_dist_sq", refused)
+        for radius in (2, 1):
+            pairings.clear()
+            got = build_cover(cloud, radius)
+            assert len(pairings) == len(rows)
+            assert cover_fields(got) == cover_fields(oracle_cover(cloud, radius))
 
     @staticmethod
     def check_benchmark_cloud(bench_workloads, seed):
@@ -382,12 +428,13 @@ class TestNerveComplex:
 
 class TestCsvInput:
     def test_round_trip(self, tmp_path):
+        # blank rows and trailing empty cells are skipped
         pts = tmp_path / "cloud.csv"
-        pts.write_text("0,0\n1/2,0.25\n3,4\n")
+        pts.write_text("0,0,\n\n1/2,0.25\n , \n3, 4 ,,\n")
         marks = tmp_path / "marks.json"
         marks.write_text(json.dumps({"b1": [0], "b2": [2]}))
         cloud = cloud_from_csv(str(pts), str(marks))
-        assert cloud.points[1] == (F(1, 2), F(1, 4))
+        assert cloud.points == ((0, 0), (F(1, 2), F(1, 4)), (3, 4))
         assert cloud.b1 == {0} and cloud.b2 == {2}
 
     def test_marks_optional(self, tmp_path):
@@ -400,4 +447,13 @@ class TestCsvInput:
         pts = tmp_path / "cloud.csv"
         pts.write_text("1,notanumber\n")
         with pytest.raises(ValueError):
+            cloud_from_csv(str(pts))
+
+    def test_empty_cell_before_a_coordinate_rejected(self, tmp_path):
+        pts = tmp_path / "cloud.csv"
+        pts.write_text("0,0\n3,,0\n")
+        with pytest.raises(ValueError, match="row 2: empty cell before a coordinate"):
+            cloud_from_csv(str(pts))
+        pts.write_text(",1\n")
+        with pytest.raises(ValueError, match="row 1"):
             cloud_from_csv(str(pts))
