@@ -291,11 +291,13 @@ def cmd_fibered(args, argv) -> int:
             "eta": args.eta,
         },
     )
+    # every sample has a cover per eta, and every cover is valid; with no
+    # samples nothing is certified, and with no eta no cover is built
     covers_valid = all(
-        entry["certificate"]["valid"]
+        sample.get("eta")
+        and all(entry["certificate"]["valid"] for entry in sample["eta"].values())
         for fiber in report["fibers"].values()
         for sample in fiber["samples"]
-        for entry in sample.get("eta", {}).values()
     )
     _emit(
         {

@@ -193,15 +193,16 @@ def integer_images(h: PLMap):
     return scale, dict(zip(vertices, rows))
 
 
-def max_image_diameter_sq(h: PLMap) -> Fraction:
+def max_image_diameter_sq(h: PLMap, frame=None) -> Fraction:
     """Max of image_diameter_sq over every simplex of h, read off its edges.
 
     A simplex's image diameter is attained at a pair of its vertices, and in
     a face-closed complex each such pair is an edge, so the edges decide.
     Squared lengths are taken on Python ints, the images scaled once by
-    their common denominator; 0 when there are no edges.
+    their common denominator (frame, integer_images(h) unless given); 0
+    when there are no edges.
     """
-    scale, ints = integer_images(h)
+    scale, ints = integer_images(h) if frame is None else frame
     best = 0
     for s in h.complex.simplices:
         if len(s) == 2:

@@ -57,6 +57,15 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def ratio_str(n: int, d: int) -> str:
+    """Serialize the rational n / d, for ints with d > 0, as rat_str does,
+    with one gcd and no Fraction."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"
+
+
 def vec(coords) -> tuple:
     return tuple(rat(c) for c in coords)
 
@@ -96,6 +105,14 @@ def integer_points(points):
     return scale, [
         tuple(x.numerator * (scale // x.denominator) for x in p) for p in points
     ]
+
+
+def int_combination(points, vertices, weights) -> tuple:
+    """sum_t weights[t] * points[vertices[t]], coordinatewise, for integer
+    points keyed by vertex and integer weights."""
+    return tuple(
+        sum(map(mul, weights, column)) for column in zip(*(points[v] for v in vertices))
+    )
 
 
 def widen_frame(scale, point):

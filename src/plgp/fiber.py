@@ -6,7 +6,12 @@ The reference plays two roles: its images seed the subdivide-and-perturb
 pipeline, and it induces the exact metric on the fiber's polyhedron that the
 eta filters measure against (squared distances between evaluated points).
 Subdividing a map never changes it pointwise, so the working subdivision
-evaluates to the same metric as the declared reference.
+evaluates to the same metric as the declared reference.  The metric is
+taken on one integer frame of the reference per fiber
+(complexes.integer_images): each secant witness's weights are integers over
+its d, so a distance is an integer over (d1 d2 scale)^2, and the only
+Fraction built is that one per record.  The u_map flags read the
+reference's longest edge once per fiber, on the same frame.
 
 Every fiber is processed independently.  The working seed for a label is
 derived from the root seed by hashing "<root>|<label>", so runs are
@@ -23,7 +28,7 @@ from hashlib import sha256
 from .complexes import (
     PLMap,
     complex_from_obj,
-    evaluate,
+    integer_images,
     json_int,
     json_list,
     max_image_diameter_sq,
@@ -32,10 +37,10 @@ from .complexes import (
     validate,
 )
 from .errors import PerturbationBudgetError, PreconditionError
-from .exact import dist_sq, rat, rat_str, vec
+from .exact import int_combination, rat, rat_str, vec
 from .perturb import perturb_to_general_position, report_to_obj, require_ambient_bound
+from .records import SecantRecord
 from .secant import (
-    SecantRecord,
     cover_certificate_to_obj,
     cover_parameters,
     probe_region_samples,
@@ -120,11 +125,6 @@ def derive_seed(root: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def fiber_distance_sq(emb: FiberEmbedding, x1, x2) -> Fraction:
-    """Exact squared distance between two polyhedron points in the fiber metric."""
-    return dist_sq(evaluate(emb.reference, x1), evaluate(emb.reference, x2))
-
-
 def fiberwise_embed(inst: FiberedInstance, delta, seed: int) -> dict:
     """Subdivide and perturb every fiber independently; label -> FiberEmbedding.
 
@@ -165,19 +165,28 @@ def eta_secant_set(embeddings: dict, inst: FiberedInstance, label, z, eta) -> li
         raise ValueError(f"no embedding for fiber label {label!r}")
     emb = embeddings[label]
     records = secant_set(emb.map, vec(z), certificate=emb.report.certificate)
-    distances = _fiber_distances(emb, records)
+    distances = _fiber_distances(integer_images(emb.reference), records)
     return [
         EtaSecantRecord(records[i], distances[i], eta)
         for i in _eta_kept(distances, eta)
     ]
 
 
-def _fiber_distances(emb, records):
-    """The exact squared fiber distance between each record's two preimages."""
-    return [
-        fiber_distance_sq(emb, rec.witnesses[0][2], rec.witnesses[1][2])
-        for rec in records
-    ]
+def _fiber_distances(frame, records):
+    """The exact squared fiber distance between each record's two preimages,
+    on the reference's integer frame (scale, images), complexes.integer_images:
+    the witnesses' reference points are A / (d1 scale) and B / (d2 scale) for
+    the integer combinations A and B of their weights, so the distance is
+    |d2 A - d1 B|^2 / (d1 d2 scale)^2, one Fraction per record."""
+    scale, images = frame
+    out = []
+    for rec in records:
+        e1, e2 = rec.ends
+        a = int_combination(images, e1.vertices, e1.weights)
+        b = int_combination(images, e2.vertices, e2.weights)
+        square = sum((e2.d * x - e1.d * y) ** 2 for x, y in zip(a, b))
+        out.append(Fraction(square, (e1.d * e2.d * scale) ** 2))
+    return out
 
 
 def _eta_kept(distances, eta):
@@ -234,6 +243,10 @@ def fibered_report(
             raise ValueError(f"no embedding for fiber label {label!r}")
         emb = embeddings[label]
         cert = emb.report.certificate
+        # one integer frame of the reference serves the u_map flags, which
+        # are u_map_fine_enough off one diameter, and every fiber distance
+        frame = integer_images(emb.reference)
+        diameter_sq = max_image_diameter_sq(emb.reference, frame)
         probes = probe_region_samples(
             emb.map, k, count, derive_seed(seed, label + "|probe")
         )
@@ -242,7 +255,7 @@ def fibered_report(
             records = secant_set(emb.map, probe.z, certificate=cert)
             entry = sample_to_obj(probe.z, probe.image_distance_sq, records)
             if etas:
-                distances = _fiber_distances(emb, records)
+                distances = _fiber_distances(frame, records)
                 by_eta = {}
                 for eta in etas:
                     kept = _eta_kept(distances, eta)
@@ -267,7 +280,7 @@ def fibered_report(
             samples.append(entry)
         fibers[label] = {
             "perturbation": report_to_obj(emb.report),
-            "u_map": {rat_str(e): u_map_fine_enough(emb, e) for e in etas},
+            "u_map": {rat_str(e): diameter_sq < e * e for e in etas},
             "samples": samples,
         }
     return {

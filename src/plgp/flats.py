@@ -9,8 +9,8 @@ downstream only existence matters.
 Secant enumeration does not run on this chain: it reads each pair's record
 off two small integer systems, one per side (see plgp.secant).  The
 transversal and line-simplex constructions here remain its independent
-oracle, in the tests and the acceptance gate; line canonical forms are used
-directly.
+oracle, in the tests and the acceptance gate.  Secant records key their
+canonical lines in integers; int_line_key gives an AffineFlat the same key.
 
 The exact distance from a point to the image polyhedron (ImageDistance) is
 an integer computation over a table built once per map: every face is
@@ -217,6 +217,15 @@ def line_key(line: AffineFlat) -> tuple:
     """Hashable, sortable identity of a line via its canonical form."""
     c = canonical_line(line)
     return (c.base, c.directions[0])
+
+
+def int_line_key(line: AffineFlat) -> tuple:
+    """The key a secant record holds for its line (records.SecantRecord):
+    the canonical foot as reduced (numerator, denominator) pairs and the
+    primitive direction as ints."""
+    c = canonical_line(line)
+    foot = tuple((x.numerator, x.denominator) for x in c.base)
+    return foot, tuple(x.numerator for x in c.directions[0])
 
 
 def line_to_obj(line: AffineFlat) -> dict:

@@ -100,13 +100,17 @@ and picks its vertex-disjoint pairs itself, by isdisjoint.  Only the rows
 i' <= i, the pairs (i', j) with j > i', use top i's Echelon, so secant_set
 deletes it after row i.
 
-Incidence decisions are exact rationals throughout; only the line metric
-(Hausdorff distance between ball-clipped chords) is floating point, with a
-documented 1e-9 tolerance, and certificate radii are shrunk by a factor 3 to
-absorb it.  cover_parameters refuses an epsilon or k whose float is zero or
-infinite, and a k whose float square is, so whether a k is usable does not
-depend on the secant count; a chord past the float range is a
-PreconditionError too.
+A record stays on the probe's integer frame up to the report text
+(plgp.records); secant_set deduplicates and orders the records on their
+integer line keys.
+
+Incidence decisions are exact throughout; only the line metric (Hausdorff
+distance between ball-clipped chords) is floating point, read off the
+line keys by correctly rounded int / int division, with a documented 1e-9
+tolerance, and certificate radii are shrunk by a factor 3 to absorb it.
+cover_parameters refuses an epsilon or k whose float is zero or infinite,
+and a k whose float square is, so whether a k is usable does not depend on
+the secant count; a chord past the float range is a PreconditionError too.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import BarycentricPoint, PLMap, later_sharing, sorted_vertices
+from .complexes import PLMap, later_sharing, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
     Echelon,
@@ -133,21 +137,13 @@ from .exact import (
 )
 from .flats import (
     ImageDistance,
-    line_key,
-    line_through,
-    line_to_obj,
+    int_line_key,
     point_to_image_distance_sq_lower,
 )
 from .perturb import GRID, failing_unions, general_position_certificate, is_square
+from .records import record_to_obj, secant_record, sorted_keys
 
 PROBE_BUDGET_FACTOR = 1000
-
-
-@dataclass(frozen=True)
-class SecantRecord:
-    line: object          # canonical AffineFlat, d=1
-    z: tuple
-    witnesses: tuple      # two (simplex, image point, BarycentricPoint) entries
 
 
 @dataclass(frozen=True)
@@ -196,41 +192,6 @@ def _probe_frame(z, cert):
     return scale, origin, points
 
 
-def _witness(frame, s, weights):
-    """The witness (s, point, BarycentricPoint) for weights (vertices, d, w),
-    w / d on s's sorted vertices, and scale * d * (point - z) in integers,
-    on the frame of a probe (_probe_frame)."""
-    verts, d, nu = weights
-    num = [
-        sum(t * frame.points[w][r] for t, w in zip(nu, verts))
-        for r in range(len(frame.origin))
-    ]
-    point = tuple(Fraction(a, d * frame.scale) for a in num)
-    bary = BarycentricPoint(verts, tuple(Fraction(t, d) for t in nu))
-    return (s, point, bary), [a - d * c for a, c in zip(num, frame.origin)]
-
-
-def _secant_record(frame, s1, mu, s2, nu) -> list:
-    """[the secant record] of the vertex-disjoint pair (s1, s2) with
-    weights mu on s1 and nu on s2, each (vertices, d, w), on a probe's
-    frame: the witnesses, and the line through z along p2 - z."""
-    witness1, gap1 = _witness(frame, s1, mu)
-    witness2, gap2 = _witness(frame, s2, nu)
-    # p1 - z and p2 - z are nonzero and parallel: every 2 x 2 minor is 0
-    assert any(gap1) and any(gap2) and all(
-        a * gap2[j] == gap1[j] * b
-        for i, (a, b) in enumerate(zip(gap1, gap2))
-        for j in range(i)
-    )
-    return [
-        SecantRecord(
-            line=line_through(frame.z, gap2),
-            z=frame.z,
-            witnesses=(witness1, witness2),
-        )
-    ]
-
-
 class _ProbeEchelons(dict):
     """One probe's Echelon of each vertex set about z, built on first use, on
     the probe's frame (_probe_frame)."""
@@ -277,7 +238,7 @@ class _ProbeEchelons(dict):
         mu = self._weights(s2, s1)
         if mu is None:
             return []
-        return _secant_record(self, s1, mu, s2, nu)
+        return [secant_record(self, s1, mu, s2, nu)]
 
 
 # bytes 0 and 1 -> the digits int() reads in base 2
@@ -409,7 +370,7 @@ class _PluckerProbe:
         alpha, beta = self._weights(j, i), self._weights(i, j)
         mu = self.facets.vertices[i], sum(alpha), alpha
         nu = self.facets.vertices[j], sum(beta), beta
-        return _secant_record(self, self.tops[i], mu, self.tops[j], nu)
+        return [secant_record(self, self.tops[i], mu, self.tops[j], nu)]
 
     def walk(self):
         """The records of the vertex-disjoint pairs (i, j), i < j, in order,
@@ -460,13 +421,17 @@ def secant_set(h: PLMap, z, certificate=None):
         found = _echelon_walk(h, z, cert, tops)
     by_key = {}
     for rec in found:
-        by_key.setdefault(line_key(rec.line), rec)
-    return [by_key[key] for key in sorted(by_key)]
+        by_key.setdefault(rec.key, rec)
+    return [by_key[key] for key in sorted_keys(by_key)]
 
 
-def _chord(line, k):
-    base = [float(x) for x in line.base]
-    d = [float(x) for x in line.directions[0]]
+def _chord(key, k):
+    """The endpoints, in floats, of the chord the radius-k ball cuts from
+    the line with key (foot, direction) (records.SecantRecord.key);
+    int / int is correctly rounded, as float(Fraction) is."""
+    foot, direction = key
+    base = [n / d for n, d in foot]
+    d = [float(x) for x in direction]
     a = sum(x * x for x in d)
     b = 2 * sum(p * q for p, q in zip(base, d))
     c = sum(x * x for x in base) - float(k) ** 2
@@ -514,9 +479,10 @@ def _chord_distance(c1, c2) -> float:
 
 def line_distance(l1, l2, k) -> float:
     """Hausdorff distance between the two chords cut by the radius-k ball."""
-    if line_key(l1) == line_key(l2):
+    key1, key2 = int_line_key(l1), int_line_key(l2)
+    if key1 == key2:
         return 0.0
-    return _chord_distance(_chord(l1, k), _chord(l2, k))
+    return _chord_distance(_chord(key1, k), _chord(key2, k))
 
 
 def cover_parameters(epsilon, k):
@@ -544,7 +510,7 @@ def cover_parameters(epsilon, k):
 def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
     """Disjoint cover of the secant set by equal balls of diameter < epsilon."""
     eps, k = cover_parameters(epsilon, k)
-    keys = [line_key(r.line) for r in records]
+    keys = [r.key for r in records]
     if len(set(keys)) != len(keys):
         raise PreconditionError("duplicate lines; deduplicate records first")
     if not records:
@@ -552,7 +518,7 @@ def zero_dim_certificate(records, epsilon, k) -> CoverCertificate:
     # one chord per line, and none for a single line: its radius is eps / 3
     # whether or not the line meets the ball
     try:
-        chords = [_chord(r.line, k) for r in records] if len(records) > 1 else []
+        chords = [_chord(key, k) for key in keys] if len(keys) > 1 else []
         min_distance = min(
             (
                 _chord_distance(chords[i], chords[j])
@@ -604,23 +570,6 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
             continue
         out.append(ProbePoint(z, d2))
     return out
-
-
-def record_to_obj(rec: SecantRecord) -> dict:
-    witnesses = [
-        {
-            "simplex": list(sorted_vertices(s)),
-            "point": [rat_str(x) for x in p],
-            "weights": [rat_str(w) for w in b.weights],
-        }
-        for s, p, b in rec.witnesses
-    ]
-    return {
-        "line": line_to_obj(rec.line),
-        "z": [rat_str(x) for x in rec.z],
-        "pair": [w["simplex"] for w in witnesses],
-        "witnesses": witnesses,
-    }
 
 
 def sample_to_obj(z, image_distance_sq, records) -> dict:

@@ -346,8 +346,8 @@ class TestCertifies:
         assert report["certifies"] == []
 
     def test_fibered(self, capsys, monkeypatch):
-        argv = ["fibered", "--instance", OCTA, "--delta", "1/2", "--seed", "7",
-                "--k", "3", "--samples", "1", "--eta", "1"]
+        base = ["fibered", "--instance", OCTA, "--delta", "1/2", "--seed", "7", "--k", "3"]
+        argv = [*base, "--samples", "1", "--eta", "1"]
         code, text, _ = run(capsys, *argv)
         claims = ["eta filters monotone", "zero_dim_certificate.valid at every sample"]
         assert code == 0 and json.loads(text)["certifies"] == claims
@@ -362,6 +362,16 @@ class TestCertifies:
             for entry in sample["eta"].values()
         ]
         assert entries and not any(e["certificate"]["valid"] for e in entries)
+        monkeypatch.undo()
+        # an empty eta list builds no cover, so none is claimed valid; with
+        # no samples the claim holds vacuously, as probe's does
+        code, text, _ = run(capsys, *base, "--samples", "1", "--eta", "")
+        report = json.loads(text)
+        assert code == 0 and report["certifies"] == claims[:1]
+        samples = [s for fiber in report["fibers"].values() for s in fiber["samples"]]
+        assert len(samples) == 8 and not any("eta" in s for s in samples)
+        code, text, _ = run(capsys, *base, "--samples", "0", "--eta", "")
+        assert code == 0 and json.loads(text)["certifies"] == claims
 
 
 class TestUncertifiedMap:

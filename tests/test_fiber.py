@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import plgp
-import plgp.secant as secant_module
+import plgp.fiber as fiber_module
+import plgp.records as records_module
 from plgp.complexes import (
     BarycentricPoint,
     PLMap,
@@ -17,6 +18,7 @@ from plgp.complexes import (
     complex_to_obj,
     evaluate,
     image_diameter_sq,
+    integer_images,
     load_json,
     plmap_to_obj,
     subdivide_until,
@@ -28,7 +30,6 @@ from plgp.fiber import (
     FiberedInstance,
     derive_seed,
     eta_secant_set,
-    fiber_distance_sq,
     fibered_parameters,
     fibered_report,
     fiberwise_embed,
@@ -36,9 +37,16 @@ from plgp.fiber import (
     u_map_fine_enough,
 )
 from plgp.perturb import perturb_to_general_position, report_to_obj
-from plgp.secant import probe_region_samples, record_to_obj, secant_set
+from plgp.records import record_to_obj
+from plgp.secant import probe_region_samples, secant_set
 
 FIXTURES = Path(plgp.__file__).parent / "fixtures"
+
+
+def fiber_distance_sq(emb, x1, x2):
+    """Exact squared distance between two polyhedron points in the fiber
+    metric, in Fractions: the oracle of the integer fiber distances."""
+    return dist_sq(evaluate(emb.reference, x1), evaluate(emb.reference, x2))
 
 
 def two_segment_fiber(prefix, shift=(0, 0, 0)):
@@ -476,13 +484,13 @@ def test_each_record_line_serialized_once(monkeypatch):
     inst = instance_from_obj(load_json(FIXTURES / "octafiber.json"))
     embs = fiberwise_embed(inst, F(1, 2), 3)
     lines = []
-    original = secant_module.line_to_obj
+    original = records_module.line_key_to_obj
 
-    def counting(line):
-        lines.append(line)
-        return original(line)
+    def counting(key):
+        lines.append(key)
+        return original(key)
 
-    monkeypatch.setattr(secant_module, "line_to_obj", counting)
+    monkeypatch.setattr(records_module, "line_key_to_obj", counting)
     report = fibered_report(embs, inst, 3, 2, seed=3)
     samples = [s for fiber in report["fibers"].values() for s in fiber["samples"]]
     assert len(lines) == sum(s["secants"] for s in samples) >= 20
@@ -501,3 +509,32 @@ class TestFiberDistance:
         assert fiber_distance_sq(emb, x1, x2) == dist_sq(
             vec([F(1, 2), 0, 0]), vec([0, 0, 1])
         )
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_octafiber_report_matches_the_fraction_metric(self, seed):
+        # the fibered-octafiber command's report: every record's distance,
+        # taken on the reference's integer frame, is the Fraction metric's,
+        # every eta list keeps exactly the records at least eta apart, and
+        # u_map is u_map_fine_enough per eta
+        inst = instance_from_obj(load_json(FIXTURES / "octafiber.json"))
+        embs = fiberwise_embed(inst, F(1, 2), seed)
+        report = fibered_report(embs, inst, 3, 3, seed=seed)
+        checked = 0
+        for label, fiber in report["fibers"].items():
+            emb = embs[label]
+            assert fiber["u_map"] == {rat_str(e): u_map_fine_enough(emb, e) for e in inst.eta}
+            probes = probe_region_samples(emb.map, 3, 3, derive_seed(seed, label + "|probe"))
+            for probe, sample in zip(probes, fiber["samples"], strict=True):
+                records = secant_set(emb.map, probe.z, certificate=emb.report.certificate)
+                want = [
+                    fiber_distance_sq(emb, rec.witnesses[0][2], rec.witnesses[1][2])
+                    for rec in records
+                ]
+                assert fiber_module._fiber_distances(integer_images(emb.reference), records) == want
+                for eta in inst.eta:
+                    got = sample["eta"][rat_str(eta)]["records"]
+                    assert [r["fiber_distance_sq"] for r in got] == [
+                        rat_str(d) for d in want if d >= eta * eta
+                    ]
+                checked += len(records)
+        assert checked >= 50

@@ -5,27 +5,35 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
 import plgp
+import plgp.records as records_module
 import plgp.secant as secant_module
 from plgp.cli import main
 from plgp.complexes import (
+    BarycentricPoint,
     PLMap,
     SimplicialComplex,
+    evaluate,
     plmap_from_obj,
     plmap_to_obj,
     sorted_vertices,
     subdivide_until,
 )
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
+from plgp.fiber import derive_seed, fiberwise_embed, instance_from_obj
 import plgp.exact as exact_module
 from plgp.exact import Echelon, Matrix, norm_sq, rank, rat_str, vec
 from plgp.flats import (
     AffineFlat,
+    int_line_key,
     line_key,
     line_meets_simplex,
+    line_through,
     line_to_obj,
     span_of_points,
     transversal_line_through_point,
@@ -36,9 +44,9 @@ from plgp.perturb import (
     is_square,
     perturb_to_general_position,
 )
+from plgp.records import record_to_obj
 from plgp.secant import (
     CoverCertificate,
-    SecantRecord,
     _PluckerProbe,
     _ProbeEchelons,
     cover_certificate_to_obj,
@@ -46,7 +54,6 @@ from plgp.secant import (
     line_distance,
     pair_to_obj,
     probe_region_samples,
-    record_to_obj,
     secant_set,
     secants_for_pair,
     zero_dim_certificate,
@@ -58,6 +65,12 @@ F = Fraction
 X_AXIS = AffineFlat(3, vec([0, 0, 0]), (vec([1, 0, 0]),))
 Y_AXIS = AffineFlat(3, vec([0, 0, 0]), (vec([0, 1, 0]),))
 SHIFTED_X = AffineFlat(3, vec([0, 1, 0]), (vec([1, 0, 0]),))
+
+
+def line_record(line):
+    """A stand-in record for zero_dim_certificate, which reads only the
+    line's key."""
+    return SimpleNamespace(key=int_line_key(line))
 
 
 def two_segments_map():
@@ -329,7 +342,7 @@ class TestZeroDimCertificate:
 
     @pytest.mark.parametrize("k", [0, -3, F(-1, 2)])
     def test_nonpositive_k_rejected(self, k):
-        recs = [type("R", (), {"line": X_AXIS})()]
+        recs = [line_record(X_AXIS)]
         for records in ([], recs):
             with pytest.raises(PreconditionError, match="k must be positive"):
                 zero_dim_certificate(records, 0.1, k)
@@ -350,7 +363,7 @@ class TestZeroDimCertificate:
 
     def test_chord_overflow_is_a_precondition(self):
         # the clipping radius is a finite float, but its square is not
-        recs = [type("R", (), {"line": line})() for line in (X_AXIS, SHIFTED_X)]
+        recs = [line_record(line) for line in (X_AXIS, SHIFTED_X)]
         with pytest.raises(PreconditionError, match="line metric overflows"):
             zero_dim_certificate(recs, 0.1, 10**200)
 
@@ -363,22 +376,22 @@ class TestZeroDimCertificate:
 
     def test_two_distant_lines(self):
         recs = [
-            type("R", (), {"line": X_AXIS})(),
-            type("R", (), {"line": SHIFTED_X})(),
+            line_record(X_AXIS),
+            line_record(SHIFTED_X),
         ]
         cert = zero_dim_certificate(recs, 0.1, 10)
         assert cert.valid
         assert cert.radius == pytest.approx(0.1 / 3)
 
     def test_duplicates_rejected(self):
-        rec = type("R", (), {"line": X_AXIS})()
+        rec = line_record(X_AXIS)
         with pytest.raises(PreconditionError):
             zero_dim_certificate([rec, rec], 0.1, 10)
 
     def test_each_line_clipped_once_and_distances_as_line_distance(self, monkeypatch):
         slanted = AffineFlat(3, vec([1, 2, 0]), (vec([1, 1, 1]),))
         lines = [X_AXIS, SHIFTED_X, Y_AXIS, slanted]
-        recs = [type("R", (), {"line": line})() for line in lines]
+        recs = [line_record(line) for line in lines]
         pairwise = [
             line_distance(lines[i], lines[j], 10)
             for i in range(len(lines))
@@ -398,11 +411,11 @@ class TestZeroDimCertificate:
 
         monkeypatch.setattr(secant_module, "_chord", counting)
         assert zero_dim_certificate(recs, 0.5, 10) == expected
-        assert clipped == lines
+        assert clipped == [int_line_key(line) for line in lines]
 
     def test_single_line_missing_the_ball_still_certified(self):
         far = AffineFlat(3, vec([0, 100, 0]), (vec([1, 0, 0]),))
-        cert = zero_dim_certificate([type("R", (), {"line": far})()], 0.3, 10)
+        cert = zero_dim_certificate([line_record(far)], 0.3, 10)
         assert cert.valid and cert.min_distance is None
         assert cert.radius == pytest.approx(0.1)
 
@@ -430,13 +443,13 @@ def test_probe_serializes_each_record_line_once(capsys, monkeypatch, tmp_path):
     assert main([*argv, "--out", embedded]) == 0
     capsys.readouterr()
     lines = []
-    original = secant_module.line_to_obj
+    original = records_module.line_key_to_obj
 
-    def counting(line):
-        lines.append(line)
-        return original(line)
+    def counting(key):
+        lines.append(key)
+        return original(key)
 
-    monkeypatch.setattr(secant_module, "line_to_obj", counting)
+    monkeypatch.setattr(records_module, "line_key_to_obj", counting)
     argv = ["probe", "--map", embedded, "--k", "3", "--samples", "20", "--seed", "1"]
     assert main(argv) == 0
     samples = json.loads(capsys.readouterr().out)["samples"]
@@ -536,6 +549,42 @@ class TestProbeRegion:
             probe_region_samples(two_segments_map(), 3, -2, seed=0)
 
 
+class FlatsRecord(NamedTuple):
+    """A secant record of the flats construction, in Fractions: the shape
+    of a SecantRecord's views (views)."""
+
+    line: AffineFlat
+    z: tuple
+    witnesses: tuple
+
+
+def views(result):
+    """result's SecantRecords as their Fraction views, in the flats
+    oracle's shape; a refusal as it is."""
+    if not isinstance(result, list):
+        return result
+    return [FlatsRecord(r.line, r.z, r.witnesses) for r in result]
+
+
+def fraction_record_to_obj(rec):
+    """record_to_obj's object for a record in Fractions, by rat_str and
+    flats.line_to_obj: the oracle of the integer printing."""
+    witnesses = [
+        {
+            "simplex": list(sorted_vertices(s)),
+            "point": [rat_str(x) for x in p],
+            "weights": [rat_str(w) for w in b.weights],
+        }
+        for s, p, b in rec.witnesses
+    ]
+    return {
+        "line": line_to_obj(rec.line),
+        "z": [rat_str(x) for x in rec.z],
+        "pair": [w["simplex"] for w in witnesses],
+        "witnesses": witnesses,
+    }
+
+
 def flats_pair_records(h, z, s1, s2):
     """The pair's secant through z by the flats construction: the transversal
     of the two affine hulls through z, kept when it meets both simplices.
@@ -551,13 +600,7 @@ def flats_pair_records(h, z, s1, s2):
     hit2 = line_meets_simplex(line, h, s2)
     if hit2 is None:
         return []
-    return [
-        SecantRecord(
-            line=line,
-            z=z,
-            witnesses=((s1,) + hit1, (s2,) + hit2),
-        )
-    ]
+    return [FlatsRecord(line, z, ((s1,) + hit1, (s2,) + hit2))]
 
 
 def kernel_system_rank(h, z, s1, s2):
@@ -762,7 +805,7 @@ class TestKernelOracle:
                 slow = unpruned_secant_set(h, z, cert)
             except (DegenerateGeometryError, PreconditionError) as exc:
                 slow = type(exc)
-            assert fast == slow
+            assert views(fast) == slow
             total += len(fast) if isinstance(fast, list) else 0
         assert total >= 5
 
@@ -823,7 +866,7 @@ class TestPairPrune:
         dropped = records = 0
         for s1, s2 in candidate_pairs(h) if pairs is None else pairs:
             kept = echelons.records(s1, s2)
-            assert kept == flats_pair_records(h, z, s1, s2), (s1, s2)
+            assert views(kept) == flats_pair_records(h, z, s1, s2), (s1, s2)
             dropped += not kept
             records += len(kept)
         return dropped, records
@@ -838,7 +881,7 @@ class TestPairPrune:
             h, cert = random_certified_map(rng, PRUNE_COMPLEXES[n, m], m)
             for z in self.probes(rng, h, 10):
                 pruned = self.outcome(lambda: secant_set(h, z, certificate=cert))
-                assert pruned == self.outcome(
+                assert views(pruned) == self.outcome(
                     lambda: unpruned_secant_set(h, z, cert)
                 )
                 if isinstance(pruned, list):
@@ -1017,7 +1060,7 @@ class TestPluckerWalk:
             for z in TestPairPrune().probes(rng, h, 10):
                 square = refusal(lambda: secant_set(h, z, certificate=cert))
                 assert square == refusal(lambda: echelon_secant_set(h, z, cert))
-                assert square == refusal(lambda: unpruned_secant_set(h, z, cert))
+                assert views(square) == refusal(lambda: unpruned_secant_set(h, z, cert))
                 records += len(square) if isinstance(square, list) else 0
         assert records >= 15
 
@@ -1043,7 +1086,7 @@ class TestPluckerWalk:
                 for s1, s2 in candidate_pairs(h):
                     flats = flats_pair_records(h, z, s1, s2)
                     if (s1, s2) in kept:
-                        assert records_of(h, z, cert, s1, s2) == flats
+                        assert views(records_of(h, z, cert, s1, s2)) == flats
                         found += 1
                     else:
                         assert flats == []
@@ -1067,7 +1110,7 @@ class TestPluckerWalk:
                     z = combination(h, union, affine_weights(rng, len(union), convex))
                     square = refusal(lambda: secant_set(h, z, certificate=cert))
                     assert square == refusal(lambda: echelon_secant_set(h, z, cert))
-                    assert square == refusal(lambda: unpruned_secant_set(h, z, cert))
+                    assert views(square) == refusal(lambda: unpruned_secant_set(h, z, cert))
                     decided += isinstance(square, list)
         assert decided >= 12
 
@@ -1125,7 +1168,7 @@ def test_probe_and_analyze_on_a_map_past_2n_plus_1(capsys, tmp_path):
     cert = general_position_certificate(h)
 
     def oracle(z):
-        return [record_to_obj(rec) for rec in unpruned_secant_set(h, vec(z), cert)]
+        return [fraction_record_to_obj(rec) for rec in unpruned_secant_set(h, vec(z), cert)]
 
     argv = ["probe", "--map", str(embedded), "--k", "3", "--samples", "4", "--seed", "1"]
     assert main(argv) == 0
@@ -1294,3 +1337,80 @@ class TestIntegerPath:
                 }
                 found += len(records)
         assert found >= 15
+
+
+FIXTURES = Path(plgp.__file__).parent / "fixtures"
+
+
+def fraction_oracle_record(h, rec):
+    """rec rebuilt in Fractions from its weights alone: BarycentricPoint,
+    complexes.evaluate and flats.line_through, the oracle of the record's
+    integer frame."""
+    witnesses = []
+    for w in rec.ends:
+        bary = BarycentricPoint(w.vertices, tuple(F(t, w.d) for t in w.weights))
+        witnesses.append((w.simplex, evaluate(h, bary), bary))
+    gap = [a - c for a, c in zip(witnesses[1][1], rec.z)]
+    return FlatsRecord(line_through(rec.z, gap), rec.z, tuple(witnesses))
+
+
+class TestIntegerRecords:
+    """A record stays on its probe's integer frame up to the report text:
+    its record_to_obj object, its Fraction views and the order of a probe's
+    records equal the Fraction oracle's, on the benchmark's maps and seeds,
+    octafiber's fibers and a map past 2n+1."""
+
+    def check(self, h, records) -> int:
+        oracle = [fraction_oracle_record(h, rec) for rec in records]
+        assert [record_to_obj(r) for r in records] == [
+            fraction_record_to_obj(o) for o in oracle
+        ]
+        assert views(records) == oracle
+        keys = [line_key(o.line) for o in oracle]
+        assert keys == sorted(set(keys))
+        return len(records)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_probe_sweep_maps_and_octafiber(self, seed):
+        # probe-sweep's maps, embedded and probed as its commands do, and
+        # the fibered-octafiber command's probes
+        found = 0
+        for name, delta, count in (("triangles5", F(1, 2), 10), ("quadrilateral", F(1), 20)):
+            h0 = plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
+            h, report = perturb_to_general_position(subdivide_until(h0, delta), delta, seed)
+            for probe in probe_region_samples(h, 3, count, seed):
+                found += self.check(h, secant_set(h, probe.z, certificate=report.certificate))
+        inst = instance_from_obj(json.loads((FIXTURES / "octafiber.json").read_text()))
+        for label, emb in fiberwise_embed(inst, F(1, 2), seed).items():
+            probes = probe_region_samples(emb.map, 3, 3, derive_seed(seed, label + "|probe"))
+            for probe in probes:
+                records = secant_set(emb.map, probe.z, certificate=emb.report.certificate)
+                found += self.check(emb.map, records)
+        assert found >= 100
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_echelon_walk_on_a_map_past_2n_plus_1(self, seed, monkeypatch):
+        # the quadrilateral in R^4 is not square, so its records come off
+        # _ProbeEchelons.records; past 2n+1 z lies on chords of disjoint edges
+        walked = []
+        records_of_pair = _ProbeEchelons.records
+
+        def spy(self, s1, s2):
+            walked.append((s1, s2))
+            return records_of_pair(self, s1, s2)
+
+        monkeypatch.setattr(_ProbeEchelons, "records", spy)
+        h0 = plmap_from_obj(json.loads((FIXTURES / "quadrilateral.json").read_text()))
+        h, report = perturb_to_general_position(
+            subdivide_until(padded_map(h0, 1), F(1)), F(1), seed
+        )
+        assert not is_square(h.complex.maximal_simplices(), h.m)
+        rng = random.Random(seed)
+        found = 0
+        for s1, s2 in candidate_pairs(h):
+            p = combination(h, s1, affine_weights(rng, len(s1), True))
+            q = combination(h, s2, affine_weights(rng, len(s2), True))
+            t = rng.choice([F(-3, 2), F(5, 2)])
+            z = tuple(a + t * (b - a) for a, b in zip(p, q))
+            found += self.check(h, secant_set(h, z, certificate=report.certificate))
+        assert walked and found >= len(candidate_pairs(h))
