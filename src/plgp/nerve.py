@@ -14,7 +14,7 @@ d2 * den^2 <= num^2 * D^2.  That test is a pairing: with B = num^2 * D^2,
 B - den^2 |p - q|^2.  One exact.PackedPairings of the family (q, |q|^2, 1)
 gives each point's whole incidence row, ascending, as the signs of one
 packed pairing; refinement takes the squared distance between the marked
-sets on the same frame.
+sets on the same frame, which the cloud builds once (PointCloud.frame).
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ class PointCloud:
                 raise ValueError("marked index %r out of range" % (idx,))
         if self.b1 & self.b2:
             raise ValueError("marked sets overlap")
+
+    @cached_property
+    def frame(self) -> tuple:
+        """(scale, points): the cloud on one integer frame (exact.integer_points),
+        built on first use and kept for every cover and distance."""
+        return integer_points(self.points)
 
 
 def point_cloud(points, b1=(), b2=()) -> PointCloud:
@@ -91,7 +97,7 @@ def build_cover(cloud: PointCloud, radius) -> Cover:
     radius = rat(radius)
     if radius <= 0:
         raise PreconditionError("cover radius must be positive")
-    scale, points = integer_points(cloud.points)
+    scale, points = cloud.frame
     # dist(p, q) <= r  iff  |scale p - scale q|^2 * r.den^2 <= (r.num * scale)^2,
     # iff p's pairing with (q, |q|^2, 1) is non-negative
     den_sq = radius.denominator ** 2
@@ -133,7 +139,7 @@ def refine_for_separation(cloud: PointCloud, radius) -> Cover:
     cover = build_cover(cloud, radius)
     if not cover.violation:
         return cover
-    scale, points = integer_points(cloud.points)
+    scale, points = cloud.frame
     d_sq = Fraction(
         min(_int_dist_sq(points[i], points[j]) for i in cloud.b1 for j in cloud.b2),
         scale * scale,

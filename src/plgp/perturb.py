@@ -32,34 +32,37 @@ All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.
 
-The vertex-disjoint pairs are decided by Plücker coordinates when the map
-is square (is_square, the one test of it, which the probe's Plücker walk in
-secant shares): every maximal simplex has k vertices and m + 1 = 2k, as for
-n-simplices at m = 2n+1.  Then a pair's 2k homogeneous rows (1, image) make
-a square matrix, independent iff its determinant is nonzero, and the
-generalized Laplace expansion makes that determinant a pairing of the two
-simplices' Plücker vectors (exact.plucker, exact.laplace_dual).  One
-exact.PackedPairings decides each top's pairings with every later top in
-one big-integer walk; no echelon is kept for it.  Any other shape (m > 2n+1,
-or maximal simplices of mixed dimension) ranks its vertex-disjoint pairs on
-the echelons, as the sharing pairs are ranked.  A passing certificate of a
-square map also keeps, built on the first probe's request, the Plücker
-vectors and facet duals every probe of the map reads (FacetPairings).
+The vertex-disjoint pairs are decided by Plücker coordinates.  With k the
+most vertices of a maximal simplex (a top), every homogeneous row (1, image)
+is mapped by one fixed integer matrix Pi = [I_2k | V] to 2k coordinates
+(project): V_ce = (c+1)^(e+1) folds the m + 1 - 2k coordinates past 2k into
+the first 2k, and zeros pad a shorter row.  On a square map, every top with
+k vertices and m + 1 = 2k, as for n-simplices at m = 2n+1, Pi is the
+identity.  Two tops of k vertices give 2k projected rows, a square matrix
+whose determinant the generalized Laplace expansion makes a pairing of the
+two tops' Plücker vectors (exact.plucker, exact.laplace_dual); one
+exact.PackedPairings decides each top's pairings with every later top in one
+big-integer walk.  Projected rows of dependent rows are dependent, so a
+nonzero determinant proves the pair independent.  A zero one is dependent
+when Pi drops no coordinate; otherwise the pair's exact rank in R^(m+1)
+decides it (MaximalVerdicts.independent), and an independent pair is kept in
+zero_pairs, since the probe (secant) cannot read its secant off the
+projected rows.  A pair holding a top of fewer than k vertices (_mixed_pairs)
+is ranked exactly too.  A passing certificate also keeps, built on the first
+probe's request, the projected rows' Plücker vectors and facet duals every
+probe of the map reads (FacetPairings).
 
 A resample round moves exactly the vertices of the failing unions, which
 every certificate, round 0's included, collects as moved.  The tops are
 ranked first: if one fails, every vertex moves, since its pair with each
 other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
-complexes.later_sharing.  When their failing unions hold every vertex, as
-on subdivided maps before perturbation, no other pair can add to the set;
-otherwise the vertex-disjoint pairs are decided.  Both echelon passes, and
-the probe's adjacency ranks about z on a map that is not square (secant),
-read their failing unions off one walk, failing_unions: one
-Echelon.full_rank per top.  Each echelon is dropped after its row, or in
-the square case all of them after the sharing pass, and each Plücker
-vector after its row.  No pair is decided twice, and no verdict of a top
-or pair is kept: the certificate is moved and overall, whether moved is
-empty.
+complexes.later_sharing, by one Echelon.full_rank per top.  When their
+failing unions hold every vertex, as on subdivided maps before
+perturbation, no other pair can add to the set; otherwise the
+vertex-disjoint pairs are decided.  The echelons are dropped
+after the sharing pass, and each Plücker vector after its row.  No pair is
+decided twice, and no verdict of a top or pair is kept: the certificate is
+moved and overall, whether moved is empty.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from .complexes import PLMap, integer_images, later_sharing, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
@@ -111,67 +114,44 @@ def _dropping(items):
         yield item
 
 
-def failing_unions(tops, rows):
-    """Per row i = (tops[i]'s Echelon, later indices j), in order: (i, None)
-    when tops[i] is dependent, else (i, j) for each j whose union with
-    tops[i] is dependent, read off one Echelon.full_rank per row."""
-    for i, (e, later) in enumerate(rows):
-        sigma = tops[i]
-        alone, *verdicts = e.full_rank(*[tops[j] - sigma for j in later])
-        if not alone:
-            yield i, None
-        else:
-            for j, ok in zip(later, verdicts):
-                if not ok:
-                    yield i, j
+def project(row, width) -> tuple:
+    """Pi row: a homogeneous row's first width coordinates, plus
+    (c+1)^(e+1) times its coordinate width + e in coordinate c, for each e;
+    zeros pad a row shorter than width, and a row of width coordinates is
+    returned as it is."""
+    if len(row) == width:
+        return row
+    out = [*row[:width], *[0] * (width - len(row))]
+    for e, x in enumerate(row[width:], 1):
+        for c in range(width):
+            out[c] += (c + 1) ** e * x
+    return tuple(out)
 
 
-def is_square(tops, m) -> bool:
-    """Whether every top has k vertices with m + 1 = 2k, as n-simplices at
-    m = 2n+1: then a vertex-disjoint pair's 2k homogeneous rows (1, image)
-    make a square matrix.  The certificate's packed walk and the probe's
-    Plücker walk (secant) run on exactly these maps."""
-    return all(2 * len(t) == m + 1 for t in tops)
-
-
-def _packed_moved(tops, images) -> set:
-    """The vertices of the failing vertex-disjoint pairs of tops that each
-    have k vertices, with images in R^(2k-1) on one integer frame.
-
-    Each top's homogeneous rows (1, image) give its Plücker vector p, and a
-    pair's union is independent iff the square determinant of its 2k rows,
-    sum(p_i * laplace_dual(p_j)), is nonzero.  One PackedPairings of the
-    duals decides each top's pairs with every later top in one walk; the
-    hits of vertex-sharing pairs, whose determinants repeat a row, are
-    dropped, since the sharing pass decided them.
-    """
-    k = len(tops[0])
-    ps = [plucker([(1, *images[v]) for v in t]) for t in tops]
-    packed = PackedPairings(
-        [laplace_dual(p, k) for p in ps], max(sum(map(abs, p)) for p in ps)
-    )
-    moved = set()
-    for i, p in enumerate(_dropping(ps)):
-        sigma = tops[i]
-        for j in packed.zeros(p, i + 1):
-            if sigma.isdisjoint(tops[j]):
-                moved |= sigma | tops[j]
-    return moved
+def _mixed_pairs(tops, k):
+    """The vertex-disjoint pairs (i, j), i < j, of tops that hold a top of
+    fewer than k vertices."""
+    for i, sigma in enumerate(tops):
+        if len(sigma) < k:
+            for j, tau in enumerate(tops):
+                if (j > i or len(tau) == k) and sigma.isdisjoint(tau):
+                    yield min(i, j), max(i, j)
 
 
 class FacetPairings:
-    """A square map's Plücker data on the certificate's integer frame, read
-    by the probe's walk (secant).  Per top: its sorted vertices, its rows
-    (1, image) and their Plücker vector.  packed(bound) holds, per top and
-    facet t, the top without its t-th vertex, the dual (exact.laplace_dual)
-    of the facet's Plücker vector against k + 1 rows of 2k columns, negated
-    when t is odd, in top-major order, in one exact.PackedPairings; the
-    duals live only while they are packed, and are packed again only when
-    a bound exceeds the packing's own."""
+    """A map's Plücker data on the certificate's projected rows, read by the
+    probe's walk (secant).  Per top: its sorted vertices and their rows'
+    Plücker vector.  packed(bound) holds, per top and facet t, the top
+    without its t-th vertex, the dual (exact.laplace_dual) of the facet's
+    Plücker vector against k + 1 rows of 2k columns, negated when t is odd,
+    in top-major order, in one exact.PackedPairings; a top of fewer than k
+    vertices holds k zero duals, since its pairs are solved exactly.  The
+    duals live only while they are packed, and are packed again only when a
+    bound exceeds the packing's own."""
 
-    def __init__(self, tops, images):
-        self.k = len(tops[0])
-        self.images = images
+    def __init__(self, tops, rows, k):
+        self.k = k
+        self.projected = rows
         self.vertices = [sorted_vertices(t) for t in tops]
         ps = [plucker(self.rows(i)) for i in range(len(tops))]
         # each vector as fixed-width signed bytes, a fraction of its ints'
@@ -181,8 +161,8 @@ class FacetPairings:
         self._packed = None
 
     def rows(self, i) -> list:
-        """Top i's rows (1, image), its vertices in sorted order."""
-        return [(1, *self.images[v]) for v in self.vertices[i]]
+        """Top i's projected rows, its vertices in sorted order."""
+        return [self.projected[v] for v in self.vertices[i]]
 
     def top_plucker(self, i) -> list:
         """Top i's Plücker vector."""
@@ -197,6 +177,9 @@ class FacetPairings:
         for i in range(len(self.vertices)):
             rows = self.rows(i)
             for t in range(k):
+                if len(rows) < k:
+                    yield [0] * comb(2 * k, k + 1)
+                    continue
                 q = laplace_dual(plucker(rows[:t] + rows[t + 1:]), k + 1, 2 * k)
                 yield [-x for x in q] if t % 2 else q
 
@@ -212,38 +195,74 @@ class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
     simplices and on every pair of distinct ones, kept as moved, the
     vertices of the failing unions (the set a resample round moves), and
-    overall, whether it is empty."""
+    overall, whether it is empty.  zero_pairs maps each top's index to the
+    indices of the vertex-disjoint tops whose projected determinant with it
+    is zero though their union is independent."""
 
     def __init__(self, h: PLMap):
         self.map = h
         self.scale, self.images = integer_images(h)
         self.tops = tops = h.complex.maximal_simplices()
+        self.k = max(map(len, tops), default=1)
+        self.zero_pairs = {}
         echelons = [_top_echelon(self.images, sigma) for sigma in tops]
         self.moved = moved = set()
         if not all(e.independent for e in echelons):
             # a failing top's pair with each other top fails
             moved.update(h.complex.vertices)
         else:
-            for i, j in failing_unions(tops, zip(echelons, later_sharing(tops))):
-                moved |= tops[i] | tops[j]
+            for sigma, e, later in zip(tops, echelons, later_sharing(tops)):
+                _, *verdicts = e.full_rank(*[tops[j] - sigma for j in later])
+                for j, ok in zip(later, verdicts):
+                    if not ok:
+                        moved |= sigma | tops[j]
+            echelons.clear()  # the vertex-disjoint pairs read no echelon
             if len(moved) < len(h.complex.vertices):
-                if is_square(tops, h.m):
-                    echelons.clear()  # the packed walk reads no echelon
-                    moved |= _packed_moved(tops, self.images)
-                else:
-                    disjoint = (
-                        [j for j in range(i + 1, len(tops)) if tops[i].isdisjoint(tops[j])]
-                        for i in range(len(tops))
-                    )
-                    for i, j in failing_unions(tops, zip(_dropping(echelons), disjoint)):
-                        moved |= tops[i] | tops[j]
+                moved |= self._disjoint_moved()
         self.overall = not moved
 
     @cached_property
+    def rows(self) -> dict:
+        """Each vertex's homogeneous row (1, image), mapped by Pi (project)
+        to 2k coordinates, built on first use and kept."""
+        return {v: project((1, *p), 2 * self.k) for v, p in self.images.items()}
+
+    def _disjoint_moved(self) -> set:
+        """The vertices of the failing vertex-disjoint pairs: the zero slots
+        of one packed Plücker walk over the tops of k vertices, each ranked
+        exactly when Pi drops a coordinate, and the exact rank of each pair
+        holding a smaller top.  Hits of vertex-sharing pairs, whose
+        determinants repeat a row, are dropped: the sharing pass decided
+        them."""
+        tops, k = self.tops, self.k
+        folded = self.map.m + 1 > 2 * k
+        full = [i for i, t in enumerate(tops) if len(t) == k]
+        ps = [plucker([self.rows[v] for v in tops[i]]) for i in full]
+        packed = PackedPairings(
+            [laplace_dual(p, k) for p in ps], max(sum(map(abs, p)) for p in ps)
+        )
+        moved = set()
+        for a, p in enumerate(_dropping(ps)):
+            sigma = tops[full[a]]
+            for b in packed.zeros(p, a + 1):
+                tau = tops[full[b]]
+                if not sigma.isdisjoint(tau):
+                    continue
+                if folded and self.independent(sigma | tau):
+                    self.zero_pairs.setdefault(full[a], set()).add(full[b])
+                    self.zero_pairs.setdefault(full[b], set()).add(full[a])
+                else:
+                    moved |= sigma | tau
+        for i, j in _mixed_pairs(tops, k):
+            if not self.independent(tops[i] | tops[j]):
+                moved |= tops[i] | tops[j]
+        return moved
+
+    @cached_property
     def facet_pairings(self) -> FacetPairings:
-        """The FacetPairings of a square map, built on first use and kept:
-        every probe of the map reads the same ones."""
-        return FacetPairings(self.tops, self.images)
+        """The FacetPairings of the map, built on first use and kept: every
+        probe of the map reads the same ones."""
+        return FacetPairings(self.tops, self.rows, self.k)
 
     def independent(self, vertices) -> bool:
         """Affine independence of the vertices' images, by an integer rank."""

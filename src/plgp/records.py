@@ -1,6 +1,6 @@
 """Secant records on a probe's integer frame, from the walk to the report text.
 
-A probe's frame (secant._probe_frame) holds z and the map's vertex images
+A probe's frame (secant._ProbeFrame) holds z and the map's vertex images
 multiplied by one common denominator, scale, as Python ints.  The walks
 find each secant's witnesses as integer weights (vertices, d, w), w / d on
 the sorted vertices of a simplex, and a record keeps them so: per witness

@@ -18,27 +18,38 @@ secant through z is points p1 = sum mu_i v_i and p2 = sum nu_j w_j, with
 mu >= 0 and nu >= 0 each summing to 1, such that p1 - z and p2 - z are
 nonzero and parallel.
 
-On a square map (perturb.is_square, the certificate's test too: every
-maximal simplex has k vertices and m + 1 = 2k) every top and pair is
-decided by the signs of determinants, and no elimination runs.  Write
-x^ = (1, x).  The certificate makes the 2k rows v_i^, w_j^ a basis of
-R^(2k), so z^ = sum alpha_i v_i^ + sum beta_j w_j^ for unique alpha and
-beta, and by Cramer's rule, each up to one nonzero factor,
+Write x^ = (1, x).  The certificate makes the rows v_i^, w_j^ of a
+vertex-disjoint pair independent, so z^ = sum alpha_i v_i^ + sum beta_j w_j^
+has at most one solution.  A secant has z = lambda p1 + (1 - lambda) p2 with
+lambda neither 0 nor 1, since z is off the image, so alpha = lambda mu and
+beta = (1 - lambda) nu: neither holds two strict signs.  Conversely, a
+solution with lambda = sum alpha neither 0 nor 1 and no two strict signs in
+alpha or in beta gives convex weights mu = alpha / sum alpha and
+nu = beta / sum beta, and z = lambda p1 + (1 - lambda) p2 lies on the line
+through p1 and p2, which differ since aff(s1) misses aff(s2).  So a pair
+carries a secant iff that holds, and then exactly one.  Any pair may be
+decided so, by one exact solve (_ProbeFrame.solve); secants_for_pair's face
+pairs are, and so are the pairs the walk below cannot read.
+
+The walk (_PluckerProbe) reads the rows the certificate mapped by Pi
+(perturb.project: 2k coordinates, k the most vertices of a top) and z^
+mapped by the same Pi.  For two tops of k vertices whose projected rows
+make a basis, a nonzero determinant D in the certificate, Cramer's rule
+gives, each up to the factor D,
 
     beta_j  ~ (-1)^j det(z^, s1^, s2^ without w_j^),
-    alpha_i ~ (-1)^i det(z^, s2^, s1^ without v_i^).
+    alpha_i ~ (-1)^i det(z^, s2^, s1^ without v_i^),
 
-A secant has z = lambda p1 + (1 - lambda) p2 with lambda neither 0 nor 1,
-since z is off the image, so z^ = sum lambda mu_i v_i^ + sum (1 - lambda)
-nu_j w_j^, and by uniqueness alpha = lambda mu and beta = (1 - lambda) nu:
-neither holds two strict signs.  Conversely, let neither hold two strict
-signs.  alpha = 0 would put z^ in the span of s2^, so z in aff(s2), and
-beta = 0 z in aff(s1), which (ii) refuses; so lambda = sum alpha and
-1 - lambda = sum beta are nonzero, mu = alpha / sum alpha and
-nu = beta / sum beta are convex weights, and z = lambda p1 + (1 - lambda) p2
-lies on the line through p1 and p2, which differ since aff(s1) misses
-aff(s2).  So a pair carries a secant iff neither alpha nor beta holds two
-strict signs, and then exactly one, with witnesses mu and nu and no solve.
+on the projected rows.  The projected relation is unique, so when the true
+one exists it equals it: a pair whose projected alpha or beta holds two
+strict signs carries no secant and is dropped.  A kept pair's relation is
+checked on the coordinates Pi drops (_PluckerProbe._holds), so it holds in
+R^(m+1), and then alpha = 0 would put z in aff(s2) and beta = 0 in aff(s1),
+which (ii) refuses; its record is read off its 2k determinants with no
+solve.  On a square map (m + 1 = 2k, every top with k vertices) Pi is the
+identity and drops no coordinate.  A pair holding a top of fewer than k
+vertices, or whose projected determinant is zero (the certificate's
+zero_pairs), is solved exactly.
 
 The determinants pair Plücker vectors.  J1, the maximal minors of the
 k + 1 rows s1^, z^, is s1's Plücker vector expanded by z^'s row
@@ -48,57 +59,17 @@ The certificate packs every top's facet duals once
 (perturb.FacetPairings); one exact.PackedPairings walk per top sigma gives
 J_sigma's pairing with every facet of every top, whose top bytes are the
 signs: pair (s1, s2)'s beta signs lie in s1's row and its alpha signs in
-s2's.  The same walk decides (ii): z is in aff(sigma) iff J_sigma = 0; a
-pair sharing one vertex u has its union with z square, dependent iff
-J_sigma's pairing with tau's facet without u is zero; a pair sharing more
-is dependent iff J_sigma expanded by the rows of tau - sigma is zero.
-The first failure in top order is refused, as the echelon ranks below
-refuse it.  Each kept pair's record is read off its 2k determinants, in
-the order of the pairs, so the first record per line is the same.
-
-Any other shape takes two small systems per pair.  With one
-exact.Echelon per top about z, the row
-x reduced against s1's Echelon, the rows v_i - z, is R1(x), its entries in
-the free columns: a linear map whose kernel is exactly the span of
-the v_i - z, the direction space of the join J1 = aff(z u s1).  So
-p2 lies on J1 exactly when nu solves
-
-    sum nu_j R1(w_j - z) = 0,    sum nu_j = 1,
-
-and p1 lies on J2 = aff(z u s2) exactly when mu solves the same system with
-the roles swapped (R2 from s2's echelon).  A pair carries no secant when
-either system is rank-deficient, inconsistent or has a weight < 0.  Most
-pairs fail before any elimination: a row of a small system whose entries
-R1(w_j - z) are all positive, or all negative, has no solution with
-nu >= 0 and sum nu = 1.  When R1 has no columns the small system is
-sum nu = 1 alone, of full rank only when s2 is a vertex.
-
-The test is exact.  The certificate makes s1 u s2 affinely independent, so
-aff(s1) misses aff(s2), and J1 and J2, which hold every secant through z,
-share at most a line.  A pair passing both systems has a secant: p2 lies on
-s2 and J1, p1 on s1 and J2, and neither is z, which is off the image, so
-the line L through z and p2 lies in both joins and holds p1 as well.  The
-record is read straight off the two solutions: the witnesses p1 and p2,
-their weights mu and nu, and L, the canonical line through z along p2 - z.
-Conversely a secant's weights solve both systems, so a system of full rank
-has them as its unique solution, and a rank-deficient one carries no
-secant: a kernel vector nu' of the first has sum nu' = 0, so
-u = sum nu'_j w_j is nonzero, in dir(s2) and in dir J1, so J1 and J2
-share just the line z + Ru.  It is parallel to aff(s2), so it meets
-aff(s2) only if z lies in aff(s2).  That case needs no branch of its own: the line
-through z and a point of s2 lies in aff(s2), which misses s1, and R2's
-kernel is then dir(s2), so the second system would put p1 on aff(s2) and
-is inconsistent.  The same holds for z in aff(s1), with the roles swapped.
+s2's.  The same walk decides (ii), top by top, and the first failure in top
+order is refused: z is in aff(sigma) iff the rows of sigma and z are
+dependent, which J_sigma != 0 disproves; a pair of tops of k vertices sharing
+one vertex u has its union with z square, independent if J_sigma's pairing
+with tau's facet without u is nonzero; any other sharing pair is independent
+if J_sigma expanded by the rows of tau - sigma is nonzero.  Each zero is
+decided by the exact rank of the rows with z^ in R^(m+1)
+(_ProbeFrame.independent).  The records come in the order of the pairs, so
+the first record per line is the same whichever way each pair is decided.
 The flats construction (joins, intersections, line-simplex solves) is the
-oracle of both walks in the tests, and the echelon walk the Plücker walk's.
-
-The probe's _ProbeEchelons maps each top to its Echelon: its echelon
-rows, pivots and free columns, and the reduced rows R1(w - z) so far.  The
-ranks of (ii), perturb.failing_unions about z, build them; they raise on
-the first failure and return nothing.  The pair walk reuses the echelons
-and picks its vertex-disjoint pairs itself, by isdisjoint.  Only the rows
-i' <= i, the pairs (i', j) with j > i', use top i's Echelon, so secant_set
-deletes it after row i.
+tests' oracle of both the walk and the solve.
 
 A record stays on the probe's integer frame up to the report text
 (plgp.records); secant_set deduplicates and orders the records on their
@@ -120,15 +91,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_
+from operator import add, and_, mul, or_
 
 from .complexes import PLMap, later_sharing, sorted_vertices
 from .errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from .exact import (
-    Echelon,
     _echelon_int,
     _solve_echelon_int,
     expand,
+    int_combination,
+    laplace_dual,
     norm_sq,
     rat,
     rat_str,
@@ -140,7 +112,7 @@ from .flats import (
     int_line_key,
     point_to_image_distance_sq_lower,
 )
-from .perturb import GRID, failing_unions, general_position_certificate, is_square
+from .perturb import GRID, general_position_certificate, project
 from .records import record_to_obj, secant_record, sorted_keys
 
 PROBE_BUDGET_FACTOR = 1000
@@ -179,66 +151,44 @@ def certified(h, certificate=None):
     return cert
 
 
-def _probe_frame(z, cert):
-    """(scale, origin, points): z and the map's vertex images, all
-    multiplied by one common denominator, scale, as integers.  The
-    certificate already holds the map's integer images; only z's
+class _ProbeFrame:
+    """One probe's integer frame, which records.secant_record reads: z, and
+    z and the map's vertex images multiplied by one common denominator,
+    scale, as ints (origin, points); and row, z^ on the certificate's frame.
+    The certificate already holds the map's integer images; only z's
     denominators can widen the scale."""
-    scale, origin = widen_frame(cert.scale, z)
-    points = cert.images
-    if scale != cert.scale:
-        f = scale // cert.scale
-        points = {v: tuple(f * x for x in p) for v, p in points.items()}
-    return scale, origin, points
-
-
-class _ProbeEchelons(dict):
-    """One probe's Echelon of each vertex set about z, built on first use, on
-    the probe's frame (_probe_frame)."""
 
     def __init__(self, z, cert):
-        super().__init__()
-        self.z = z
-        self.scale, self.origin, self.points = _probe_frame(z, cert)
+        self.z, self.cert = z, cert
+        self.scale, self.origin = widen_frame(cert.scale, z)
+        f = self.scale // cert.scale
+        self.points = cert.images
+        if f != 1:
+            self.points = {v: tuple(f * x for x in p) for v, p in self.points.items()}
+        # (1, z) on the certificate's frame, times f
+        self.row = (f, *self.origin)
 
-    def __missing__(self, s):
-        e = self[s] = Echelon(self.points, self.origin, s)
-        return e
+    def independent(self, vertices) -> bool:
+        """Whether z and the vertices' images are affinely independent, by
+        the integer rank of their homogeneous rows in R^(m+1)."""
+        rows = [list(self.row)] + [[1, *self.cert.images[v]] for v in vertices]
+        return len(_echelon_int(rows)) == len(rows)
 
-    def _weights(self, s1, s2):
-        """(vertices, d, nu) with nu / d the one solution of the small system
-        sum nu_j R_s1(w_j - z) = 0, sum nu = 1 over s2's sorted vertices w_j,
-        or None when it is rank-deficient, inconsistent or has a nu_j < 0."""
-        verts = sorted_vertices(s2)
-        reduce = self[s1].reduce
-        columns = [reduce(w) for w in verts]
-        n = len(columns)
-        reduced_rows = list(zip(*columns))
-        # a row sum nu_j r_j = 0 with nu >= 0, sum nu = 1 needs an r_j <= 0
-        # and an r_j >= 0: this exact test settles most pairs without a solve
-        if any(min(r) > 0 or max(r) < 0 for r in reduced_rows):
-            return None
-        # the row sum nu = 1 first: its pivot 1 keeps the elimination small
-        rows = [[1] * (n + 1)] + [[*r, 0] for r in reduced_rows]
-        if len(_echelon_int(rows, pivot_col_limit=n)) < n:
-            return None
-        if any(row[n] for row in rows[n:]):
-            return None
-        d, (nu,) = _solve_echelon_int(rows, n)
-        if any(t < 0 for t in nu):
-            return None
-        return verts, d, nu
-
-    def records(self, s1, s2):
-        """Secant records for one vertex-disjoint pair (length <= 1), read off
-        its two small systems (module docstring)."""
-        nu = self._weights(s1, s2)
-        if nu is None:
+    def solve(self, s1, s2) -> list:
+        """The secant record of the vertex-disjoint pair (s1, s2), simplices
+        of any size, from one exact solve of z^ = sum alpha_i v_i^ +
+        sum beta_j w_j^ in R^(m+1) (module docstring; length <= 1)."""
+        v1, v2 = sorted_vertices(s1), sorted_vertices(s2)
+        n = len(v1) + len(v2)
+        columns = [(1, *self.cert.images[v]) for v in v1 + v2]
+        rows = [list(r) for r in zip(*columns, self.row)]
+        if len(_echelon_int(rows, pivot_col_limit=n)) < n or any(r[n] for r in rows[n:]):
             return []
-        mu = self._weights(s2, s1)
-        if mu is None:
+        _, (x,) = _solve_echelon_int(rows, n)
+        alpha, beta = x[: len(v1)], x[len(v1) :]
+        if not (sum(alpha) and sum(beta)) or any(min(w) < 0 < max(w) for w in (alpha, beta)):
             return []
-        return [secant_record(self, s1, mu, s2, nu)]
+        return [secant_record(self, s1, (v1, sum(alpha), alpha), s2, (v2, sum(beta), beta))]
 
 
 # bytes 0 and 1 -> the digits int() reads in base 2
@@ -258,83 +208,66 @@ def _refuse(h, z, top):
     )
 
 
-def _assert_adjacent_secant_free(h, z, echelons, tops):
-    """Refuse z unless it is affinely independent of every maximal image
-    simplex and of every vertex-sharing maximal pair's image union, by
-    integer ranks on the frame; returns nothing.
+class _PluckerProbe(_ProbeFrame):
+    """One probe's walk, read off the certificate's FacetPairings (module
+    docstring): per top sigma the join vector J, the Plücker vector of
+    sigma's projected rows expanded by z^'s projected row, and its pairings
+    with every top's facets, whose signs decide every pair of tops of k
+    vertices."""
 
-    The failures are perturb.failing_unions about z, on the tops'
-    echelons and their later vertex-sharing tops (complexes.later_sharing),
-    and the first one is raised.  Passing ranks also put z off the image,
-    which lies in the union of the maximal simplices' affine hulls.
-    """
-    rows = ((echelons[s], sorted(later)) for s, later in zip(tops, later_sharing(tops)))
-    for _, j in failing_unions(tops, rows):
-        _refuse(h, z, j is None)
-
-
-def _echelon_walk(h, z, cert, tops):
-    """The records of the vertex-disjoint pairs (i, j), i < j, in order, on
-    one probe's echelons, after the adjacency ranks; each top's Echelon is
-    dropped after its row."""
-    echelons = _ProbeEchelons(z, cert)
-    _assert_adjacent_secant_free(h, z, echelons, tops)
-    for i, s1 in enumerate(tops):
-        for s2 in tops[i + 1:]:
-            if s1.isdisjoint(s2):
-                yield from echelons.records(s1, s2)
-        del echelons[s1]  # no later row uses it
-
-
-class _PluckerProbe:
-    """One probe's walk on a square map (perturb.is_square), read off the
-    certificate's FacetPairings (module docstring): per top sigma the join
-    vector J, sigma's Plücker vector expanded by the row of z, and its
-    pairings with every top's facets, whose signs decide every pair."""
-
-    def __init__(self, h, z, cert, tops):
-        self.h, self.z, self.tops = h, z, tops
+    def __init__(self, h, z, cert):
+        super().__init__(z, cert)
+        self.h, self.tops = h, cert.tops
         self.facets = facets = cert.facet_pairings
-        self.scale, self.origin, self.points = _probe_frame(z, cert)
-        # (1, z) on the certificate's frame, times scale // cert.scale
-        row = (self.scale // cert.scale, *self.origin)
-        self.joins = [list(expand(facets.top_plucker(i), facets.k, row)) for i in range(len(tops))]
+        row = project(self.row, 2 * facets.k)
+        self.joins = [
+            list(expand(facets.top_plucker(i), len(t), row)) for i, t in enumerate(self.tops)
+        ]
 
     def _independent(self, i, j, zeros) -> bool:
         """Whether z with the union of tops i < j, which share a vertex, is
-        affinely independent: for one shared vertex, the pairing of J_i with
-        j's facet without it is nonzero; otherwise J_i expanded by the rows
-        of tops[j] - tops[i] is."""
+        affinely independent: for tops of k vertices sharing one, when the
+        pairing of J_i with j's facet without it is nonzero; otherwise when
+        J_i expanded by the rows of tops[j] - tops[i] is; else by the exact
+        rank."""
         sigma, tau = self.tops[i], self.tops[j]
-        shared = sigma & tau
-        if len(shared) == 1:
+        shared, k = sigma & tau, self.facets.k
+        if len(shared) == 1 and len(sigma) == len(tau) == k:
             t = self.facets.vertices[j].index(next(iter(shared)))
-            return j * self.facets.k + t not in zeros
-        minors, r = self.joins[i], self.facets.k + 1
-        *rest, last = tau - sigma
-        for v in rest:
-            minors = list(expand(minors, r, (1, *self.facets.images[v])))
-            r += 1
-        # the first nonzero minor decides
-        return any(expand(minors, r, (1, *self.facets.images[last])))
+            if j * k + t not in zeros:
+                return True
+        else:
+            minors, r = self.joins[i], len(sigma) + 1
+            *rest, last = tau - sigma
+            for v in rest:
+                minors = list(expand(minors, r, self.facets.projected[v]))
+                r += 1
+            # the first nonzero minor decides
+            if any(expand(minors, r, self.facets.projected[last])):
+                return True
+        return self.independent(sigma | tau)
 
     def _fails(self) -> list:
         """Per top i, an int whose bit j is set when J_i's pairings with j's
-        facets hold both strict signs; refuses z on the way, top by top, as
-        _assert_adjacent_secant_free does."""
+        facets hold both strict signs, and never for a pair solved exactly;
+        refuses z on the way, top by top (module docstring)."""
         tops, joins, k = self.tops, self.joins, self.facets.k
         count = len(tops)
         packed = self.facets.packed(max(sum(map(abs, j)) for j in joins))
         fails = []
         for i, later in enumerate(later_sharing(tops)):
-            if not any(joins[i]):
+            if not any(joins[i]) and not self.independent(tops[i]):
                 _refuse(self.h, self.z, True)
-            negative, zeros = packed.signs(joins[i])
+            full = len(tops[i]) == k
+            negative, zeros = packed.signs(joins[i]) if full else (b"", [])
             for j in sorted(later):
                 if not self._independent(i, j, zeros):
                     _refuse(self.h, self.z, False)
+            if not full:
+                fails.append(0)
+                continue
             # per top j, whether some but not all of its k slots are negative:
-            # one byte per top, then one bit
+            # one byte per top, then one bit; a smaller top's slots are zero
             strided = [int.from_bytes(negative[t::k], "little") for t in range(k)]
             some, every = reduce(or_, strided), reduce(and_, strided)
             row = int((some ^ every).to_bytes(count, "big").translate(_DIGITS), 2)
@@ -347,13 +280,15 @@ class _PluckerProbe:
                         not negative[s] and s not in zeros for s in block
                     )
                     row = row | 1 << j if both else row & ~(1 << j)
+            for j in self.cert.zero_pairs.get(i, ()):
+                row &= ~(1 << j)
             fails.append(row)
         return fails
 
     def _weights(self, i, j) -> list:
         """Per facet t of top j, the top without its t-th vertex, (-1)^t
-        det(tops[i]^, z^, facet^): J_i expanded by the facet's rows, the
-        pairing whose sign the walk read."""
+        det(tops[i]^, z^, facet^) on the projected rows: J_i expanded by the
+        facet's rows, the pairing whose sign the walk read."""
         k, rows = self.facets.k, self.facets.rows(j)
         weights = []
         for t in range(k):
@@ -363,14 +298,41 @@ class _PluckerProbe:
             weights.append(-minors[0] if t % 2 else minors[0])
         return weights
 
+    def _holds(self, i, j, alpha, beta) -> bool:
+        """Whether D z^ = (-1)^k sum alpha_t v_t^ + sum beta_t w_t^ on the
+        coordinates Pi drops, D the determinant of the pair's projected
+        rows: with the projected relation, whether it holds in R^(m+1).
+        Always, when Pi drops none."""
+        facets, width = self.facets, 2 * self.facets.k
+        if len(self.row) <= width:
+            return True
+        d = sum(map(mul, facets.top_plucker(i), laplace_dual(facets.top_plucker(j), facets.k)))
+        if facets.k % 2:
+            alpha = [-a for a in alpha]
+        images = self.cert.images
+        combined = map(
+            add,
+            int_combination(images, facets.vertices[i], alpha),
+            int_combination(images, facets.vertices[j], beta),
+        )
+        # image coordinate c is row coordinate c + 1
+        tail = slice(width - 1, None)
+        return list(combined)[tail] == [d * x for x in self.origin[tail]]
+
     def records(self, i, j):
         """The secant record of the vertex-disjoint pair (tops[i], tops[j])
-        whose weights hold no two strict signs: alpha off J_j and i's
-        facets, beta off J_i and j's facets (length 1)."""
+        that the sign tests kept (length <= 1): off alpha, read off J_j and
+        i's facets, and beta, off J_i and j's facets, when the relation
+        holds; by one exact solve for a pair the walk cannot read."""
+        sigma, tau, k = self.tops[i], self.tops[j], self.facets.k
+        if len(sigma) < k or len(tau) < k or j in self.cert.zero_pairs.get(i, ()):
+            return self.solve(sigma, tau)
         alpha, beta = self._weights(j, i), self._weights(i, j)
+        if not self._holds(i, j, alpha, beta):
+            return []
         mu = self.facets.vertices[i], sum(alpha), alpha
         nu = self.facets.vertices[j], sum(beta), beta
-        return [secant_record(self, self.tops[i], mu, self.tops[j], nu)]
+        return [secant_record(self, sigma, mu, tau, nu)]
 
     def walk(self):
         """The records of the vertex-disjoint pairs (i, j), i < j, in order,
@@ -401,7 +363,7 @@ def secants_for_pair(h: PLMap, z, s1, s2, certificate=None):
     cert = certified(h, certificate)
     if point_to_image_distance_sq_lower(z, h) == 0:
         raise PreconditionError("probe point lies on the image")
-    return _ProbeEchelons(z, cert).records(s1, s2)
+    return _ProbeFrame(z, cert).solve(s1, s2)
 
 
 def secant_set(h: PLMap, z, certificate=None):
@@ -412,15 +374,10 @@ def secant_set(h: PLMap, z, certificate=None):
     if len(z) != h.m:
         raise ValueError("ambient dimension mismatch")
     cert = certified(h, certificate)
-    tops = h.complex.maximal_simplices()
-    if not tops:
+    if not cert.tops:
         raise ValueError("empty complex has no image")
-    if is_square(tops, h.m):
-        found = _PluckerProbe(h, z, cert, tops).walk()
-    else:
-        found = _echelon_walk(h, z, cert, tops)
     by_key = {}
-    for rec in found:
+    for rec in _PluckerProbe(h, z, cert).walk():
         by_key.setdefault(rec.key, rec)
     return [by_key[key] for key in sorted_keys(by_key)]
 

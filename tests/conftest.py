@@ -24,10 +24,11 @@ def bench_workloads():
 def ranked_pairs(monkeypatch):
     """Per general-position certificate built from now on, the pairs its
     __init__ decides: (sigma, tau - sigma) for each extra vertex set
-    tau - sigma that Echelon.full_rank receives on top sigma's Echelon, and
-    for each vertex-disjoint pair (sigma, tau) that the packed walk decides
-    in sigma's row.  Decisions outside __init__, such as a test's own, are
-    not recorded."""
+    tau - sigma that Echelon.full_rank receives on top sigma's Echelon, for
+    each vertex-disjoint pair (sigma, tau) of tops with the most vertices
+    that the packed walk decides in sigma's row, and for each pair that
+    perturb._mixed_pairs yields, (sigma, tau) in top order.  Decisions
+    outside __init__, such as a test's own, are not recorded."""
     import plgp.perturb
     from plgp.exact import Echelon, PackedPairings
 
@@ -36,6 +37,7 @@ def ranked_pairs(monkeypatch):
     top_echelon = plgp.perturb._top_echelon
     full_rank = Echelon.full_rank
     zeros = PackedPairings.zeros
+    mixed_pairs = plgp.perturb._mixed_pairs
     init = plgp.perturb.MaximalVerdicts.__init__
 
     def tagged(images, sigma):
@@ -49,15 +51,24 @@ def ranked_pairs(monkeypatch):
         return full_rank(self, *ts)
 
     def pairing(self, p, start=0):
-        # row start - 1 pairs its top with every later one; the walk keeps
-        # the vertex-disjoint pairs, full_rank decided the others
+        # row start - 1 pairs its top with every later one of as many
+        # vertices; the walk keeps the vertex-disjoint pairs, full_rank
+        # decided the others
         if building:
             tops = building[-1].complex.maximal_simplices()
+            k = max(map(len, tops))
+            tops = [t for t in tops if len(t) == k]
             sigma = tops[start - 1]
             groups[-1].extend(
                 (sigma, tau) for tau in tops[start:] if sigma.isdisjoint(tau)
             )
         return zeros(self, p, start)
+
+    def mixed(tops, k):
+        for i, j in mixed_pairs(tops, k):
+            if building:
+                groups[-1].append((tops[i], tops[j]))
+            yield i, j
 
     def starting(self, h):
         groups.append([])
@@ -70,5 +81,6 @@ def ranked_pairs(monkeypatch):
     monkeypatch.setattr(plgp.perturb, "_top_echelon", tagged)
     monkeypatch.setattr(Echelon, "full_rank", recording)
     monkeypatch.setattr(PackedPairings, "zeros", pairing)
+    monkeypatch.setattr(plgp.perturb, "_mixed_pairs", mixed)
     monkeypatch.setattr(plgp.perturb.MaximalVerdicts, "__init__", starting)
     return groups

@@ -145,8 +145,10 @@ class TestRefineForSeparation:
         assert not cover.violation and not validate(nerve_complex(cover))
 
     def test_separating_request_computes_no_marked_distance(self, monkeypatch):
-        # the marked-set distance is taken on a second integer frame; a
-        # request that already separates needs only its own cover's frame
+        # the cloud builds its integer frame once: a request that already
+        # separates, and one that builds two covers and takes the
+        # marked-set distance, each read the same frame; a later request on
+        # the same cloud builds none
         frames = []
 
         def spy(points):
@@ -158,8 +160,19 @@ class TestRefineForSeparation:
         assert refine_for_separation(cloud, F(1, 5)).radius == F(1, 5)
         assert len(frames) == 1
         frames.clear()
+        cloud = point_cloud([[0], [1]], b1=[0], b2=[1])
+        built = []
+        build_cover = nerve_module.build_cover
+
+        def counting(c, radius):
+            built.append(radius)
+            return build_cover(c, radius)
+
+        monkeypatch.setattr(nerve_module, "build_cover", counting)
         assert refine_for_separation(cloud, 1).radius == F(1, 4)
-        assert len(frames) == 3
+        assert (built, len(frames)) == ([1, F(1, 4)], 1)
+        assert refine_for_separation(cloud, 1).radius == F(1, 4)
+        assert len(frames) == 1
 
 
 def oracle_cover(cloud, radius):

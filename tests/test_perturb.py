@@ -39,7 +39,6 @@ from plgp.perturb import (
     MaximalVerdicts,
     _displacement_bound,
     _draw_displacement,
-    _packed_moved,
     _top_echelon,
     certificate_to_obj,
     general_position_certificate,
@@ -381,7 +380,12 @@ class TestPerTopCertificate:
     """Pair flags from one elimination per top against the per-pair union
     rank, and the certificate's moved set against the failing unions."""
 
-    CORPUS = {(1, 3): (71, 9), (2, 5): (72, 6), (3, 7): (73, 3)}
+    # m = 2n+1, and past it, where Pi (perturb.project) folds the
+    # coordinates past 2n+2 into the first 2n+2
+    CORPUS = {
+        (1, 3): (71, 9), (2, 5): (72, 6), (3, 7): (73, 3),
+        (1, 4): (76, 6), (1, 5): (77, 6), (2, 6): (78, 3), (2, 7): (79, 3),
+    }
 
     @pytest.mark.parametrize("n,m", sorted(CORPUS))
     def test_subdivided_and_perturbed_maps(self, n, m):
@@ -445,8 +449,14 @@ class TestPerTopCertificate:
             built.append(self)
             init(self, *args)
 
+        independent = MaximalVerdicts.independent
+
         def refuse(self, vertices):
-            raise AssertionError("full elimination of a union")
+            # only a pair holding a top of fewer vertices is ranked whole
+            mixed = plgp.perturb._mixed_pairs(self.tops, self.k)
+            if vertices not in {self.tops[i] | self.tops[j] for i, j in mixed}:
+                raise AssertionError("full elimination of a union")
+            return independent(self, vertices)
 
         monkeypatch.setattr(Echelon, "__init__", spy)
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
@@ -719,22 +729,31 @@ def disjoint_unions(mv, flags):
 
 
 class TestPackedWalk:
-    """The vertex-disjoint pairs of square maps, decided by one packed
-    Plücker walk per top, against the per-top and per-pair union ranks."""
+    """The vertex-disjoint pairs of every shape, decided by one packed
+    Plücker walk per top on the rows Pi maps (perturb.project) and by exact
+    ranks, against the per-top and per-pair union ranks."""
 
     @pytest.mark.parametrize("n,m", sorted(TestPerTopCertificate.CORPUS))
     def test_seeded_corpora(self, n, m):
+        self.check_corpus(n, m, pure=True)
+
+    @pytest.mark.parametrize("n,m", sorted(TestPerTopCertificate.CORPUS))
+    def test_seeded_mixed_corpora(self, n, m):
+        # a top of fewer vertices pairs by an exact rank
+        self.check_corpus(n, m, pure=False)
+
+    def check_corpus(self, n, m, pure):
         seed, count = TestPerTopCertificate.CORPUS[(n, m)]
         rng = random.Random(seed + 10)
         failing = passing = 0
         for k in range(count):
-            h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3], pure=True)
+            h1 = seeded_complex_map(rng, n, m, ("inside", "outside", None)[k % 3], pure=pure)
             h, _ = perturb_to_general_position(h1, F(1, 2), seed=k)
             for g in (h1, h):
                 mv = MaximalVerdicts(g)
                 flags = kernel_pair_flags(mv)
                 assert flags == per_pair_flags(mv)
-                moved = _packed_moved(mv.tops, mv.images)
+                moved = mv._disjoint_moved()
                 assert moved == disjoint_unions(mv, flags)
                 failing += bool(moved)
                 passing += not moved
@@ -751,18 +770,19 @@ class TestPackedWalk:
         )
         mv = MaximalVerdicts(h)
         assert mv.moved == set("abcdefghi")
-        assert _packed_moved(mv.tops, mv.images) == set("abcdefghi")
+        assert mv._disjoint_moved() == set("abcdefghi")
         assert disjoint_unions(mv, kernel_pair_flags(mv)) == set("abcdefghi")
 
     SHAPES = {
-        # edges in R^3 and triangles in R^5 are square: |sigma| + |tau| = m + 1
-        "edges in R^3": (generic_segments(), True),
-        "coplanar edges in R^3": (coplanar_segments(), True),
+        # every shape takes the packed walk on its tops of the most
+        # vertices; a top with fewer (mixed) is ranked exactly
+        "edges in R^3": (generic_segments(), False),
+        "coplanar edges in R^3": (coplanar_segments(), False),
         "triangles in R^5": (map_of(
             [["a", "b", "c"], ["d", "e", "f"]],
             {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [0, 1, 0, 0, 0],
              "d": [0, 0, 1, 0, 0], "e": [0, 0, 0, 1, 0], "f": [0, 0, 0, 0, 1]}, 5,
-        ), True),
+        ), False),
         "edges in R^5": (two_segments(
             [0] * 5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]
         ), False),
@@ -770,20 +790,27 @@ class TestPackedWalk:
             [["a", "b", "c"], ["d", "e"]],
             {"a": [0] * 5, "b": [1, 0, 0, 0, 0], "c": [0, 1, 0, 0, 0],
              "d": [0, 0, 1, 0, 0], "e": [0, 0, 0, 1, 0]}, 5,
-        ), False),
+        ), True),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_square_maps_take_the_packed_walk(self, monkeypatch, shape):
-        h, square = self.SHAPES[shape]
+        # and every other shape, on its tops of the most vertices
+        h, mixed = self.SHAPES[shape]
         walks = []
-        packed_moved = plgp.perturb._packed_moved
+        zeros = PackedPairings.zeros
+        mixed_pairs = plgp.perturb._mixed_pairs
         full_rank = Echelon.full_rank
         tops = set(h.complex.maximal_simplices())
 
         def packed(*args):
             walks.append("packed")
-            return packed_moved(*args)
+            return zeros(*args)
+
+        def ranked(*args):
+            for pair in mixed_pairs(*args):
+                walks.append("exact")
+                yield pair
 
         def ranking(self, *extras):
             # tau - sigma is a whole top only when tau and sigma share no vertex
@@ -791,10 +818,11 @@ class TestPackedWalk:
                 walks.append("echelon")
             return full_rank(self, *extras)
 
-        monkeypatch.setattr(plgp.perturb, "_packed_moved", packed)
+        monkeypatch.setattr(PackedPairings, "zeros", packed)
+        monkeypatch.setattr(plgp.perturb, "_mixed_pairs", ranked)
         monkeypatch.setattr(Echelon, "full_rank", ranking)
         mv = MaximalVerdicts(h)
-        assert set(walks) == {"packed" if square else "echelon"}
+        assert set(walks) == ({"packed", "exact"} if mixed else {"packed"})
         flags = kernel_pair_flags(mv)
         assert mv.moved == set().union(*failing_unions(mv, flags))
 

@@ -27,7 +27,17 @@ from plgp.complexes import (
 from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from plgp.fiber import derive_seed, fiberwise_embed, instance_from_obj
 import plgp.exact as exact_module
-from plgp.exact import Echelon, Matrix, norm_sq, rank, rat_str, vec
+from plgp.exact import (
+    Echelon,
+    Matrix,
+    affinely_independent,
+    det,
+    norm_sq,
+    rank,
+    rat_str,
+    solve_affine,
+    vec,
+)
 from plgp.flats import (
     AffineFlat,
     int_line_key,
@@ -35,20 +45,21 @@ from plgp.flats import (
     line_meets_simplex,
     line_through,
     line_to_obj,
+    point_to_image_distance_sq_lower,
     span_of_points,
     transversal_line_through_point,
 )
 from plgp.perturb import (
     MaximalVerdicts,
     general_position_certificate,
-    is_square,
     perturb_to_general_position,
+    project,
 )
 from plgp.records import record_to_obj
 from plgp.secant import (
     CoverCertificate,
     _PluckerProbe,
-    _ProbeEchelons,
+    _ProbeFrame,
     cover_certificate_to_obj,
     cover_parameters,
     line_distance,
@@ -466,11 +477,10 @@ def padded_map(h, extra):
     })
 
 
-def test_probe_releases_each_echelon_after_its_row(monkeypatch):
-    # on a square map secant_set builds no Echelon: the Plücker walk
-    # decides every top and pair; on a map in R^6, past 2n+1, it builds each
-    # top's Echelon once per probe and keeps none past its row (i, j), j > i,
-    # so none is rebuilt after it is released
+def test_probe_builds_no_echelon(monkeypatch):
+    # secant_set builds no Echelon on any shape: the Plücker walk on the
+    # rows Pi maps decides every top and pair, on a square map and on one
+    # in R^6, past 2n+1, where its records are the flats enumeration's
     fixture = Path(plgp.__file__).parent / "fixtures" / "triangles5.json"
     h0 = plmap_from_obj(json.loads(fixture.read_text()))
     built = []
@@ -494,16 +504,6 @@ def test_probe_releases_each_echelon_after_its_row(monkeypatch):
     h, report = perturb_to_general_position(
         subdivide_until(padded_map(h0, 1), delta), delta, seed=7
     )
-    tops = h.complex.maximal_simplices()
-    row = {s: i for i, s in enumerate(tops)}
-    stale = []
-    records = _ProbeEchelons.records
-
-    def spy_records(self, s1, s2):
-        stale.extend(s for s in tops[: row[s1]] if s in self)
-        return records(self, s1, s2)
-
-    monkeypatch.setattr(_ProbeEchelons, "records", spy_records)
     # past 2n+1 a random z has no secant: z on a chord of two disjoint tops
     rng = random.Random(7)
     found = 0
@@ -513,9 +513,10 @@ def test_probe_releases_each_echelon_after_its_row(monkeypatch):
         q = combination(h, s2, affine_weights(rng, len(s2), True))
         built.clear()
         z = tuple(a + F(5, 2) * (b - a) for a, b in zip(p, q))
-        found += len(secant_set(h, z, certificate=report.certificate))
-        assert sorted(built, key=row.get) == tops
-        assert stale == []
+        records = secant_set(h, z, certificate=report.certificate)
+        assert built == []
+        assert views(records) == unpruned_secant_set(h, z, report.certificate)
+        found += len(records)
     assert found >= 3
 
 
@@ -665,8 +666,10 @@ def z_near_a_chord(rng, h, s1, s2):
 
 
 class TestKernelOracle:
-    """The pair kernel against the flats construction: the same line,
-    witness points, weights and pair, or the same exception."""
+    """The pair kernel, one exact solve (_ProbeFrame.solve, which
+    secants_for_pair and the walk's exact pairs run), against the flats
+    construction: the same line, witness points, weights and pair, or the
+    same exception."""
 
     def both(self, h, cert, z, s1, s2):
         z = vec(z)
@@ -679,7 +682,7 @@ class TestKernelOracle:
                 return type(exc)
             return [(line_key(r.line), r.witnesses) for r in records]
 
-        kernel = outcome(lambda: _ProbeEchelons(z, cert).records(s1, s2))
+        kernel = outcome(lambda: _ProbeFrame(z, cert).solve(s1, s2))
         oracle = outcome(lambda: flats_pair_records(h, z, s1, s2))
         assert kernel == oracle
         return kernel
@@ -842,9 +845,9 @@ PRUNE_COMPLEXES = {
 
 
 class TestPairPrune:
-    """Each pair is decided on two small reduced systems: the enumeration
-    against the flats construction on every candidate pair, and each pair's
-    verdict and record against its flats record."""
+    """Maps of mixed dimension: the enumeration against the flats
+    construction on every candidate pair, and each pair's verdict and
+    record by one exact solve against its flats record."""
 
     def probes(self, rng, h, count):
         """Points near chords of random candidate pairs, or at random."""
@@ -862,10 +865,10 @@ class TestPairPrune:
         the kernel rejects has no secant by flats, and every pair it keeps
         has the flats record."""
         z = vec(z)
-        echelons = _ProbeEchelons(z, cert)
+        frame = _ProbeFrame(z, cert)
         dropped = records = 0
         for s1, s2 in candidate_pairs(h) if pairs is None else pairs:
-            kept = echelons.records(s1, s2)
+            kept = frame.solve(s1, s2)
             assert views(kept) == flats_pair_records(h, z, s1, s2), (s1, s2)
             dropped += not kept
             records += len(kept)
@@ -911,33 +914,36 @@ class TestPairPrune:
         assert records >= 5 and dropped >= records
 
     def test_records_take_the_candidate_pairs_in_order(self, monkeypatch):
-        # secant_set takes the vertex-disjoint pairs in the order of the
-        # plain double loop, every pair once on the echelon walk; the square
-        # maps, (n, m) = (0, 1) here, take the Plücker walk, whose sign tests
-        # keep every pair of points in R^1
+        # secant_set takes the vertex-disjoint pairs the sign tests keep in
+        # the order of the plain double loop, each once: every pair holding
+        # a top of fewer vertices, which is solved exactly, and every pair
+        # with a flats record; the points in R^1, (n, m) = (0, 1), keep
+        # every pair
         calls = []
-        records = _ProbeEchelons.records
-        plucker_records = _PluckerProbe.records
+        records = _PluckerProbe.records
 
-        def spy(self, s1, s2):
-            calls.append((s1, s2))
-            return records(self, s1, s2)
-
-        def plucker_spy(self, i, j):
+        def spy(self, i, j):
             calls.append((self.tops[i], self.tops[j]))
-            return plucker_records(self, i, j)
+            return records(self, i, j)
 
-        monkeypatch.setattr(_ProbeEchelons, "records", spy)
-        monkeypatch.setattr(_PluckerProbe, "records", plucker_spy)
+        monkeypatch.setattr(_PluckerProbe, "records", spy)
         rng = random.Random(47)
         walked = 0
         for (n, m), maximal in sorted(PRUNE_COMPLEXES.items()):
             h, cert = random_certified_map(rng, maximal, m)
             pairs = candidate_pairs(h)
+            k = max(len(s) for s in maximal)
             for z in self.probes(rng, h, 4):
                 calls.clear()
                 if isinstance(self.outcome(lambda: secant_set(h, z, certificate=cert)), list):
-                    assert calls == pairs
+                    assert calls == [p for p in pairs if p in calls]
+                    assert len(set(calls)) == len(calls)
+                    needed = [
+                        (s1, s2) for s1, s2 in pairs
+                        if min(len(s1), len(s2)) < k or flats_pair_records(h, vec(z), s1, s2)
+                    ]
+                    assert set(needed) <= set(calls)
+                    assert n > 0 or calls == pairs
                     walked += 1
         assert walked >= 8
 
@@ -955,32 +961,30 @@ class TestPairPrune:
                 secant_set(h, z, certificate=cert)
 
     def test_more_extra_vertices_than_free_columns_is_degenerate(self):
-        # the quadrilateral in the plane, below the certificate's m >= 2n+1:
-        # each edge's row with z has full rank, but an adjacent pair has one
-        # vertex beyond the edge and m - 2 = 0 free columns
-        c = quad_map().complex
-        h = PLMap(c, 2, {
-            "a": vec([0, 0]), "b": vec([1, 0]), "c": vec([1, 1]), "d": vec([0, 1]),
-        })
-        z = vec([3, 5])
-        # MaximalVerdicts has no m >= 2n+1 check, so the plane is allowed
-        echelons = _ProbeEchelons(z, MaximalVerdicts(h))
+        # two edges sharing b in the plane, below the certificate's
+        # m >= 2n+1, which passes (MaximalVerdicts has no m >= 2n+1 check):
+        # each edge's rows with z are independent, but the pair's three
+        # vertices with z are four points in the plane.  Pi pads the rows
+        # to four coordinates, so the pair's projected minor is zero and its
+        # exact rank refuses z
+        c = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"]])
+        h = PLMap(c, 2, {"a": vec([0, 0]), "b": vec([1, 0]), "c": vec([1, 1])})
+        cert = MaximalVerdicts(h)
+        assert cert.overall
         with pytest.raises(DegenerateGeometryError, match="adjacent pair"):
-            secant_module._assert_adjacent_secant_free(
-                h, z, echelons, c.maximal_simplices()
-            )
+            secant_set(h, vec([3, 5]), certificate=cert)
 
     def test_adjacent_ranks_take_each_tops_later_sharing_tops(self, monkeypatch):
-        # the vertex -> top index gives each top, in order, the same extra
-        # sets as intersecting it with every later top
+        # the vertex -> top index gives each top, in order, the same later
+        # tops as intersecting it with every later top
         calls = []
-        full_rank = Echelon.full_rank
+        independent = _PluckerProbe._independent
 
-        def spy(self, *extras):
-            calls.append((self, list(extras)))
-            return full_rank(self, *extras)
+        def spy(self, i, j, zeros):
+            calls.append((i, j))
+            return independent(self, i, j, zeros)
 
-        monkeypatch.setattr(Echelon, "full_rank", spy)
+        monkeypatch.setattr(_PluckerProbe, "_independent", spy)
         rng = random.Random(48)
         sharing = 0
         for _ in range(30):
@@ -997,15 +1001,14 @@ class TestPairPrune:
                 for v in c.vertices
             })
             z = vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
-            echelons = _ProbeEchelons(z, MaximalVerdicts(h))
             calls.clear()
-            secant_module._assert_adjacent_secant_free(h, z, echelons, tops)
+            secant_set(h, z, certificate=MaximalVerdicts(h))
             brute = [
-                (echelons[s1], [s2 - s1 for s2 in tops[i + 1:] if s1 & s2])
-                for i, s1 in enumerate(tops)
+                (i, j) for i, s1 in enumerate(tops)
+                for j in range(i + 1, len(tops)) if s1 & tops[j]
             ]
             assert calls == brute
-            sharing += sum(len(extras) for _, extras in brute)
+            sharing += len(brute)
         assert sharing >= 100
 
 
@@ -1020,16 +1023,22 @@ SQUARE_COMPLEXES = {
              ["g", "h", "i", "j"], ["k", "l", "o", "p"]],
 }
 
-SQUARE_CASES = [pytest.param(n, m, id=f"n{n}-m{m}") for n, m in sorted(SQUARE_COMPLEXES)]
+# (n, m, complex): the square shapes, and past 2n+1, where Pi folds the
+# coordinates past 2n+2, with n-simplices only (pure) or with smaller tops
+# too (mixed), whose pairs are solved exactly
+WALK_SHAPES = {
+    **{(n, m): SQUARE_COMPLEXES[n, m] for n, m in SQUARE_COMPLEXES},
+    **{
+        (n, m, kind): (SQUARE_COMPLEXES if kind == "pure" else PRUNE_COMPLEXES)[n, 2 * n + 1]
+        for n, m in [(1, 4), (1, 5), (2, 6), (2, 7)]
+        for kind in ("pure", "mixed")
+    },
+}
 
-
-def echelon_secant_set(h, z, cert):
-    """secant_set on the echelon walk, whatever the map's shape: the oracle
-    of the Plücker walk."""
-    by_key = {}
-    for rec in secant_module._echelon_walk(h, vec(z), cert, h.complex.maximal_simplices()):
-        by_key.setdefault(line_key(rec.line), rec)
-    return [by_key[key] for key in sorted(by_key)]
+WALK_CASES = [
+    pytest.param(key, id="n%d-m%d" % key[:2] + "".join("-" + k for k in key[2:]))
+    for key in sorted(WALK_SHAPES, key=str)
+]
 
 
 def refusal(run):
@@ -1040,32 +1049,62 @@ def refusal(run):
         return type(exc), str(exc)
 
 
-class TestPluckerWalk:
-    """On square maps secant_set decides every pair by Plücker signs: the
-    same records as the echelon walk and the flats enumeration, a dropped
-    pair never has a flats record, and z is refused as the echelon ranks
-    refuse it."""
+def adjacency_refusal(h, z):
+    """The refusal secant_set owes z, by Fraction ranks: the first top, or
+    union of a top with a later top it meets, in top order, that z is
+    affinely dependent with; None when there is none."""
+    tops = h.complex.maximal_simplices()
+    for i, sigma in enumerate(tops):
+        for union in [sigma] + [sigma | tau for tau in tops[i + 1:] if sigma & tau]:
+            if not affinely_independent([z] + [h.images[v] for v in sorted_vertices(union)]):
+                if point_to_image_distance_sq_lower(z, h) == 0:
+                    return PreconditionError, "probe point lies on the image"
+                return DegenerateGeometryError, (
+                    "probe point affinely dependent with a maximal simplex image"
+                    if union == sigma
+                    else "probe point affinely dependent with an adjacent pair's image union"
+                )
+    return None
 
-    def square_map(self, rng, n, m):
-        h, cert = random_certified_map(rng, SQUARE_COMPLEXES[n, m], m)
-        assert is_square(h.complex.maximal_simplices(), m)
+
+def oracle_secant_set(h, z, cert):
+    """unpruned_secant_set, or the Fraction ranks' refusal."""
+    want = adjacency_refusal(h, vec(z))
+    return want if want else refusal(lambda: unpruned_secant_set(h, z, cert))
+
+
+class TestPluckerWalk:
+    """secant_set decides every pair by Plücker signs on the rows Pi maps,
+    or by one exact solve: the same records as the flats enumeration, a
+    dropped pair never has a flats record, and z is refused as the Fraction
+    ranks refuse it, on square maps and past 2n+1, pure and mixed.  (The
+    names kept from the echelon walk, deleted since, name its tests.)"""
+
+    def walk_map(self, rng, key):
+        m = key[1]
+        h, cert = random_certified_map(rng, WALK_SHAPES[key], m)
+        square = all(2 * len(t) == m + 1 for t in cert.tops)
+        assert square == (len(key) == 2)
         return h, cert
 
-    @pytest.mark.parametrize("n, m", SQUARE_CASES)
-    def test_records_equal_the_echelon_walk_and_the_flats(self, n, m):
-        rng = random.Random(60 + n)
+    def probes(self, rng, h, key):
+        # past 2n+1 only the points drawn on chords have secants
+        return TestPairPrune().probes(rng, h, 10 if len(key) == 2 else 20)
+
+    @pytest.mark.parametrize("key", WALK_CASES)
+    def test_records_equal_the_echelon_walk_and_the_flats(self, key):
+        rng = random.Random(60 + key[0] + 7 * (key[1] - 2 * key[0] - 1) + len(key))
         records = 0
         for _ in range(3):
-            h, cert = self.square_map(rng, n, m)
-            for z in TestPairPrune().probes(rng, h, 10):
-                square = refusal(lambda: secant_set(h, z, certificate=cert))
-                assert square == refusal(lambda: echelon_secant_set(h, z, cert))
-                assert views(square) == refusal(lambda: unpruned_secant_set(h, z, cert))
-                records += len(square) if isinstance(square, list) else 0
+            h, cert = self.walk_map(rng, key)
+            for z in self.probes(rng, h, key):
+                walked = refusal(lambda: secant_set(h, z, certificate=cert))
+                assert views(walked) == oracle_secant_set(h, z, cert)
+                records += len(walked) if isinstance(walked, list) else 0
         assert records >= 15
 
-    @pytest.mark.parametrize("n, m", SQUARE_CASES)
-    def test_dropped_pairs_have_no_flats_record(self, n, m, monkeypatch):
+    @pytest.mark.parametrize("key", WALK_CASES)
+    def test_dropped_pairs_have_no_flats_record(self, key, monkeypatch):
         kept = []
         records = _PluckerProbe.records
 
@@ -1074,54 +1113,56 @@ class TestPluckerWalk:
             return records(self, i, j)
 
         monkeypatch.setattr(_PluckerProbe, "records", spy)
-        rng = random.Random(70 + n)
+        rng = random.Random(70 + key[0] + 7 * (key[1] - 2 * key[0] - 1) + len(key))
+        # kept and dropped pairs of tops of k vertices, which the signs decide
         dropped = found = 0
         for _ in range(3):
-            h, cert = self.square_map(rng, n, m)
-            for z in TestPairPrune().probes(rng, h, 10):
+            h, cert = self.walk_map(rng, key)
+            for z in self.probes(rng, h, key):
                 z = vec(z)
                 kept.clear()
                 if not isinstance(refusal(lambda: secant_set(h, z, certificate=cert)), list):
                     continue
                 for s1, s2 in candidate_pairs(h):
                     flats = flats_pair_records(h, z, s1, s2)
+                    signed = len(s1) == len(s2) == cert.k
                     if (s1, s2) in kept:
                         assert views(records_of(h, z, cert, s1, s2)) == flats
-                        found += 1
+                        found += signed
                     else:
-                        assert flats == []
+                        assert signed and flats == []
                         dropped += 1
         assert found >= 15
-        if n > 0:  # in R^1 every pair of points has a line through z
+        if key[0] > 0:  # in R^1 every pair of points has a line through z
             assert dropped >= found
 
-    @pytest.mark.parametrize("n, m", SQUARE_CASES[1:])
-    def test_zero_slots_of_disjoint_pairs(self, n, m):
+    @pytest.mark.parametrize("key", WALK_CASES[1:])
+    def test_zero_slots_of_disjoint_pairs(self, key):
         # z in aff(s1 u (s2 - {w})) makes the pairing of J_s1 with s2's facet
         # without w exactly zero: a slot of neither sign, next to slots that
         # may hold both signs (non-convex weights on s2 - {w}) or not
-        rng = random.Random(90 + n)
+        rng = random.Random(90 + key[0] + 7 * (key[1] - 2 * key[0] - 1) + len(key))
         decided = 0
         for _ in range(3):
-            h, cert = self.square_map(rng, n, m)
+            h, cert = self.walk_map(rng, key)
             for s1, s2 in candidate_pairs(h)[:6]:
                 union = s1 | set(sorted_vertices(s2)[1:])
                 for convex in (True, False):
                     z = combination(h, union, affine_weights(rng, len(union), convex))
-                    square = refusal(lambda: secant_set(h, z, certificate=cert))
-                    assert square == refusal(lambda: echelon_secant_set(h, z, cert))
-                    assert views(square) == refusal(lambda: unpruned_secant_set(h, z, cert))
-                    decided += isinstance(square, list)
+                    walked = refusal(lambda: secant_set(h, z, certificate=cert))
+                    assert views(walked) == oracle_secant_set(h, z, cert)
+                    decided += isinstance(walked, list)
         assert decided >= 12
 
-    @pytest.mark.parametrize("n, m", SQUARE_CASES)
-    def test_refusals_equal_the_echelon_ranks(self, n, m):
+    @pytest.mark.parametrize("key", WALK_CASES)
+    def test_refusals_equal_the_echelon_ranks(self, key):
         # z in the affine hull of a top, or of a vertex-sharing pair's union
         # (keyed by the shared vertex count), off the image or on it
-        rng = random.Random(80 + n)
+        n = key[0]
+        rng = random.Random(80 + n + 7 * (key[1] - 2 * n - 1) + len(key))
         seen = set()
         for _ in range(3):
-            h, cert = self.square_map(rng, n, m)
+            h, cert = self.walk_map(rng, key)
             tops = h.complex.maximal_simplices()
             unions = [(0, tops[rng.randrange(len(tops))]) for _ in range(4)]
             unions += [
@@ -1133,10 +1174,7 @@ class TestPluckerWalk:
                 # off the image for non-convex weights, on it for convex ones
                 for convex in (False, False, True):
                     z = combination(h, union, affine_weights(rng, len(union), convex))
-                    echelons = _ProbeEchelons(z, cert)
-                    want = refusal(
-                        lambda: secant_module._assert_adjacent_secant_free(h, z, echelons, tops)
-                    )
+                    want = adjacency_refusal(h, z)
                     assert want is not None
                     assert refusal(lambda: secant_set(h, z, certificate=cert)) == want
                     seen.add((shared, want[1]))
@@ -1150,10 +1188,55 @@ class TestPluckerWalk:
         assert {s for s, message in seen if s and message == adjacent} == set(range(1, n + 1))
 
 
+def projected_zero_edges():
+    """Edges ab, cd in R^4 and a third edge ef, with d's last coordinate
+    solved so that ab, cd's projected determinant is zero: Pi folds the
+    fifth homogeneous coordinate t into the first four as (t, 2t, 3t, 4t),
+    so that determinant is linear in d's t.  The full 4 x 5 rows of ab and
+    cd keep rank 4."""
+    images = {
+        "a": [0, 0, 0, 0], "b": [1, 0, 0, 1], "c": [0, 1, 0, 2], "d": [0, 0, 1, None],
+        "e": [3, 1, 2, 5], "f": [1, 3, 1, -2],
+    }
+
+    def d(t):
+        rows = [project((1, *images[v][:3], t if v == "d" else images[v][3]), 4) for v in "abcd"]
+        return det(Matrix.from_rows(rows))
+
+    # d is linear in t: d(t) = d(0) + t (d(1) - d(0))
+    images["d"][3] = -d(0) / (d(1) - d(0))
+    c = SimplicialComplex.from_maximal([["a", "b"], ["c", "d"], ["e", "f"]])
+    return PLMap(c, 4, {v: vec(p) for v, p in images.items()})
+
+
+def test_projected_zero_of_an_independent_pair_is_decided_exactly():
+    # without the exact fallback the certificate would fail ab, cd, and
+    # the probe would read its secant off dependent projected rows
+    h = projected_zero_edges()
+    ab, cd = frozenset("ab"), frozenset("cd")
+    assert affinely_independent([h.images[v] for v in "abcd"])
+    rows = [project((1, *h.images[v]), 4) for v in "abcd"]
+    assert rank(Matrix.from_rows(rows)) < 4
+    cert = general_position_certificate(h)
+    assert cert.overall
+    i, j = cert.tops.index(ab), cert.tops.index(cd)
+    assert cert.zero_pairs == {i: {j}, j: {i}}
+    rng = random.Random(11)
+    found = 0
+    for t in (F(-3, 2), F(-1, 3), F(5, 2), F(4, 3)):
+        p = combination(h, ab, affine_weights(rng, 2, True))
+        q = combination(h, cd, affine_weights(rng, 2, True))
+        z = tuple(a + t * (b - a) for a, b in zip(p, q))
+        records = secant_set(h, z, certificate=cert)
+        assert views(records) == unpruned_secant_set(h, z, cert)
+        found += sum(r.ends[0].simplex == ab and r.ends[1].simplex == cd for r in records)
+    assert found == 4
+
+
 def test_probe_and_analyze_on_a_map_past_2n_plus_1(capsys, tmp_path):
-    # the quadrilateral padded to R^4, past 2n+1 = 3, takes the echelon
-    # walk end to end: probe's and analyze's records are the flats
-    # enumeration's
+    # the quadrilateral padded to R^4, past 2n+1 = 3, where Pi folds the
+    # fifth homogeneous coordinate: probe's and analyze's records are the
+    # flats enumeration's
     fixture = Path(plgp.__file__).parent / "fixtures" / "quadrilateral.json"
     obj = json.loads(fixture.read_text())
     obj["m"] = 4
@@ -1164,7 +1247,7 @@ def test_probe_and_analyze_on_a_map_past_2n_plus_1(capsys, tmp_path):
     assert main([*argv, "--out", str(embedded)]) == 0
     capsys.readouterr()
     h = plmap_from_obj(json.loads(embedded.read_text()))
-    assert not is_square(h.complex.maximal_simplices(), h.m)
+    assert h.m == 4
     cert = general_position_certificate(h)
 
     def oracle(z):
@@ -1193,7 +1276,7 @@ def test_probe_and_analyze_on_a_map_past_2n_plus_1(capsys, tmp_path):
 def records_of(h, z, cert, s1, s2):
     """The Plücker walk's record of one vertex-disjoint pair of tops."""
     tops = h.complex.maximal_simplices()
-    return _PluckerProbe(h, z, cert, tops).records(tops.index(s1), tops.index(s2))
+    return _PluckerProbe(h, z, cert).records(tops.index(s1), tops.index(s2))
 
 
 def hinge_map():
@@ -1249,10 +1332,9 @@ class TestAdjacencyRefusals:
 
 class TestExtraSetsFitTheFreeColumns:
     """Under m >= 2n+1 every extra set t that Echelon.full_rank receives,
-    from the certificate's pair passes or from secant_set's adjacency ranks,
-    has |t| <= len(free): the sharing pairs and the probe's unions about z
-    have |tau - sigma| <= n, and the non-square vertex-disjoint walk has
-    |tau| <= n + 1 <= m - n, the least free column count."""
+    all from the certificate's sharing pass, has |t| <= len(free): a
+    sharing pair has |tau - sigma| <= n < m - n, the least free column
+    count.  secant_set ranks nothing on an Echelon."""
 
     def test_certificate_and_probe(self, monkeypatch):
         shapes = {"certificate": [], "probe": []}
@@ -1287,11 +1369,10 @@ class TestExtraSetsFitTheFreeColumns:
                         for _ in range(2):
                             z = vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
                             secant_set(h, z, certificate=cert)
-        for name, seen in shapes.items():
-            assert len(seen) >= 200, name
-            assert all(k <= f for k, f in seen), name
-        # the bound is met: a vertex-disjoint n-simplex on an n-simplex's echelon
-        assert any(k == f for k, f in shapes["certificate"])
+        seen = shapes["certificate"]
+        assert len(seen) >= 200
+        assert all(k <= f for k, f in seen)
+        assert shapes["probe"] == []
 
 
 def forbid_fraction_kernels(monkeypatch):
@@ -1389,22 +1470,23 @@ class TestIntegerRecords:
         assert found >= 100
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_echelon_walk_on_a_map_past_2n_plus_1(self, seed, monkeypatch):
+    def test_projected_walk_on_a_map_past_2n_plus_1(self, seed, monkeypatch):
         # the quadrilateral in R^4 is not square, so its records come off
-        # _ProbeEchelons.records; past 2n+1 z lies on chords of disjoint edges
+        # the rows Pi folds, each checked on the coordinate Pi drops; past
+        # 2n+1 z lies on chords of disjoint edges
         walked = []
-        records_of_pair = _ProbeEchelons.records
+        holds = _PluckerProbe._holds
 
-        def spy(self, s1, s2):
-            walked.append((s1, s2))
-            return records_of_pair(self, s1, s2)
+        def spy(self, i, j, alpha, beta):
+            walked.append((i, j))
+            return holds(self, i, j, alpha, beta)
 
-        monkeypatch.setattr(_ProbeEchelons, "records", spy)
+        monkeypatch.setattr(_PluckerProbe, "_holds", spy)
         h0 = plmap_from_obj(json.loads((FIXTURES / "quadrilateral.json").read_text()))
         h, report = perturb_to_general_position(
             subdivide_until(padded_map(h0, 1), F(1)), F(1), seed
         )
-        assert not is_square(h.complex.maximal_simplices(), h.m)
+        assert h.m == 4
         rng = random.Random(seed)
         found = 0
         for s1, s2 in candidate_pairs(h):
@@ -1414,3 +1496,69 @@ class TestIntegerRecords:
             z = tuple(a + t * (b - a) for a, b in zip(p, q))
             found += self.check(h, secant_set(h, z, certificate=report.certificate))
         assert walked and found >= len(candidate_pairs(h))
+
+
+@pytest.mark.parametrize("name", ["triangles5-r6", "mixed5"])
+def test_non_square_fixtures_match_the_oracles(name):
+    # triangles5 padded to R^6, past 2n+1, embedded at delta 1/2 (12
+    # tops), and a triangle, an edge and a vertex in R^5 at delta 1 (9
+    # tops): records equal the flats enumeration, and refusals the Fraction
+    # ranks, for points on chords of candidate pairs, at random, and in the
+    # hulls of vertex-sharing unions
+    h0 = plmap_from_obj(json.loads((FIXTURES / (name + ".json")).read_text()))
+    delta = F(1, 2) if name == "triangles5-r6" else F(1)
+    h, report = perturb_to_general_position(subdivide_until(h0, delta), delta, 1)
+    cert = report.certificate
+    tops = cert.tops
+    assert name != "triangles5-r6" or all(2 * len(t) < h.m + 1 for t in tops)
+    assert name != "mixed5" or len({len(t) for t in tops}) == 3
+    rng = random.Random(5)
+    points = TestPairPrune().probes(rng, h, 30)
+    unions = [s1 | s2 for s1, s2 in itertools.combinations(tops, 2) if s1 & s2]
+    for union in rng.sample(unions, 6):
+        points.append(combination(h, union, affine_weights(rng, len(union), False)))
+    records = refusals = 0
+    for z in points:
+        walked = refusal(lambda: secant_set(h, z, certificate=cert))
+        assert views(walked) == oracle_secant_set(h, z, cert)
+        if isinstance(walked, list):
+            records += TestIntegerRecords().check(h, walked)
+        else:
+            refusals += 1
+    assert records >= 10 and refusals >= 3
+
+
+def test_projected_zeros_about_z_are_ranked_exactly():
+    # z independent of the rows it is ranked with in R^(m+1), but with a
+    # zero on Pi's rows: a sharing union ab u bc in R^4, whose projected
+    # determinant with z is linear in z's last coordinate, and a top ab in
+    # R^5, z's projected row in the span of ab's, from two tail coordinates.
+    # Without the exact ranks secant_set would refuse z
+    c = SimplicialComplex.from_maximal([["a", "b"], ["b", "c"], ["d", "e"]])
+    images = {"a": [0, 0, 0, 1], "b": [1, 0, 2, 0], "c": [0, 3, 1, 1],
+              "d": [2, 1, 0, 3], "e": [1, 2, 5, 1]}
+    h = PLMap(c, 4, {v: vec(p) for v, p in images.items()})
+
+    def d(t):
+        rows = [project((1, *images[v]), 4) for v in "abc"] + [project((1, 5, 7, 11, t), 4)]
+        return det(Matrix.from_rows(rows))
+
+    z1 = vec([5, 7, 11, -d(0) / (d(1) - d(0))])
+    c = SimplicialComplex.from_maximal([["a", "b"], ["d", "e"]])
+    images = {"a": [0, 0, 0, 1, 2], "b": [1, 0, 2, 0, 1], "d": [2, 1, 0, 3, 1],
+              "e": [1, 2, 5, 1, 3]}
+    g = PLMap(c, 5, {v: vec(p) for v, p in images.items()})
+    a, b = (project((1, *images[v]), 4) for v in "ab")
+    # x a + y b = (1, 5, 7, 11) + Pi's tail columns times (t1, t2)
+    columns = Matrix.from_rows(
+        [[a[i], b[i], -(i + 1), -(i + 1) ** 2] for i in range(4)]
+    )
+    _, _, t1, t2 = solve_affine(columns, [1, 5, 7, 11]).particular
+    z2 = vec([5, 7, 11, t1, t2])
+    for m, z, vertices in ((h, z1, "abc"), (g, z2, "ab")):
+        rows = [project((1, *m.images[v]), 4) for v in vertices] + [project((1, *z), 4)]
+        assert rank(Matrix.from_rows(rows)) < len(rows)
+        assert affinely_independent([z] + [m.images[v] for v in vertices])
+        cert = general_position_certificate(m)
+        assert adjacency_refusal(m, z) is None
+        assert views(secant_set(m, z, certificate=cert)) == unpruned_secant_set(m, z, cert)

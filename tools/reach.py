@@ -30,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "plgp" / "fixtures"
-COMPLEXES = ("hexagon", "quadrilateral", "triangles5")
+COMPLEXES = ("hexagon", "quadrilateral", "triangles5", "triangles5-r6", "mixed5")
 SEEDS = (1, 2, 3)
 
 
