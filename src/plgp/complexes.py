@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from json.encoder import INFINITY
+from json.encoder import encode_basestring_ascii as quote_json
 from math import factorial
 
 from .errors import PreconditionError, SubdivisionCapError
@@ -421,8 +423,78 @@ def load_json(path):
         return json.load(fh)
 
 
+def _scalar_json(x) -> str:
+    """A leaf as json prints it: bool before int, json's names for NaN and
+    the infinities."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if type(x) is int:
+        return int.__repr__(x)
+    if type(x) is float:
+        if x != x:
+            return "NaN"
+        if x == INFINITY:
+            return "Infinity"
+        if x == -INFINITY:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError("cannot print a %s as report JSON" % type(x).__name__)
+
+
+def _emit_json(obj, nl: str, out: list) -> None:
+    """Append obj's json.dumps(indent=2, sort_keys=True) text, at indent nl, to out."""
+    t = type(obj)
+    if t is str:
+        out.append(quote_json(obj))
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(x) is str for x in obj):
+            out.append("[" + inner + sep.join(map(quote_json, obj)) + nl + "]")
+            return
+        head = "[" + inner
+        for x in obj:
+            out.append(head)
+            _emit_json(x, inner, out)
+            head = sep
+        out.append(nl + "]")
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for key in sorted(obj):
+            # quote_json raises TypeError on a key that is not a str
+            out.append(head + quote_json(key) + ": ")
+            _emit_json(obj[key], inner, out)
+            head = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(_scalar_json(obj))
+
+
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + newline, byte for byte.
+
+    CPython's json takes its pure-Python token generator whenever indent is
+    set; this emitter joins each list of strings (coordinates, weights,
+    simplices) in one call and the whole text once.  It prints str, list,
+    tuple and dict by exact type, and None, bools, ints and floats as json
+    does; it raises TypeError on anything else and on a non-str key, which
+    json would print differently or not at all.
+    """
+    out = []
+    _emit_json(obj, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -71,7 +71,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 from .complexes import PLMap, integer_images, later_sharing, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
@@ -144,15 +144,25 @@ class FacetPairings:
     Plücker vector.  packed(bound) holds, per top and facet t, the top
     without its t-th vertex, the dual (exact.laplace_dual) of the facet's
     Plücker vector against k + 1 rows of 2k columns, negated when t is odd,
-    in top-major order, in one exact.PackedPairings; a top of fewer than k
-    vertices holds k zero duals, since its pairs are solved exactly.  The
-    duals live only while they are packed, and are packed again only when a
-    bound exceeds the packing's own."""
+    in top-major order, in one exact.PackedPairings, over only the tops of k
+    vertices (full, by top index), since a smaller top's pairs are solved
+    exactly: slot s is facet s % k of top full[s // k].  The duals live only
+    while they are packed, and are packed again only when a bound exceeds
+    the packing's own."""
 
     def __init__(self, tops, rows, k):
         self.k = k
         self.projected = rows
         self.vertices = [sorted_vertices(t) for t in tops]
+        self.full = [i for i, t in enumerate(tops) if len(t) == k]
+        self.position = {i: f for f, i in enumerate(self.full)}
+        # maximal runs (f, i, length) of consecutive full tops, top i at position f
+        self._runs = []
+        for f, i in enumerate(self.full):
+            if self._runs and self._runs[-1][1] + self._runs[-1][2] == i:
+                self._runs[-1][2] += 1
+            else:
+                self._runs.append([f, i, 1])
         ps = [plucker(self.rows(i)) for i in range(len(tops))]
         # each vector as fixed-width signed bytes, a fraction of its ints'
         # memory, since the certificate keeps them for every probe
@@ -172,14 +182,19 @@ class FacetPairings:
             for o in range(0, len(data), w)
         ]
 
+    def spread(self, bits: int) -> int:
+        """bits by packed position, moved to their top indices (the identity
+        when every top is full)."""
+        out = 0
+        for f, i, n in self._runs:
+            out |= (bits >> f & ((1 << n) - 1)) << i
+        return out
+
     def _duals(self):
         k = self.k
-        for i in range(len(self.vertices)):
+        for i in self.full:
             rows = self.rows(i)
             for t in range(k):
-                if len(rows) < k:
-                    yield [0] * comb(2 * k, k + 1)
-                    continue
                 q = laplace_dual(plucker(rows[:t] + rows[t + 1:]), k + 1, 2 * k)
                 yield [-x for x in q] if t % 2 else q
 

@@ -55,12 +55,13 @@ The determinants pair Plücker vectors.  J1, the maximal minors of the
 k + 1 rows s1^, z^, is s1's Plücker vector expanded by z^'s row
 (exact.expand), and det(s1^, z^, s2^ without w_j^) is its pairing with
 the dual of that facet of s2 (exact.laplace_dual, k + 1 rows over k - 1).
-The certificate packs every top's facet duals once
+The certificate packs the facet duals of every top of k vertices once
 (perturb.FacetPairings); one exact.PackedPairings walk per top sigma gives
-J_sigma's pairing with every facet of every top, whose top bytes are the
-signs: pair (s1, s2)'s beta signs lie in s1's row and its alpha signs in
-s2's.  The same walk decides (ii), top by top, and the first failure in top
-order is refused: z is in aff(sigma) iff the rows of sigma and z are
+J_sigma's pairing with every facet of every top of k vertices, whose top
+bytes are the signs: pair (s1, s2)'s beta signs lie in s1's row and its
+alpha signs in s2's.  The same walk decides (ii), top by top, and the
+first failure in top order is refused: z is in aff(sigma) iff the rows of
+sigma and z are
 dependent, which J_sigma != 0 disproves; a pair of tops of k vertices sharing
 one vertex u has its union with z square, independent if J_sigma's pairing
 with tau's facet without u is nonzero; any other sharing pair is independent
@@ -101,7 +102,6 @@ from .exact import (
     expand,
     int_combination,
     laplace_dual,
-    norm_sq,
     rat,
     rat_str,
     vec,
@@ -234,7 +234,7 @@ class _PluckerProbe(_ProbeFrame):
         shared, k = sigma & tau, self.facets.k
         if len(shared) == 1 and len(sigma) == len(tau) == k:
             t = self.facets.vertices[j].index(next(iter(shared)))
-            if j * k + t not in zeros:
+            if self.facets.position[j] * k + t not in zeros:
                 return True
         else:
             minors, r = self.joins[i], len(sigma) + 1
@@ -251,9 +251,8 @@ class _PluckerProbe(_ProbeFrame):
         """Per top i, an int whose bit j is set when J_i's pairings with j's
         facets hold both strict signs, and never for a pair solved exactly;
         refuses z on the way, top by top (module docstring)."""
-        tops, joins, k = self.tops, self.joins, self.facets.k
-        count = len(tops)
-        packed = self.facets.packed(max(sum(map(abs, j)) for j in joins))
+        tops, joins, facets, k = self.tops, self.joins, self.facets, self.facets.k
+        packed = facets.packed(max(sum(map(abs, j)) for j in joins))
         fails = []
         for i, later in enumerate(later_sharing(tops)):
             if not any(joins[i]) and not self.independent(tops[i]):
@@ -266,20 +265,22 @@ class _PluckerProbe(_ProbeFrame):
             if not full:
                 fails.append(0)
                 continue
-            # per top j, whether some but not all of its k slots are negative:
-            # one byte per top, then one bit; a smaller top's slots are zero
+            # per packed top f, whether some but not all of its k slots are
+            # negative: one byte per top, then one bit, spread to top indices
+            # (a smaller top's bit stays clear)
             strided = [int.from_bytes(negative[t::k], "little") for t in range(k)]
             some, every = reduce(or_, strided), reduce(and_, strided)
-            row = int((some ^ every).to_bytes(count, "big").translate(_DIGITS), 2)
-            for j in {s // k for s in zeros}:
+            row = int((some ^ every).to_bytes(len(facets.full), "big").translate(_DIGITS), 2)
+            for f in {s // k for s in zeros}:
                 # a zero slot is neither sign; a zero of a vertex-sharing
                 # pair, whose determinant repeats a row, is never read
-                if tops[i].isdisjoint(tops[j]):
-                    block = range(j * k, (j + 1) * k)
+                if tops[i].isdisjoint(tops[facets.full[f]]):
+                    block = range(f * k, (f + 1) * k)
                     both = any(negative[s] for s in block) and any(
                         not negative[s] and s not in zeros for s in block
                     )
-                    row = row | 1 << j if both else row & ~(1 << j)
+                    row = row | 1 << f if both else row & ~(1 << f)
+            row = facets.spread(row)
             for j in self.cert.zero_pairs.get(i, ()):
                 row &= ~(1 << j)
             fails.append(row)
@@ -503,8 +504,7 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
     if count == 0:
         return []
     rng = random.Random(seed)
-    k_sq = k * k
-    min_d2 = 1 / k_sq
+    min_d2 = 1 / (k * k)
     distance_sq = ImageDistance(h)
     budget = PROBE_BUDGET_FACTOR * count
     draws = 0
@@ -516,12 +516,10 @@ def probe_region_samples(h: PLMap, k, count: int, seed: int):
                 % (draws, len(out), count)
             )
         draws += 1
-        z = tuple(
-            k * Fraction(rng.randrange(-GRID, GRID + 1), GRID)
-            for _ in range(h.m)
-        )
-        if norm_sq(z) > k_sq:
+        j = [rng.randrange(-GRID, GRID + 1) for _ in range(h.m)]
+        if sum(x * x for x in j) > GRID * GRID:  # ||z|| > k, as k > 0
             continue
+        z = tuple(k * Fraction(x, GRID) for x in j)
         d2 = distance_sq(z)
         if d2 < min_d2:
             continue

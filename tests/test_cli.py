@@ -829,3 +829,67 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+class TestReportBytes:
+    """Every command prints, to stdout and to --out, exactly the json.dumps
+    text of the object it hands dump_json."""
+
+    @pytest.fixture
+    def dumps(self, monkeypatch):
+        seen = []
+        original = plgp.cli.dump_json
+
+        def spy(obj, path=None):
+            text = original(obj, path)
+            seen.append((obj, path, text))
+            return text
+
+        monkeypatch.setattr(plgp.cli, "dump_json", spy)
+        return seen
+
+    def check(self, capsys, dumps, *argv):
+        del dumps[:]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        for obj, path, text in dumps:
+            oracle = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+            assert text == oracle
+            if path is not None:
+                assert Path(path).read_bytes() == oracle.encode("utf-8")
+        printed = [text for _, path, text in dumps if path is None]
+        assert printed == [out]
+
+    def chord_point(self, path):
+        """p1 + 5/2 (p2 - p1), p1 and p2 the image barycentres of a
+        vertex-disjoint pair of maximal simplices: past 2n+1 a random point
+        has no secant."""
+        h = plmap_from_obj(json.loads(Path(path).read_text()))
+        tops = h.complex.maximal_simplices()
+        sigma = max(tops, key=len)
+        tau = min((t for t in tops if sigma.isdisjoint(t)), key=len)
+        p1, p2 = ([sum(h.images[v][c] for v in t) / len(t) for c in range(h.m)]
+                  for t in (sigma, tau))
+        return ",".join(str(a + F(5, 2) * (b - a)) for a, b in zip(p1, p2))
+
+    @pytest.mark.parametrize(
+        "name", ["hexagon", "quadrilateral", "triangles5", "triangles5-r6", "mixed5"]
+    )
+    def test_embed_probe_analyze(self, capsys, tmp_path, dumps, name):
+        out = str(tmp_path / "map.json")
+        self.check(capsys, dumps, "embed", "--input", str(FIXTURES / (name + ".json")),
+                   "--delta", "1/2", "--seed", "1", "--out", out)
+        assert [path for _, path, _ in dumps] == [out, None]
+        self.check(capsys, dumps, "probe", "--map", out, "--samples", "3", "--seed", "1")
+        self.check(capsys, dumps, "analyze", "--map", out, "--z=" + self.chord_point(out))
+        assert dumps[0][0]["secants"] > 0
+
+    def test_fibered(self, capsys, dumps):
+        self.check(capsys, dumps, "fibered", "--instance", OCTA, "--delta", "1/2",
+                   "--seed", "1", "--samples", "2")
+
+    def test_nerve(self, capsys, tmp_path, dumps):
+        out = str(tmp_path / "nerve.json")
+        self.check(capsys, dumps, "nerve", "--points", CLOUD, "--marks", MARKS,
+                   "--radius", "4", "--out", out)
+        assert [path for _, path, _ in dumps] == [out, None]

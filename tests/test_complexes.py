@@ -22,6 +22,7 @@ from plgp.complexes import (
     closeness_bound,
     complex_from_obj,
     complex_to_obj,
+    dump_json,
     evaluate,
     image_diameter_sq,
     later_sharing,
@@ -504,3 +505,79 @@ class TestJson:
                     "images": {"a": ["1", "nonsense"]},
                 }
             )
+
+
+# characters json escapes one way or another: quote, backslash, every control
+# character, DEL, non-ASCII, an astral character (a surrogate pair in \u
+# form) and a lone surrogate
+JSON_CHARS = ['"', "\\", "/", " ", "a", "Z", "0", "\x7f", "\xe9", "\u20ac", "\U0001f600", "\ud800"] + [
+    chr(c) for c in range(32)
+]
+JSON_SCALARS = [
+    True, False, None, 0, 1, -1, 2 ** 64, -(10 ** 40), 0.0, -0.0, 1e-320, 1e300, -2.5, 0.1,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+def json_string(rng):
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(5)))
+
+
+def json_tree(rng, depth=0):
+    """A random report-like value: nested lists, tuples and str-keyed dicts,
+    lists of strings, strings and the scalars json prints."""
+    draw = rng.random()
+    if depth >= 4 or draw < 0.3:
+        return rng.choice(JSON_SCALARS) if rng.random() < 0.5 else json_string(rng)
+    width = rng.randrange(4)
+    if draw < 0.45:
+        return [json_string(rng) for _ in range(width + 1)]
+    if draw < 0.6:
+        return [json_tree(rng, depth + 1) for _ in range(width)]
+    if draw < 0.7:
+        return tuple(json_tree(rng, depth + 1) for _ in range(width))
+    return {json_string(rng): json_tree(rng, depth + 1) for _ in range(width)}
+
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestDumpJson:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_trees_print_as_json_dumps(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            obj = json_tree(rng)
+            assert dump_json(obj) == json_oracle(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [], {}, (), "", [[]], [{}], {"": {}}, {"": []}, [[], [[]], {"a": ()}],
+            [True, 1, False, 0, 1.0, 0.0], {"b": True, "a": 1, "": 0, "B": None},
+            list(JSON_SCALARS), "".join(JSON_CHARS), list(JSON_CHARS),
+            {c: [c, c] for c in JSON_CHARS}, ("1/2", "-3"), ["x", 1, "y"], [1, "x"],
+            {"z": ["1/2", "0"], "records": [{"line": {"direction": ["1", "-1"]}}]},
+        ],
+    )
+    def test_edge_cases_print_as_json_dumps(self, obj):
+        assert dump_json(obj) == json_oracle(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            Fraction(1, 2), [1, Fraction(1, 2)], {"a": {"b": [Fraction(3)]}}, {1: "a"},
+            {"a": 1, 2: 3}, {True: 1}, {None: 1}, {1.5: 1}, {"a"}, b"a",
+        ],
+    )
+    def test_refuses_what_it_would_not_print_as_json_dumps(self, obj):
+        with pytest.raises(TypeError):
+            dump_json(obj)
+
+    def test_writes_the_text_it_returns(self, tmp_path):
+        obj = json_tree(random.Random(1))
+        path = tmp_path / "out.json"
+        text = dump_json({"tree": obj, "z": ["\u20ac", "1/2"]}, str(path))
+        assert path.read_bytes() == text.encode("utf-8")
+        assert text == json_oracle({"tree": obj, "z": ["\u20ac", "1/2"]})

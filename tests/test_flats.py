@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plgp.complexes import PLMap, SimplicialComplex, evaluate
-from plgp.errors import DegenerateGeometryError, PreconditionError
+import plgp
+from plgp.complexes import PLMap, SimplicialComplex, evaluate, plmap_from_obj
+from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionError
 from plgp.flats import (
     AffineFlat,
     ImageDistance,
@@ -36,7 +39,7 @@ from plgp.exact import (
     vec_scale,
     vec_sub,
 )
-from plgp.secant import GRID, probe_region_samples
+from plgp.secant import GRID, PROBE_BUDGET_FACTOR, probe_region_samples
 
 
 F = Fraction
@@ -596,3 +599,45 @@ class TestProbeSamplesAgainstOracle:
         samples = probe_region_samples(h, k, 15, seed)
         assert samples[0].z == z0 and samples[0].image_distance_sq == 1
         assert [(p.z, p.image_distance_sq) for p in samples] == expected
+
+    def fraction_rule(self, h, k, count, seed):
+        """The sampler's draw loop as it stood with a Fraction z per draw and
+        a Fraction norm test: (samples, None), or (samples so far, draws)
+        when the draw budget runs out."""
+        rng = random.Random(seed)
+        distance_sq = ImageDistance(h)
+        out, draws = [], 0
+        while len(out) < count:
+            if draws >= PROBE_BUDGET_FACTOR * count:
+                return out, draws
+            draws += 1
+            z = tuple(k * F(rng.randrange(-GRID, GRID + 1), GRID) for _ in range(h.m))
+            if norm_sq(z) > k * k:
+                continue
+            d2 = distance_sq(z)
+            if d2 < 1 / (k * k):
+                continue
+            out.append((z, d2))
+        return out, None
+
+    @pytest.mark.parametrize(
+        "name", ["hexagon", "quadrilateral", "triangles5", "triangles5-r6", "mixed5"]
+    )
+    def test_integer_rejection_draws_the_fraction_rules_samples(self, name):
+        # k = 3 fills the request; k = 1 runs out of draws (hexagon after one
+        # sample), where the refusal must name the same draw count
+        fixture = Path(plgp.__file__).parent / "fixtures" / (name + ".json")
+        h = plmap_from_obj(json.loads(fixture.read_text()))
+        thin = 0
+        for seed in range(1, 21):
+            for k, count in ((F(3), 4), (F(1), 1)):
+                expected, draws = self.fraction_rule(h, k, count, seed)
+                if draws is None:
+                    samples = probe_region_samples(h, k, count, seed)
+                    assert [(p.z, p.image_distance_sq) for p in samples] == expected
+                    continue
+                thin += 1
+                message = "%d draws yielded %d of %d samples" % (draws, len(expected), count)
+                with pytest.raises(ThinRegionError, match=message):
+                    probe_region_samples(h, k, count, seed)
+        assert thin > 0

@@ -1528,6 +1528,42 @@ def test_non_square_fixtures_match_the_oracles(name):
     assert records >= 10 and refusals >= 3
 
 
+def test_mixed_probe_packs_only_the_tops_of_k_vertices(monkeypatch):
+    # mixed5 at delta 1: the facet duals are packed for the tops of k
+    # vertices only, so every probe row pairs with len(full) * k slots and
+    # none is a smaller top's zero; a packed position is spread back to its
+    # top index, and the records and refusals equal the oracles'
+    h0 = plmap_from_obj(json.loads((FIXTURES / "mixed5.json").read_text()))
+    h, report = perturb_to_general_position(subdivide_until(h0, F(1)), F(1), 1)
+    cert = report.certificate
+    tops, k = cert.tops, cert.k
+    facets = cert.facet_pairings
+    assert facets.full == [i for i, t in enumerate(tops) if len(t) == k]
+    assert len(facets.full) < len(tops)
+    assert facets.full[-1] >= len(facets.full)  # the spread is not the identity
+    for f in range(len(facets.full)):
+        assert facets.spread(0b101 << f) == sum(
+            1 << facets.full[g] for g in (f, f + 2) if g < len(facets.full)
+        )
+    widths = []
+    signs = exact_module.PackedPairings.signs
+
+    def spy(packed, p):
+        negative, zeros = signs(packed, p)
+        widths.append(len(negative))
+        return negative, zeros
+
+    monkeypatch.setattr(exact_module.PackedPairings, "signs", spy)
+    rng = random.Random(3)
+    records = 0
+    for z in TestPairPrune().probes(rng, h, 12):
+        walked = refusal(lambda: secant_set(h, z, certificate=cert))
+        assert views(walked) == oracle_secant_set(h, z, cert)
+        records += len(walked) if isinstance(walked, list) else 0
+    assert widths and set(widths) == {len(facets.full) * k}
+    assert records > 0
+
+
 def test_projected_zeros_about_z_are_ranked_exactly():
     # z independent of the rows it is ranked with in R^(m+1), but with a
     # zero on Pi's rows: a sharing union ab u bc in R^4, whose projected

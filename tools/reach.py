@@ -1,11 +1,13 @@
 """Which functions and lines of src/plgp the command line reaches.
 
 Runs plgp.cli.main in-process under the stdlib trace module: embed, probe
-and analyze on each bundled complex, fibered on octafiber.json and nerve
-on cloud.csv, then the benchmark's four workloads (bench/workloads.py,
-loaded read-only) at seeds 1-3, set-up runs included.  Every run works in
-a temporary directory; nothing is written under the repository.  Prints,
-per src/plgp module, the functions never entered and the lines never run.
+and analyze on each bundled complex (on a non-square one, analyze also at a
+chord point, since past 2n+1 a random point has no secant), fibered on
+octafiber.json and nerve on cloud.csv, then the benchmark's four workloads
+(bench/workloads.py, loaded read-only) at seeds 1-3, set-up runs included.
+Every run works in a temporary directory; nothing is written under the
+repository.  Prints, per src/plgp module, the functions never entered and
+the lines never run.
 
     python3 tools/reach.py
 """
@@ -26,11 +28,14 @@ import tempfile
 import trace
 import types
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "plgp" / "fixtures"
 COMPLEXES = ("hexagon", "quadrilateral", "triangles5", "triangles5-r6", "mixed5")
+# not every maximal simplex has k vertices with m + 1 = 2k
+NON_SQUARE = ("triangles5-r6", "mixed5")
 SEEDS = (1, 2, 3)
 
 
@@ -60,10 +65,29 @@ def fixture_runs(workloads, work):
         with open(os.path.join(work, out), encoding="utf-8") as fh:
             m = json.load(fh)["m"]
         yield ("analyze", "--map", out, "--z=" + workloads.analyze_points(1, m, name, 1)[0])
+        if name in NON_SQUARE:
+            yield ("analyze", "--map", out, "--z=" + chord_point(os.path.join(work, out)))
     yield ("fibered", "--instance", "octafiber.json", "--delta", "1/2", "--seed", "1",
            "--samples", "2")
     yield ("nerve", "--points", "cloud.csv", "--marks", "cloud_marks.json",
            "--radius", "4", "--out", "out/nerve.json")
+
+
+def chord_point(path) -> str:
+    """z = p1 + 5/2 (p2 - p1) for the image barycentres p1, p2 of a
+    vertex-disjoint pair of the map's maximal simplices, the first of the
+    most vertices and the second of the fewest, as --z text."""
+    from plgp.complexes import load_json, plmap_from_obj
+    from plgp.exact import rat_str
+
+    h = plmap_from_obj(load_json(path))
+    tops = h.complex.maximal_simplices()
+    sigma = max(tops, key=len)
+    tau = min((t for t in tops if sigma.isdisjoint(t)), key=len)
+    p1, p2 = (
+        [sum(h.images[v][c] for v in t) / len(t) for c in range(h.m)] for t in (sigma, tau)
+    )
+    return ",".join(rat_str(a + Fraction(5, 2) * (b - a)) for a, b in zip(p1, p2))
 
 
 def workload_runs(workloads, name, seed, work):
