@@ -22,7 +22,6 @@ from math import factorial
 
 from .errors import PreconditionError, SubdivisionCapError
 from .exact import (
-    dist_sq,
     integer_points,
     rat,
     rat_str,
@@ -180,12 +179,6 @@ def evaluate(h: PLMap, x: BarycentricPoint) -> tuple:
     return tuple(sum(c, Fraction(0)) for c in zip(*terms))
 
 
-def image_diameter_sq(h: PLMap, simplex) -> Fraction:
-    """Max squared distance over image-vertex pairs (= squared diameter of the hull)."""
-    pts = h.simplex_images(simplex)
-    return max((dist_sq(a, b) for a, b in combinations(pts, 2)), default=Fraction(0))
-
-
 def integer_images(h: PLMap):
     """(scale, images): every vertex image times scale, the lcm of all
     coordinate denominators over the map, as tuples of Python ints keyed by
@@ -196,7 +189,7 @@ def integer_images(h: PLMap):
 
 
 def max_image_diameter_sq(h: PLMap, frame=None) -> Fraction:
-    """Max of image_diameter_sq over every simplex of h, read off its edges.
+    """Max squared image diameter over every simplex of h, read off its edges.
 
     A simplex's image diameter is attained at a pair of its vertices, and in
     a face-closed complex each such pair is an edge, so the edges decide.

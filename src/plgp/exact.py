@@ -16,7 +16,9 @@ laplace_dual), packed into big integers by Kronecker substitution
 (PackedPairings), whose slots also give the pairings' signs.  The same
 packing decides a ball cover's incidence: nerve.build_cover reads each
 point's squared distances to every center, against the radius, as the
-signs of one pairing.
+signs of one pairing.  Whether rows stay independent with more rows below
+them is read off their Plücker vector expanded by those rows
+(expands_nonzero), for every vertex-sharing pair of tops.
 """
 
 from __future__ import annotations
@@ -211,93 +213,6 @@ def _echelon_int(rows, pivot_col_limit=None):
     return pivots
 
 
-class Echelon:
-    """A vertex set s eliminated once about an origin: the rows
-    points[v] - origin for v in s, put in echelon form by one Bareiss
-    elimination (_echelon_int), with their pivot columns and non-pivot
-    (free) columns.
-
-    reduce(v) replays the same Bareiss steps on v's row and keeps the result.
-    The rows of s and of an extra vertex set t together have full rank iff
-    s's rows do and t's reduced rows do: rank [S; T] = rank S + rank(T
-    reduced against S).  So with the points and origin on one integer frame,
-    s u t u {origin} is affinely independent iff both small ranks are full.
-    """
-
-    def __init__(self, points, origin, s):
-        self.points = points  # vertex -> tuple of ints
-        self.origin = origin
-        self.rows = rows = [[a - b for a, b in zip(points[v], origin)] for v in s]
-        self.pivots = pivots = _echelon_int(rows)
-        self.independent = len(pivots) == len(rows)
-        self.free = free = [j for j in range(len(origin)) if j not in pivots]
-        # per Bareiss step: its echelon row, its pivot column, and the columns
-        # it updates, the free ones and the later pivots
-        self._steps = [
-            (rows[k], c, free + pivots[k + 1:]) for k, c in enumerate(pivots)
-        ]
-        self._reduced = {}
-
-    def reduce(self, v):
-        """v's row reduced against the echelon, in the free columns: the
-        last pivot times the row's remainder modulo s's rows, zero iff the
-        row lies in their span.
-
-        By Sylvester's identity each replayed entry is a minor of s's rows
-        plus v's, so every division is exact.  Pivot columns would come out
-        zero and are neither updated after their own step nor returned.  The
-        list is kept for later calls, so callers must not change it.
-        """
-        row = self._reduced.get(v)
-        if row is None:
-            row = [a - b for a, b in zip(self.points[v], self.origin)]
-            prev = 1
-            for e, c, columns in self._steps:
-                piv = e[c]
-                f = row[c]
-                for j in columns:
-                    q, rem = divmod(piv * row[j] - f * e[j], prev)
-                    if rem:
-                        raise ArithmeticError(
-                            "non-exact division in fraction-free elimination"
-                        )
-                    row[j] = q
-                prev = piv
-            row = self._reduced[v] = [row[j] for j in self.free]
-        return row
-
-    def full_rank(self, *extras) -> list:
-        """[s's rows have full rank] followed by, for each extra vertex set
-        t, whether s's rows with t's do.  Every verdict is False when s's
-        are not, with no reduction.
-
-        t's k reduced rows have f = len(free) entries each.  One row has
-        full rank iff it is nonzero, and two rows in two columns iff their
-        2x2 determinant is nonzero.  Each reduced row is the row's remainder
-        times the last pivot, which is nonzero and so changes no rank; the
-        tests are exact integer arithmetic, and read the kept rows without
-        changing them.  Any other shape, k > f included, runs _echelon_int
-        on copies.
-        """
-        if not self.independent:
-            return [False] * (1 + len(extras))
-        reduce = self.reduce
-        f = len(self.free)
-        verdicts = [True]
-        for t in extras:
-            k = len(t)
-            if k == 1:
-                verdicts.append(any(reduce(next(iter(t)))))
-            elif k == f == 2:
-                (a0, a1), (b0, b1) = map(reduce, t)
-                verdicts.append(a0 * b1 != a1 * b0)
-            else:
-                # copies: _echelon_int works in place
-                rows = [list(reduce(v)) for v in t]
-                verdicts.append(len(_echelon_int(rows)) == k)
-        return verdicts
-
-
 @cache
 def _expansions(n, r):
     """Per r-subset s of range(n), in combinations order, the terms of the
@@ -338,6 +253,18 @@ def plucker(rows) -> list:
     for r, row in enumerate(rows):
         minors = list(expand(minors, r, row))
     return minors
+
+
+def expands_nonzero(minors, r, rows) -> bool:
+    """Whether r rows whose maximal minors are minors (as plucker orders
+    them), with rows below them, have a nonzero maximal minor: whether
+    they are independent, when the r rows are.  The minors are expanded by
+    one row at a time, the last row's lazily, so the first nonzero minor
+    decides; with no rows, whether minors has a nonzero entry."""
+    for row in rows[:-1]:
+        minors = list(expand(minors, r, row))
+        r += 1
+    return any(expand(minors, r, rows[-1]) if rows else minors)
 
 
 @cache

@@ -18,51 +18,48 @@ exactly when every face and face pair passes.  A face or face pair whose
 union lies inside a passing maximal union passes; any other would need its
 own rank, which nothing takes, since a failing certificate is resampled and
 never reported.  A report counts every face and face pair as checked.
-
-Each maximal simplex sigma is eliminated once, in one exact.Echelon about
-its first vertex: that decides sigma, and each pair of sigma with a later
-passing maximal simplex tau that shares a vertex, from the vertices
-tau - sigma reduced against sigma's echelon.  Those k reduced rows lie in
-sigma's f free columns, and the pair's rank is full iff theirs is: for
-one row, or two rows in two columns, one nonzero test or one 2x2
-determinant; any other shape takes one small elimination.  Under
-m >= 2n+1 every pair ranked has k <= n + 1 <= m - n <= f.  A pair holding
-a failing simplex fails without a rank.
 All of it runs on Python ints: every image is scaled by one common
 denominator, the lcm over the map, which leaves affine independence
 unchanged.
 
-The vertex-disjoint pairs are decided by Plücker coordinates.  With k the
-most vertices of a maximal simplex (a top), every homogeneous row (1, image)
-is mapped by one fixed integer matrix Pi = [I_2k | V] to 2k coordinates
-(project): V_ce = (c+1)^(e+1) folds the m + 1 - 2k coordinates past 2k into
-the first 2k, and zeros pad a shorter row.  On a square map, every top with
+Every verdict is read off Plücker coordinates.  With k the most vertices
+of a maximal simplex (a top), every homogeneous row (1, image) is mapped
+by one fixed integer matrix Pi = [I_2k | V] to 2k coordinates (project):
+V_ce = (c+1)^(e+1) folds the m + 1 - 2k coordinates past 2k into the
+first 2k, and zeros pad a shorter row; on a square map, every top with
 k vertices and m + 1 = 2k, as for n-simplices at m = 2n+1, Pi is the
-identity.  Two tops of k vertices give 2k projected rows, a square matrix
-whose determinant the generalized Laplace expansion makes a pairing of the
-two tops' Plücker vectors (exact.plucker, exact.laplace_dual); one
-exact.PackedPairings decides each top's pairings with every later top in one
-big-integer walk.  Projected rows of dependent rows are dependent, so a
-nonzero determinant proves the pair independent.  A zero one is dependent
-when Pi drops no coordinate; otherwise the pair's exact rank in R^(m+1)
-decides it (MaximalVerdicts.independent), and an independent pair is kept in
-zero_pairs, since the probe (secant) cannot read its secant off the
-projected rows.  A pair holding a top of fewer than k vertices (_mixed_pairs)
-is ranked exactly too.  A passing certificate also keeps, built on the first
-probe's request, the projected rows' Plücker vectors and facet duals every
-probe of the map reads (FacetPairings).
+identity.  Projected rows of dependent rows are dependent, so a nonzero
+maximal minor of projected rows proves their vertices independent, and
+all minors zero proves them dependent unless Pi folds (m + 1 > 2k); then
+the exact rank in R^(m+1) decides (MaximalVerdicts.independent).
+
+Each top's Plücker vector on its projected rows (exact.plucker) decides
+the top.  Expanded by the rows of tau - sigma (exact.expands_nonzero, the
+probe's test too), sigma's vector decides its pair with each later top
+tau sharing a vertex, a union of at most 2k - 1 rows; per sigma, the
+expansion by each first extra vertex is kept.  The same vectors decide
+the vertex-disjoint pairs: two tops of k vertices give a square matrix
+whose determinant the generalized Laplace expansion makes a pairing of
+their Plücker vectors (exact.laplace_dual), and one exact.PackedPairings
+decides each top's pairings with every later top in one big-integer
+walk.  An independent pair with a zero determinant, which needs Pi to
+fold, is kept in zero_pairs, since the probe (secant) cannot read its
+secant off the projected rows.  A pair holding a top of fewer than k
+vertices (_mixed_pairs) is ranked exactly.  A passing certificate also
+keeps, built on the first probe's request, the Plücker vectors and facet
+duals every probe of the map reads (FacetPairings).
 
 A resample round moves exactly the vertices of the failing unions, which
 every certificate, round 0's included, collects as moved.  The tops are
-ranked first: if one fails, every vertex moves, since its pair with each
-other top fails, and no pair is ranked.  Then the vertex-sharing pairs, off
-complexes.later_sharing, by one Echelon.full_rank per top.  When their
-failing unions hold every vertex, as on subdivided maps before
-perturbation, no other pair can add to the set; otherwise the
-vertex-disjoint pairs are decided.  The echelons are dropped
-after the sharing pass, and each Plücker vector after its row.  No pair is
-decided twice, and no verdict of a top or pair is kept: the certificate is
-moved and overall, whether moved is empty.
+decided first: if one fails, every vertex moves, since its pair with each
+other top fails, and no pair is decided.  Then the vertex-sharing pairs,
+off complexes.later_sharing; a pair whose union already lies in moved is
+skipped, since its verdict cannot change moved.  When their failing
+unions hold every vertex, as on subdivided maps before perturbation, no
+other pair can add to the set; otherwise the vertex-disjoint pairs are
+decided, and each Plücker vector is dropped after its row.  No pair is
+decided twice, and no verdict of a top or pair is kept: the certificate
+is moved and overall, whether moved is empty.
 """
 
 from __future__ import annotations
@@ -76,9 +73,10 @@ from math import isqrt
 from .complexes import PLMap, integer_images, later_sharing, sorted_vertices
 from .errors import PerturbationBudgetError, PreconditionError
 from .exact import (
-    Echelon,
     PackedPairings,
     _echelon_int,
+    expand,
+    expands_nonzero,
     laplace_dual,
     norm_sq,
     plucker,
@@ -99,19 +97,6 @@ class PerturbationReport:
     max_displacement: Fraction     # certified upper bound, < delta/2
     max_displacement_sq: Fraction  # exact
     certificate: MaximalVerdicts
-
-
-def _top_echelon(images, sigma) -> Echelon:
-    """sigma's rows v - v0 about its first vertex v0, in one Echelon."""
-    first = next(iter(sigma))
-    return Echelon(images, images[first], sigma - {first})
-
-
-def _dropping(items):
-    """items' entries in order, each dropped from the list as it is yielded."""
-    for i, item in enumerate(items):
-        items[i] = None
-        yield item
 
 
 def project(row, width) -> tuple:
@@ -210,62 +195,80 @@ class MaximalVerdicts:
     """The general-position certificate: exact verdicts on the maximal
     simplices and on every pair of distinct ones, kept as moved, the
     vertices of the failing unions (the set a resample round moves), and
-    overall, whether it is empty.  zero_pairs maps each top's index to the
-    indices of the vertex-disjoint tops whose projected determinant with it
-    is zero though their union is independent."""
+    overall, whether it is empty.  rows holds each vertex's row (1, image)
+    mapped by Pi (project), and folded whether Pi folds a coordinate.
+    zero_pairs maps each top's index to the indices of the vertex-disjoint
+    tops whose projected determinant with it is zero though their union is
+    independent."""
 
     def __init__(self, h: PLMap):
         self.map = h
         self.scale, self.images = integer_images(h)
         self.tops = tops = h.complex.maximal_simplices()
-        self.k = max(map(len, tops), default=1)
+        self.k = k = max(map(len, tops), default=1)
+        self.folded = h.m + 1 > 2 * k
+        self.rows = rows = {v: project((1, *p), 2 * k) for v, p in self.images.items()}
         self.zero_pairs = {}
-        echelons = [_top_echelon(self.images, sigma) for sigma in tops]
+        ps = [plucker([rows[v] for v in t]) for t in tops]
         self.moved = moved = set()
-        if not all(e.independent for e in echelons):
+        if not all(any(p) or self._unfolded(t) for t, p in zip(tops, ps)):
             # a failing top's pair with each other top fails
             moved.update(h.complex.vertices)
         else:
-            for sigma, e, later in zip(tops, echelons, later_sharing(tops)):
-                _, *verdicts = e.full_rank(*[tops[j] - sigma for j in later])
-                for j, ok in zip(later, verdicts):
-                    if not ok:
-                        moved |= sigma | tops[j]
-            echelons.clear()  # the vertex-disjoint pairs read no echelon
+            for sigma, p, later in zip(tops, ps, later_sharing(tops)):
+                expanded = {}  # p expanded by one vertex's row, per vertex
+                for j in later:
+                    union = sigma | tops[j]
+                    if union <= moved:
+                        continue  # its verdict cannot change moved
+                    if not self._sharing_independent(sigma, tops[j], p, expanded):
+                        moved |= union
             if len(moved) < len(h.complex.vertices):
-                moved |= self._disjoint_moved()
+                moved |= self._disjoint_moved(ps)
         self.overall = not moved
 
-    @cached_property
-    def rows(self) -> dict:
-        """Each vertex's homogeneous row (1, image), mapped by Pi (project)
-        to 2k coordinates, built on first use and kept."""
-        return {v: project((1, *p), 2 * self.k) for v, p in self.images.items()}
+    def _sharing_independent(self, sigma, tau, p, expanded) -> bool:
+        """Whether tops sigma and tau, which share a vertex, have an affinely
+        independent union: p, sigma's Plücker vector, expanded by the rows of
+        tau - sigma (the first row's expansion kept in expanded), else by
+        _unfolded."""
+        first, *rest = tau - sigma
+        if first not in expanded:
+            expanded[first] = list(expand(p, len(sigma), self.rows[first]))
+        rows = [self.rows[v] for v in rest]
+        if expands_nonzero(expanded[first], len(sigma) + 1, rows):
+            return True
+        return self._unfolded(sigma | tau)
 
-    def _disjoint_moved(self) -> set:
-        """The vertices of the failing vertex-disjoint pairs: the zero slots
-        of one packed Plücker walk over the tops of k vertices, each ranked
-        exactly when Pi drops a coordinate, and the exact rank of each pair
-        holding a smaller top.  Hits of vertex-sharing pairs, whose
+    def _unfolded(self, vertices) -> bool:
+        """Whether vertices with dependent projected rows are independent:
+        never when Pi folds no coordinate, else by the exact rank."""
+        return self.folded and self.independent(vertices)
+
+    def _disjoint_moved(self, ps) -> set:
+        """The vertices of the failing vertex-disjoint pairs, from ps, the
+        tops' Plücker vectors: the zero slots of one packed walk over the
+        tops of k vertices, each ranked exactly when Pi folds, and the exact
+        rank of each pair holding a smaller top.  Each vector is dropped
+        from ps after its row.  Hits of vertex-sharing pairs, whose
         determinants repeat a row, are dropped: the sharing pass decided
         them."""
         tops, k = self.tops, self.k
-        folded = self.map.m + 1 > 2 * k
         full = [i for i, t in enumerate(tops) if len(t) == k]
-        ps = [plucker([self.rows[v] for v in tops[i]]) for i in full]
         packed = PackedPairings(
-            [laplace_dual(p, k) for p in ps], max(sum(map(abs, p)) for p in ps)
+            [laplace_dual(ps[i], k) for i in full], max(sum(map(abs, ps[i])) for i in full)
         )
         moved = set()
-        for a, p in enumerate(_dropping(ps)):
-            sigma = tops[full[a]]
+        for a, i in enumerate(full):
+            p, ps[i] = ps[i], None
+            sigma = tops[i]
             for b in packed.zeros(p, a + 1):
                 tau = tops[full[b]]
                 if not sigma.isdisjoint(tau):
                     continue
-                if folded and self.independent(sigma | tau):
-                    self.zero_pairs.setdefault(full[a], set()).add(full[b])
-                    self.zero_pairs.setdefault(full[b], set()).add(full[a])
+                if self._unfolded(sigma | tau):
+                    self.zero_pairs.setdefault(i, set()).add(full[b])
+                    self.zero_pairs.setdefault(full[b], set()).add(i)
                 else:
                     moved |= sigma | tau
         for i, j in _mixed_pairs(tops, k):

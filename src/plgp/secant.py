@@ -65,7 +65,8 @@ sigma and z are
 dependent, which J_sigma != 0 disproves; a pair of tops of k vertices sharing
 one vertex u has its union with z square, independent if J_sigma's pairing
 with tau's facet without u is nonzero; any other sharing pair is independent
-if J_sigma expanded by the rows of tau - sigma is nonzero.  Each zero is
+if J_sigma expanded by the rows of tau - sigma is nonzero
+(exact.expands_nonzero, the certificate's test without z).  Each zero is
 decided by the exact rank of the rows with z^ in R^(m+1)
 (_ProbeFrame.independent).  The records come in the order of the pairs, so
 the first record per line is the same whichever way each pair is decided.
@@ -100,6 +101,7 @@ from .exact import (
     _echelon_int,
     _solve_echelon_int,
     expand,
+    expands_nonzero,
     int_combination,
     laplace_dual,
     rat,
@@ -237,13 +239,8 @@ class _PluckerProbe(_ProbeFrame):
             if self.facets.position[j] * k + t not in zeros:
                 return True
         else:
-            minors, r = self.joins[i], len(sigma) + 1
-            *rest, last = tau - sigma
-            for v in rest:
-                minors = list(expand(minors, r, self.facets.projected[v]))
-                r += 1
-            # the first nonzero minor decides
-            if any(expand(minors, r, self.facets.projected[last])):
+            rows = [self.facets.projected[v] for v in tau - sigma]
+            if expands_nonzero(self.joins[i], len(sigma) + 1, rows):
                 return True
         return self.independent(sigma | tau)
 

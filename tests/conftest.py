@@ -23,37 +23,33 @@ def bench_workloads():
 @pytest.fixture
 def ranked_pairs(monkeypatch):
     """Per general-position certificate built from now on, the pairs its
-    __init__ decides: (sigma, tau - sigma) for each extra vertex set
-    tau - sigma that Echelon.full_rank receives on top sigma's Echelon, for
-    each vertex-disjoint pair (sigma, tau) of tops with the most vertices
-    that the packed walk decides in sigma's row, and for each pair that
-    perturb._mixed_pairs yields, (sigma, tau) in top order.  Decisions
-    outside __init__, such as a test's own, are not recorded."""
+    __init__ decides, in the order decided: (sigma, tau - sigma) for each
+    vertex-sharing pair (sigma, tau) of tops that the sharing pass decides
+    (MaximalVerdicts._sharing_independent), for each vertex-disjoint pair
+    (sigma, tau) of tops with the most vertices that the packed walk decides
+    in sigma's row, and for each pair that perturb._mixed_pairs yields,
+    (sigma, tau) in top order.  Decisions outside __init__, such as a
+    test's own, are not recorded."""
     import plgp.perturb
-    from plgp.exact import Echelon, PackedPairings
+    from plgp.exact import PackedPairings
 
     groups = []
     building = []
-    top_echelon = plgp.perturb._top_echelon
-    full_rank = Echelon.full_rank
+    verdicts = plgp.perturb.MaximalVerdicts
+    sharing = verdicts._sharing_independent
     zeros = PackedPairings.zeros
     mixed_pairs = plgp.perturb._mixed_pairs
-    init = plgp.perturb.MaximalVerdicts.__init__
+    init = verdicts.__init__
 
-    def tagged(images, sigma):
-        e = top_echelon(images, sigma)
-        e.sigma = sigma
-        return e
-
-    def recording(self, *ts):
+    def recording(self, sigma, tau, *args):
         if building:
-            groups[-1].extend((self.sigma, t) for t in ts)
-        return full_rank(self, *ts)
+            groups[-1].append((sigma, tau - sigma))
+        return sharing(self, sigma, tau, *args)
 
     def pairing(self, p, start=0):
         # row start - 1 pairs its top with every later one of as many
-        # vertices; the walk keeps the vertex-disjoint pairs, full_rank
-        # decided the others
+        # vertices; the walk keeps the vertex-disjoint pairs, the sharing
+        # pass decided the others
         if building:
             tops = building[-1].complex.maximal_simplices()
             k = max(map(len, tops))
@@ -78,9 +74,8 @@ def ranked_pairs(monkeypatch):
         finally:
             building.pop()
 
-    monkeypatch.setattr(plgp.perturb, "_top_echelon", tagged)
-    monkeypatch.setattr(Echelon, "full_rank", recording)
+    monkeypatch.setattr(verdicts, "_sharing_independent", recording)
     monkeypatch.setattr(PackedPairings, "zeros", pairing)
     monkeypatch.setattr(plgp.perturb, "_mixed_pairs", mixed)
-    monkeypatch.setattr(plgp.perturb.MaximalVerdicts, "__init__", starting)
+    monkeypatch.setattr(verdicts, "__init__", starting)
     return groups

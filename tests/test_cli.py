@@ -396,8 +396,9 @@ class TestUncertifiedMap:
         assert "map is not in certified general position" in err
         tops = h1.complex.maximal_simplices()
         sharing = Counter((t1, t2 - t1) for t1, t2 in combinations(tops, 2) if t1 & t2)
+        # vertex-sharing pairs only, each at most once
         (ranked,) = ranked_pairs
-        assert Counter(ranked) == sharing
+        assert ranked and Counter(ranked) <= sharing
 
     def test_probe_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
         _, path = self.unperturbed(tmp_path)

@@ -7,6 +7,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from plgp.complexes import (
     complex_to_obj,
     dump_json,
     evaluate,
-    image_diameter_sq,
     later_sharing,
     max_image_diameter_sq,
     plmap_from_obj,
@@ -202,8 +202,7 @@ class TestSubdivideUntil:
         delta = Fraction(3, den)
         h = triangle_map((0, 0), (1, 0), (0, 1))
         out = subdivide_until(h, delta)
-        for s in out.complex.simplices:
-            assert image_diameter_sq(out, s) < (delta / 2) ** 2
+        assert max_image_diameter_sq(out) < (delta / 2) ** 2
 
 
 FIXTURES = Path(complexes_module.__file__).parent / "fixtures"
@@ -355,18 +354,27 @@ class TestEvaluate:
             BarycentricPoint(("a", "b"), (Fraction(1, 2), Fraction(1, 3)))
 
 
+def image_diameter_sq(h, simplex):
+    """The largest squared distance between two of a simplex's vertex
+    images, in Fractions: the oracle for max_image_diameter_sq."""
+    pts = h.simplex_images(simplex)
+    return max((dist_sq(a, b) for a, b in combinations(pts, 2)), default=Fraction(0))
+
+
 class TestImageDiameter:
+    """max_image_diameter_sq on maps of one simplex."""
+
     def test_single_vertex(self):
-        h = edge_map((0, 0, 0), (3, 4, 0))
-        assert image_diameter_sq(h, frozenset({"a"})) == 0
+        h = PLMap(SimplicialComplex.from_maximal([["a"]]), 3, {"a": vec([3, 4, 0])})
+        assert max_image_diameter_sq(h) == 0
 
     def test_three_four_five_edge(self):
         h = edge_map((0, 0, 0), (3, 4, 0))
-        assert image_diameter_sq(h, frozenset({"a", "b"})) == 25
+        assert max_image_diameter_sq(h) == 25
 
     def test_right_triangle_hypotenuse(self):
         h = triangle_map((0, 0), (1, 0), (0, 1))
-        assert image_diameter_sq(h, frozenset({"a", "b", "c"})) == 2
+        assert max_image_diameter_sq(h) == 2
 
 
 def random_complex_map(rng):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from plgp.exact import (
     AffineSolution,
-    Echelon,
     PackedPairings,
     _echelon_int,
     _slot_hits,
@@ -26,6 +25,7 @@ from plgp.exact import (
     affinely_independent,
     det,
     expand,
+    expands_nonzero,
     integer_points,
     inverse_int,
     laplace_dual,
@@ -441,49 +441,11 @@ class TestEchelonAgainstGauss:
                 self.check_inverse([r[: len(rows)] for r in rows])
 
 
-class TestReduceInt:
-    def check(self, rows, extra):
-        """Echelon.reduce: each reduced row is the last pivot times the row's
-        remainder modulo the echelon rows, on the free columns, and the ranks
-        add."""
-        points = {("s", i): row for i, row in enumerate(rows)}
-        points.update({("x", i): row for i, row in enumerate(extra)})
-        e = Echelon(points, [0] * len(rows[0]), [("s", i) for i in range(len(rows))])
-        pivots = e.pivots
-        d = e.rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-        rref, gauss_pivots = gauss_rref(rows)
-        assert pivots == gauss_pivots
-        free = [c for c in range(len(rows[0])) if c not in pivots]
-        assert e.free == free
-        assert e.independent == (len(pivots) == len(rows))
-        reduced = [e.reduce(("x", i)) for i in range(len(extra))]
-        # kept: a second call returns the same list
-        assert all(e.reduce(("x", i)) is r for i, r in enumerate(reduced))
-        for row, got in zip(extra, reduced):
-            rest = [Fraction(x) for x in row]
-            for r, c in zip(rref, pivots):
-                f = rest[c]
-                rest = [x - f * y for x, y in zip(rest, r)]
-            assert got == [d * rest[c] for c in free]
-        rank_all = len(gauss_rref(rows + extra)[1])
-        assert len(pivots) + len(gauss_rref(reduced)[1]) == rank_all
-        return reduced
-
-    def test_zero_column_between_pivots(self):
-        rows = ZERO_COLUMN_BETWEEN_PIVOTS[:2]
-        assert self.check(rows, [[1, 7, 2, 0], [0, 0, 1, 1], [2, 0, 1, 3]])[2] == [0, 0]
-
-    def test_no_pivots(self):
-        assert self.check([[0, 0, 0]], [[1, -2, 3]]) == [[1, -2, 3]]
-
-    def test_seeded_random_rows(self):
-        for rows in seeded_int_matrices(62, 200):
-            if len(rows) > 1:
-                self.check(rows[: len(rows) // 2], rows[len(rows) // 2 :])
-
-
 class TestEchelons:
-    """Echelon.full_rank against the Fraction rank of the stacked rows."""
+    """A vertex set s's rows about an origin with each extra set t's rows
+    below them: whether s's Plücker vector has a nonzero entry, and whether
+    expands_nonzero finds one in its expansion by t's rows, against the
+    Fraction rank of the stacked rows."""
 
     @staticmethod
     def stacked_full_rank(points, origin, vertices):
@@ -496,12 +458,13 @@ class TestEchelons:
         want = [self.stacked_full_rank(points, origin, s)] + [
             self.stacked_full_rank(points, origin, [*s, *t]) for t in extras
         ]
-        e = Echelon(points, origin, s)
-        assert e.independent == want[0]
-        assert e.full_rank(*extras) == want
-        # the kept reductions give the same verdicts again
-        assert e.full_rank(*extras) == want
-        assert e.full_rank() == want[:1]
+
+        def rows(vertices):
+            return [[a - b for a, b in zip(points[v], origin)] for v in vertices]
+
+        p = plucker(rows(s))
+        assert any(p) == want[0]
+        assert [expands_nonzero(p, len(s), rows(t)) for t in extras] == want[1:]
         return want
 
     def test_repeated_point(self):
@@ -550,11 +513,10 @@ class TestEchelons:
 
 
 class TestFullRankShapes:
-    """Echelon.full_rank on every shape of extra set t, k = |t| reduced rows
-    in f free columns with k in 0..4 and f in 1..4, against the Fraction
-    rank of the stacked rows.  The closed forms (k = 1 and k = f = 2) read
-    the kept reduced rows in place, and the elimination works on copies, so
-    the test also holds every kept row to its list object and its contents."""
+    """expands_nonzero on every shape: k rows below the rows of an
+    independent set, whose Plücker vector it expands, in m = size + f
+    columns with k in 0..4 and f in 1..4, against the Fraction rank of the
+    stacked rows."""
 
     BIG = 2**70
 
@@ -606,31 +568,21 @@ class TestFullRankShapes:
                 for _ in range(40):
                     size = rng.randrange(0, 3)
                     m = f + size
-                    origin = [rng.randrange(-9, 10) for _ in range(m)]
                     while True:
                         bound = self.BIG if rng.random() < 0.2 else 9
                         s_rows = [[rng.randrange(-bound, bound + 1) for _ in range(m)]
                                   for _ in range(size)]
                         if self.stacked_rank(s_rows) == size:
                             break
-                    points = {("s", i): r for i, r in enumerate(s_rows)}
-                    extras, want = [], [True]
-                    for j in range(3):
+                    p = plucker(s_rows)
+                    assert any(p)
+                    got, want = [], []
+                    for _ in range(3):
                         t_rows = self.extra_rows(rng, k, s_rows, m)
-                        points.update({("t", j, i): r for i, r in enumerate(t_rows)})
-                        extras.append(frozenset(("t", j, i) for i in range(k)))
+                        got.append(expands_nonzero(p, size, t_rows))
                         want.append(self.stacked_rank(s_rows + t_rows) == size + k)
-                    points = {v: tuple(a + b for a, b in zip(r, origin))
-                              for v, r in points.items()}
-                    e = Echelon(points, tuple(origin), [("s", i) for i in range(size)])
-                    assert e.independent and len(e.free) == f
-                    kept = {v: e.reduce(v) for t in extras for v in t}
-                    contents = {v: list(row) for v, row in kept.items()}
-                    assert e.full_rank(*extras) == want, (k, f, s_rows, extras)
-                    assert e._reduced.keys() == kept.keys()
-                    for v, row in kept.items():
-                        assert e._reduced[v] is row and row == contents[v]
-                    seen.setdefault((k, f), set()).update(want[1:])
+                    assert got == want, (k, f, s_rows)
+                    seen.setdefault((k, f), set()).update(want)
         for (k, f), verdicts in seen.items():
             if k == 0:
                 assert verdicts == {True}

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from plgp.complexes import (
     closeness_bound,
     complex_to_obj,
     evaluate,
-    image_diameter_sq,
     integer_images,
     load_json,
     plmap_to_obj,
@@ -302,11 +302,17 @@ class TestUMapFlag:
         assert u_map_fine_enough(emb, 1)
 
     @staticmethod
-    def per_top(emb, eta):
+    def diameter_sq(h, simplex):
+        """The largest squared distance between two of a simplex's vertex
+        images, in Fractions."""
+        pts = h.simplex_images(simplex)
+        return max((dist_sq(a, b) for a, b in combinations(pts, 2)), default=F(0))
+
+    def per_top(self, emb, eta):
         """The per-top rule: every maximal simplex's diameter below eta."""
         ref = emb.reference
         return all(
-            image_diameter_sq(ref, s) < eta * eta
+            self.diameter_sq(ref, s) < eta * eta
             for s in ref.complex.maximal_simplices()
         )
 
@@ -325,7 +331,7 @@ class TestUMapFlag:
         }
         h = PLMap(cx, m, images)
         emb = FiberEmbedding("f", h, h, None)
-        worst = max(image_diameter_sq(h, s) for s in cx.maximal_simplices())
+        worst = max(self.diameter_sq(h, s) for s in cx.maximal_simplices())
         # lo^2 <= worst <= hi^2, both equalities exactly when worst is a square
         hi = sqrt_upper(worst)
         lo = worst / hi

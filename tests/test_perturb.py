@@ -24,11 +24,14 @@ from plgp.complexes import (
 )
 from plgp.errors import PerturbationBudgetError, PreconditionError
 from plgp.exact import (
-    Echelon,
     Matrix,
     PackedPairings,
     affinely_independent,
+    det,
+    expands_nonzero,
     norm_sq,
+    plucker,
+    rank,
     solve_affine,
     vec,
     vec_sub,
@@ -39,10 +42,10 @@ from plgp.perturb import (
     MaximalVerdicts,
     _displacement_bound,
     _draw_displacement,
-    _top_echelon,
     certificate_to_obj,
     general_position_certificate,
     perturb_to_general_position,
+    project,
     report_to_obj,
     require_ambient_bound,
 )
@@ -160,27 +163,22 @@ def top_flags(mv):
     return [not mv.independent(t) for t in mv.tops]
 
 
-def kernel_pair_flags(mv):
+def per_pair_flags(mv):
     """One flag per pair in combinations(tops, 2) order, set iff the pair's
-    union is dependent, from one _top_echelon(...).full_rank(...) per top;
-    a pair holding a failing top is set with no rank."""
-    tops = mv.tops
-    echelons = [_top_echelon(mv.images, sigma) for sigma in tops]
-    flags = []
-    for i, (sigma, e) in enumerate(zip(tops, echelons)):
-        later = range(i + 1, len(tops))
-        ranked = [j for j in later if e.independent and echelons[j].independent]
-        verdicts = e.full_rank(*[tops[j] - sigma for j in ranked])
-        ok = dict(zip(ranked, verdicts[1:]))
-        flags.extend(not ok.get(j, False) for j in later)
-    return bytes(flags)
+    union is dependent, by one integer rank (MaximalVerdicts.independent)
+    per pair; a pair holding a failing top is set."""
+    bad = top_flags(mv)
+    return bytes(
+        bad[i] or bad[j] or not mv.independent(mv.tops[i] | mv.tops[j])
+        for i, j in combinations(range(len(mv.tops)), 2)
+    )
 
 
 def failing_unions(cert, flags=None):
     """The failing maximal simplices, then the failing maximal pairs' unions,
-    read off top_flags and the pair flags (kernel_pair_flags by default)."""
+    read off top_flags and the pair flags (per_pair_flags by default)."""
     if flags is None:
-        flags = kernel_pair_flags(cert)
+        flags = per_pair_flags(cert)
     failing = [t for t, bad in zip(cert.tops, top_flags(cert)) if bad]
     pairs = combinations(cert.tops, 2)
     return failing + [t1 | t2 for (t1, t2), bad in zip(pairs, flags) if bad]
@@ -286,7 +284,8 @@ class TestMaximalPairOracle:
         def refuse(self, *args):
             raise AssertionError("verdicts iterated")
 
-        monkeypatch.setattr(Echelon, "full_rank", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "_sharing_independent", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "_disjoint_moved", refuse)
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         obj = certificate_to_obj(cert)
         assert obj == {"overall": True, "simplices_checked": 6, "pairs_checked": 15}
@@ -301,16 +300,6 @@ class TestMaximalPairOracle:
         simplex_verdicts, pair_verdicts = face_verdicts(cert)
         assert all(ok for _, _, ok in pair_verdicts)
         assert all(ok for _, ok in simplex_verdicts)
-
-
-def per_pair_flags(mv):
-    """The per-pair union rank over the integer images: the oracle for the
-    per-top elimination of kernel_pair_flags."""
-    bad = top_flags(mv)
-    return bytes(
-        bad[i] or bad[j] or not mv.independent(mv.tops[i] | mv.tops[j])
-        for i, j in combinations(range(len(mv.tops)), 2)
-    )
 
 
 def reference_pair_flags(h, tops):
@@ -362,12 +351,11 @@ def fixture_map(name):
 
 
 def check_certificate(h, reference=False):
-    """(MaximalVerdicts(h), kernel_pair_flags of its pairs): the flags checked
-    against the per-pair union ranks and, with reference,
-    reference_certificate; moved against the failing unions they give."""
+    """(MaximalVerdicts(h), per_pair_flags of its pairs): the flags checked,
+    with reference, against reference_certificate; moved against the
+    failing unions they give."""
     mv = MaximalVerdicts(h)
-    flags = kernel_pair_flags(mv)
-    assert flags == per_pair_flags(mv)
+    flags = per_pair_flags(mv)
     assert mv.moved == set().union(*failing_unions(mv, flags))
     assert mv.overall == (not mv.moved)
     if reference:
@@ -377,8 +365,8 @@ def check_certificate(h, reference=False):
 
 
 class TestPerTopCertificate:
-    """Pair flags from one elimination per top against the per-pair union
-    rank, and the certificate's moved set against the failing unions."""
+    """The certificate, from one Plücker vector per top, against the
+    failing unions of the per-pair union ranks."""
 
     # m = 2n+1, and past it, where Pi (perturb.project) folds the
     # coordinates past 2n+2 into the first 2n+2
@@ -414,7 +402,7 @@ class TestPerTopCertificate:
 
     def test_more_extra_vertices_than_free_columns(self):
         # triangles in R^3 (below the certificate's m >= 2n+1): a pair needs
-        # at least two vertices beyond a triangle, which leaves one free column
+        # at least two vertices beyond a triangle, five rows in four columns
         h = map_of(
             [["a", "b", "c"], ["c", "d", "e"], ["f", "g", "h"]],
             {"a": [0, 0, 0], "b": [1, 0, 0], "c": [0, 1, 0], "d": [0, 0, 1],
@@ -433,32 +421,35 @@ class TestPerTopCertificate:
         )
 
         def refuse(*args):
-            raise AssertionError("reduced a row against a pair with a failing top")
+            raise AssertionError("decided a pair with a failing top")
 
-        monkeypatch.setattr(Echelon, "reduce", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "_sharing_independent", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "_disjoint_moved", refuse)
         mv = MaximalVerdicts(h)
         assert mv.moved == set("abcde")
         assert top_flags(mv) == [False, True]
-        assert kernel_pair_flags(mv) == b"\x01"
+        assert per_pair_flags(mv) == b"\x01"
 
     def test_each_top_eliminated_once(self, monkeypatch):
+        # one Plücker vector per top decides the top and, expanded, its
+        # vertex-sharing pairs; no union is ranked whole on a square map
         built = []
-        init = Echelon.__init__
+        building = []
 
-        def spy(self, *args):
-            built.append(self)
-            init(self, *args)
+        def spy(rows):
+            built.append(rows)
+            return plucker(rows)
 
         independent = MaximalVerdicts.independent
 
         def refuse(self, vertices):
             # only a pair holding a top of fewer vertices is ranked whole
             mixed = plgp.perturb._mixed_pairs(self.tops, self.k)
-            if vertices not in {self.tops[i] | self.tops[j] for i, j in mixed}:
+            if building and vertices not in {self.tops[i] | self.tops[j] for i, j in mixed}:
                 raise AssertionError("full elimination of a union")
             return independent(self, vertices)
 
-        monkeypatch.setattr(Echelon, "__init__", spy)
+        monkeypatch.setattr(plgp.perturb, "plucker", spy)
         monkeypatch.setattr(MaximalVerdicts, "independent", refuse)
         rng = random.Random(74)
         bad_tops = bad_pairs = good_pairs = 0
@@ -467,26 +458,31 @@ class TestPerTopCertificate:
             h, _ = perturb_to_general_position(h1, F(1, 2), seed=1)
             for g in (h1, h):
                 built.clear()
+                building.append(g)
                 mv = MaximalVerdicts(g)
-                # one Echelon, with its reductions, per top
+                building.clear()
                 assert len(built) == len(mv.tops)
-                bad_tops += sum(not e.independent for e in built)
-                flags = kernel_pair_flags(mv)
+                bad_tops += sum(top_flags(mv))
+                flags = per_pair_flags(mv)
                 bad_pairs += sum(flags)
                 good_pairs += flags.count(0)
         assert bad_tops and bad_pairs and good_pairs
 
     def test_certificate_keeps_no_echelon(self, monkeypatch):
+        # each top's elimination, its Plücker vector, dies with __init__
         refs = []
-        init = Echelon.__init__
 
-        def spy(self, *args):
-            refs.append(weakref.ref(self))
-            init(self, *args)
+        class Vector(list):
+            """A Plücker vector, in a type a weakref can watch."""
 
-        monkeypatch.setattr(Echelon, "__init__", spy)
+        def spy(rows):
+            v = Vector(plucker(rows))
+            refs.append(weakref.ref(v))
+            return v
+
+        monkeypatch.setattr(plgp.perturb, "plucker", spy)
         for h in [
-            generic_segments(),  # passes: every pair ranked
+            generic_segments(),  # passes: every pair decided
             coplanar_segments(),  # a vertex-disjoint pair fails
             flat_top_map(),  # a failing top stops the walk
             subdivide_until(fixture_map("triangles5"), F(1, 2)),  # sharing pairs do
@@ -495,6 +491,39 @@ class TestPerTopCertificate:
             cert = MaximalVerdicts(h)
             assert len(refs) == len(cert.tops)
             assert all(r() is None for r in refs)
+
+    def test_each_vector_dropped_after_its_row(self, monkeypatch):
+        # one list of vectors serves both passes: row a of the packed walk
+        # runs with its own vector alive and every earlier row's freed
+        h1 = subdivide_until(fixture_map("triangles5-r6"), F(1, 2))
+        h = perturb_to_general_position(h1, F(1, 2), seed=1)[0]
+        refs = []
+
+        class Vector(list):
+            """A Plücker vector, in a type a weakref can watch."""
+
+        def spy(rows):
+            v = Vector(plucker(rows))
+            refs.append(weakref.ref(v))
+            return v
+
+        rows = []
+        zeros = PackedPairings.zeros
+
+        def pairing(self, p, start=0):
+            # the walk's row start - 1, over the tops of k vertices
+            tops = h.complex.maximal_simplices()
+            full = [i for i, t in enumerate(tops) if len(t) == max(map(len, tops))]
+            alive = [refs[i]() is not None for i in full[:start]]
+            assert alive == [False] * (start - 1) + [True]
+            rows.append(start - 1)
+            return zeros(self, p, start)
+
+        monkeypatch.setattr(plgp.perturb, "plucker", spy)
+        monkeypatch.setattr(PackedPairings, "zeros", pairing)
+        cert = MaximalVerdicts(h)
+        assert cert.overall
+        assert rows == list(range(len(cert.tops)))
 
     def test_sharing_index_dropped_before_the_vertex_disjoint_pairs(self, monkeypatch):
         h1 = subdivide_until(fixture_map("triangles5"), F(1, 2))
@@ -514,14 +543,7 @@ class TestPerTopCertificate:
             return index
 
         alive = []
-        full_rank = Echelon.full_rank
         zeros = PackedPairings.zeros
-
-        def checking(self, *extras):
-            # tau - sigma is a whole top only when tau and sigma share no vertex
-            if any(t in tops for t in extras):
-                alive.append(indexes[-1]() is not None)
-            return full_rank(self, *extras)
 
         def pairing(self, p, start=0):
             # the packed walk decides only vertex-disjoint pairs
@@ -529,16 +551,14 @@ class TestPerTopCertificate:
             return zeros(self, p, start)
 
         monkeypatch.setattr(plgp.perturb, "later_sharing", watched)
-        monkeypatch.setattr(Echelon, "full_rank", checking)
         monkeypatch.setattr(PackedPairings, "zeros", pairing)
         for h in maps:
-            tops = set(h.complex.maximal_simplices())
             alive.clear()
             MaximalVerdicts(h)
             assert alive and not any(alive)
 
     # the failing pairs of each subdivided fixture map before perturbation,
-    # by kernel_pair_flags on Echelon.full_rank; every fixture map is square
+    # by per_pair_flags; every fixture map is square
     # (|sigma| + |tau| = m + 1), so the certificate decides its
     # vertex-disjoint pairs in the packed walk, once the sharing pairs leave
     # a vertex unmoved
@@ -599,16 +619,18 @@ class TestMovedVertices:
         self.check(h)
 
         def refuse(*args):
-            raise AssertionError("reduced a row on a map with a failing top")
+            raise AssertionError("decided a pair on a map with a failing top")
 
-        monkeypatch.setattr(Echelon, "reduce", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "_sharing_independent", refuse)
+        monkeypatch.setattr(MaximalVerdicts, "_disjoint_moved", refuse)
         assert MaximalVerdicts(h).moved == set(h.complex.vertices)
 
     @pytest.mark.parametrize("case", ["passing", "sharing pairs cover nothing",
                                       "sharing pairs cover some vertices"])
     def test_certificate_built_on_round_zero_echelons(self, monkeypatch, case):
         # when the failing tops and sharing pairs leave a vertex unmoved, the
-        # vertex-disjoint pairs are decided with no further Echelon
+        # vertex-disjoint pairs are decided on the same Plücker vectors, one
+        # per top, computed once
         h, expected = {
             "passing": (generic_segments(), set()),
             # the sharing pair ab, bc passes; of the vertex-disjoint pairs
@@ -629,13 +651,12 @@ class TestMovedVertices:
         }[case]
         assert self.check(h) == expected
         made = []
-        echelon_init = Echelon.__init__
 
-        def recording(self, *args):
-            made.append(args)
-            echelon_init(self, *args)
+        def recording(rows):
+            made.append(rows)
+            return plucker(rows)
 
-        monkeypatch.setattr(Echelon, "__init__", recording)
+        monkeypatch.setattr(plgp.perturb, "plucker", recording)
         cert = MaximalVerdicts(h)
         assert cert.moved == expected and cert.overall == (not expected)
         assert len(made) == len(cert.tops)
@@ -645,9 +666,9 @@ class TestMovedVertices:
         h1 = subdivide_until(fixture_map(name), delta)
         cert, flags = check_certificate(h1)
         assert cert.moved == set(h1.complex.vertices)
-        # each vertex-sharing pair once, and no other pair
+        # vertex-sharing pairs only, each at most once
         (ranked,) = ranked_pairs
-        assert Counter(ranked) == pair_keys(cert, sharing=True)
+        assert replay_decided(cert, ranked) == "sharing pairs"
         assert sum(flags) == TestPerTopCertificate.FIXTURE_FAILING[name, delta]
 
     @pytest.mark.parametrize("failing", ["sharing pair", "vertex-disjoint pair"])
@@ -663,27 +684,46 @@ class TestMovedVertices:
         assert cert.moved == set().union(*failing_unions(cert)) == self.check(h0)
 
 
+def replay_decided(cert, ranked):
+    """Check the pairs a certificate decided, in the order ranked_pairs
+    recorded them, and return which walk it took.  None is decided twice,
+    and none when a top fails.  The vertex-sharing pairs come first; each,
+    replayed on the per-pair union ranks, is decided only while its union
+    is not yet in the moved set, and every one skipped lies in it.  When
+    that set leaves a vertex unmoved, every vertex-disjoint pair of tops is
+    decided next, and else none."""
+    assert all(n == 1 for n in Counter(ranked).values())
+    if any(top_flags(cert)):
+        assert ranked == []
+        return "failing top"
+    # a sharing pair's key holds tau - sigma, a proper face of a top
+    tops = set(cert.tops)
+    sharing = [(sigma, t) for sigma, t in ranked if t not in tops]
+    assert ranked[: len(sharing)] == sharing
+    moved = set()
+    for sigma, t in sharing:
+        assert not sigma | t <= moved
+        if not cert.independent(sigma | t):
+            moved |= sigma | t
+    skipped = pair_keys(cert, sharing=True) - Counter(sharing)
+    assert all(sigma | t <= moved for sigma, t in skipped)
+    assert moved <= cert.moved
+    rest = Counter(ranked[len(sharing):])
+    if len(moved) == len(cert.map.complex.vertices):
+        assert rest == Counter()
+        return "sharing pairs"
+    assert rest == pair_keys(cert, sharing=False)
+    return "complete"
+
+
 class TestRankedOnce:
-    """The pairs each certificate decides, on Echelon.full_rank or in the
-    packed walk, none twice: none when a top fails, only the vertex-sharing
-    pairs when their failing unions hold every vertex, and otherwise every
-    pair of passing tops."""
+    """The pairs each certificate decides, in the sharing pass, in the
+    packed walk or by an exact rank (replay_decided): none twice, and no
+    vertex-sharing pair whose union the moved set already holds."""
 
     def check(self, ranked_pairs, h):
         cert = MaximalVerdicts(h)
-        first = Counter(ranked_pairs[-1])
-        pairs = zip(combinations(cert.tops, 2), kernel_pair_flags(cert))
-        covered = set().union(*(t1 | t2 for (t1, t2), bad in pairs if bad and t1 & t2))
-        if any(top_flags(cert)):
-            walk = "failing top"
-            assert first == Counter()
-        elif covered and len(covered) == len(h.complex.vertices):
-            walk = "sharing pairs"
-            assert first == pair_keys(cert, sharing=True)
-        else:
-            walk = "complete"
-            assert first == pair_keys(cert)
-        return cert, walk
+        return cert, replay_decided(cert, ranked_pairs[-1])
 
     def test_passing_maps_rank_every_pair_once(self, ranked_pairs):
         maps = [generic_segments()]
@@ -717,7 +757,13 @@ class TestRankedOnce:
         cert = err.value.certificate
         assert len(ranked_pairs) == 3
         for ranked in ranked_pairs:
-            assert Counter(ranked) == pair_keys(cert, sharing=True)
+            assert replay_decided(cert, ranked) == "sharing pairs"
+
+
+def top_vectors(mv):
+    """Each top's Plücker vector on mv's projected rows, as MaximalVerdicts
+    computes them."""
+    return [plucker([mv.rows[v] for v in t]) for t in mv.tops]
 
 
 def disjoint_unions(mv, flags):
@@ -751,9 +797,8 @@ class TestPackedWalk:
             h, _ = perturb_to_general_position(h1, F(1, 2), seed=k)
             for g in (h1, h):
                 mv = MaximalVerdicts(g)
-                flags = kernel_pair_flags(mv)
-                assert flags == per_pair_flags(mv)
-                moved = mv._disjoint_moved()
+                flags = per_pair_flags(mv)
+                moved = mv._disjoint_moved(top_vectors(mv))
                 assert moved == disjoint_unions(mv, flags)
                 failing += bool(moved)
                 passing += not moved
@@ -770,8 +815,8 @@ class TestPackedWalk:
         )
         mv = MaximalVerdicts(h)
         assert mv.moved == set("abcdefghi")
-        assert mv._disjoint_moved() == set("abcdefghi")
-        assert disjoint_unions(mv, kernel_pair_flags(mv)) == set("abcdefghi")
+        assert mv._disjoint_moved(top_vectors(mv)) == set("abcdefghi")
+        assert disjoint_unions(mv, per_pair_flags(mv)) == set("abcdefghi")
 
     SHAPES = {
         # every shape takes the packed walk on its tops of the most
@@ -800,8 +845,7 @@ class TestPackedWalk:
         walks = []
         zeros = PackedPairings.zeros
         mixed_pairs = plgp.perturb._mixed_pairs
-        full_rank = Echelon.full_rank
-        tops = set(h.complex.maximal_simplices())
+        sharing = MaximalVerdicts._sharing_independent
 
         def packed(*args):
             walks.append("packed")
@@ -812,19 +856,151 @@ class TestPackedWalk:
                 walks.append("exact")
                 yield pair
 
-        def ranking(self, *extras):
-            # tau - sigma is a whole top only when tau and sigma share no vertex
-            if any(t in tops for t in extras):
-                walks.append("echelon")
-            return full_rank(self, *extras)
+        def ranking(self, sigma, tau, *args):
+            if sigma.isdisjoint(tau):
+                walks.append("sharing pass")
+            return sharing(self, sigma, tau, *args)
 
         monkeypatch.setattr(PackedPairings, "zeros", packed)
         monkeypatch.setattr(plgp.perturb, "_mixed_pairs", ranked)
-        monkeypatch.setattr(Echelon, "full_rank", ranking)
+        monkeypatch.setattr(MaximalVerdicts, "_sharing_independent", ranking)
         mv = MaximalVerdicts(h)
         assert set(walks) == ({"packed", "exact"} if mixed else {"packed"})
-        flags = kernel_pair_flags(mv)
+        flags = per_pair_flags(mv)
         assert mv.moved == set().union(*failing_unions(mv, flags))
+
+
+def kernel_rows(m, k):
+    """A basis of the kernel of Pi (perturb.project) on homogeneous rows of
+    m + 1 coordinates mapped to 2k: per coordinate 2k + e - 1 past the
+    first 2k, its unit row less (c + 1)^e in each coordinate c < 2k.  Each
+    has -1 in coordinate 0."""
+    width = 2 * k
+    rows = []
+    for e in range(1, m + 2 - width):
+        w = [-((c + 1) ** e) for c in range(width)] + [0] * (m + 1 - width)
+        w[width + e - 1] = 1
+        rows.append(w)
+    return rows
+
+
+def kernel_image(image, w):
+    """The image whose homogeneous row is 2 (1, image) + w, for w with -1
+    in coordinate 0 (kernel_rows): Pi maps it to twice image's row."""
+    return [2 * x + y for x, y in zip(image, w[1:])]
+
+
+def folded_map(rng, n, m):
+    """A seeded map of simplices of up to n + 1 vertices, in R^m with
+    m + 1 > 2(n + 1), so Pi folds, on a coarse grid; a vertex or two take
+    kernel_image of another vertex's image, so their projected rows are
+    parallel though their images often are not."""
+    verts = "abcdefghij"[: rng.randrange(n + 3, n + 7)]
+    maximal = [rng.sample(verts, n + 1) for _ in range(rng.randrange(2, 5))]
+    maximal += [rng.sample(verts, rng.randrange(1, n + 2)) for _ in range(rng.randrange(0, 2))]
+    images = {v: [rng.randrange(-1, 2) for _ in range(m)] for v in verts}
+    kernel = kernel_rows(m, n + 1)
+    for _ in range(rng.randrange(1, 3)):
+        x, y = rng.sample(verts, 2)
+        images[x] = kernel_image(images[y], rng.choice(kernel))
+    return map_of(maximal, images, m)
+
+
+def projection_oracle(mv):
+    """Per Fraction ranks and determinants on mv's map: (the tops whose
+    projected rows are dependent though their images are not, the
+    vertex-sharing pairs likewise, and the zero_pairs the certificate
+    should keep).  zero_pairs holds, when every top passes and the failing
+    vertex-sharing unions leave a vertex unmoved, each vertex-disjoint pair
+    of tops of k vertices whose projected determinant is zero though its
+    images are independent, both ways round."""
+    h, tops, k = mv.map, mv.tops, mv.k
+
+    def independent(vertices):
+        return affinely_independent([h.images[v] for v in sorted_vertices(vertices)])
+
+    def projected_rank(vertices):
+        rows = [project((1, *h.images[v]), 2 * k) for v in sorted_vertices(vertices)]
+        return len(rows) <= 2 * k and rank(Matrix.from_rows(rows)) == len(rows)
+
+    tops_hidden = [t for t in tops if independent(t) and not projected_rank(t)]
+    sharing = [(s, t) for s, t in combinations(tops, 2) if s & t]
+    pairs_hidden = [
+        (s, t) for s, t in sharing if independent(s | t) and not projected_rank(s | t)
+    ]
+    zero_pairs = {}
+    failing = set().union(*(s | t for s, t in sharing if not independent(s | t)))
+    if all(map(independent, tops)) and len(failing) < len(h.complex.vertices):
+        for i, j in combinations(range(len(tops)), 2):
+            s, t = tops[i], tops[j]
+            if len(s) == len(t) == k and s.isdisjoint(t) and independent(s | t):
+                rows = [project((1, *h.images[v]), 2 * k) for v in sorted_vertices(s | t)]
+                if det(Matrix.from_rows(rows)) == 0:
+                    zero_pairs.setdefault(i, set()).add(j)
+                    zero_pairs.setdefault(j, set()).add(i)
+    return tops_hidden, pairs_hidden, zero_pairs
+
+
+class TestFoldedFallback:
+    """Edges in R^4: k = 2, so Pi folds one coordinate, w = (-1, -2, -3,
+    -4, 1) spans its kernel, and a vertex x with row 2 (1, y) + w has the
+    projected row of y, doubled.  A top or a vertex-sharing pair holding x
+    and y has a zero projected expansion though its images are independent,
+    and only the exact rank passes it."""
+
+    Y = (1, 3, -2, 5)
+    W = (-1, -2, -3, -4, 1)
+
+    def check(self, h):
+        mv = MaximalVerdicts(h)
+        _, _, overall, bad = reference_certificate(h)
+        assert mv.folded and kernel_rows(4, 2) == [list(self.W)]
+        assert mv.overall and overall and mv.moved == bad == set()
+        return mv
+
+    def test_top(self):
+        x = kernel_image(self.Y, self.W)
+        h = map_of([["x", "y"], ["a", "b"]],
+                   {"x": x, "y": self.Y, "a": [0, 1, 0, 2], "b": [3, 0, 1, 1]}, 4)
+        assert affinely_independent([vec(x), vec(self.Y)])
+        mv = self.check(h)
+        assert not any(plucker([mv.rows["x"], mv.rows["y"]]))
+        # the top's pair with ab has a zero projected determinant too
+        xy = mv.tops.index(frozenset("xy"))
+        assert mv.zero_pairs == {xy: {1 - xy}, 1 - xy: {xy}}
+        assert projection_oracle(mv) == ([frozenset("xy")], [], mv.zero_pairs)
+
+    def test_sharing_pair(self):
+        x = kernel_image(self.Y, self.W)
+        u = [2, -1, 0, 1]
+        h = map_of([["x", "u"], ["u", "y"]], {"x": x, "y": self.Y, "u": u}, 4)
+        assert affinely_independent([vec(x), vec(u), vec(self.Y)])
+        mv = self.check(h)
+        p = plucker([mv.rows["u"], mv.rows["x"]])
+        assert any(p) and any(plucker([mv.rows["u"], mv.rows["y"]]))
+        assert not expands_nonzero(p, 2, [mv.rows["y"]])
+        assert mv.zero_pairs == {}
+        assert projection_oracle(mv) == ([], [(mv.tops[0], mv.tops[1])], {})
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (1, 5), (2, 6), (2, 7)])
+    def test_seeded_corpus(self, n, m):
+        # moved, overall and zero_pairs against the Fraction ranks, on
+        # folded maps and on the degenerate corpora, folded and square
+        rng = random.Random(80 + m)
+        seen = Counter()
+        maps = [folded_map(rng, n, m) for _ in range(50)]
+        maps += [seeded_complex_map(rng, n, m, repeat) for repeat in ("inside", "outside", None)]
+        maps += [random_map(rng) for _ in range(10)]
+        for h in maps:
+            mv = MaximalVerdicts(h)
+            _, _, overall, bad = reference_certificate(h)
+            tops_hidden, pairs_hidden, zero_pairs = projection_oracle(mv)
+            assert (mv.moved, mv.overall, mv.zero_pairs) == (bad, overall, zero_pairs)
+            seen.update(
+                top=bool(tops_hidden), pair=bool(pairs_hidden), zero=bool(zero_pairs),
+                failing=not overall, passing=overall,
+            )
+        assert all(seen[key] for key in ("top", "pair", "zero", "failing", "passing")), seen
 
 
 class TestPerturb:

@@ -28,7 +28,6 @@ from plgp.errors import DegenerateGeometryError, PreconditionError, ThinRegionEr
 from plgp.fiber import derive_seed, fiberwise_embed, instance_from_obj
 import plgp.exact as exact_module
 from plgp.exact import (
-    Echelon,
     Matrix,
     affinely_independent,
     det,
@@ -478,19 +477,19 @@ def padded_map(h, extra):
 
 
 def test_probe_builds_no_echelon(monkeypatch):
-    # secant_set builds no Echelon on any shape: the Plücker walk on the
+    # secant_set runs no elimination on these maps: the Plücker walk on the
     # rows Pi maps decides every top and pair, on a square map and on one
     # in R^6, past 2n+1, where its records are the flats enumeration's
     fixture = Path(plgp.__file__).parent / "fixtures" / "triangles5.json"
     h0 = plmap_from_obj(json.loads(fixture.read_text()))
     built = []
-    init = Echelon.__init__
+    echelon = secant_module._echelon_int
 
-    def spy_init(self, points, origin, s):
-        built.append(s)
-        init(self, points, origin, s)
+    def spy(rows, *args):
+        built.append(rows)
+        return echelon(rows, *args)
 
-    monkeypatch.setattr(Echelon, "__init__", spy_init)
+    monkeypatch.setattr(secant_module, "_echelon_int", spy)
     delta = F(1, 4)
     h, report = perturb_to_general_position(subdivide_until(h0, delta), delta, seed=7)
     found = 0
@@ -1328,51 +1327,6 @@ class TestAdjacencyRefusals:
         code = main(["analyze", "--map", str(path), "--z=" + z])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", message + "\n")
-
-
-class TestExtraSetsFitTheFreeColumns:
-    """Under m >= 2n+1 every extra set t that Echelon.full_rank receives,
-    all from the certificate's sharing pass, has |t| <= len(free): a
-    sharing pair has |tau - sigma| <= n < m - n, the least free column
-    count.  secant_set ranks nothing on an Echelon."""
-
-    def test_certificate_and_probe(self, monkeypatch):
-        shapes = {"certificate": [], "probe": []}
-        caller = ["certificate"]
-        full_rank = Echelon.full_rank
-
-        def spy(self, *extras):
-            shapes[caller[0]].extend((len(t), len(self.free)) for t in extras)
-            return full_rank(self, *extras)
-
-        monkeypatch.setattr(Echelon, "full_rank", spy)
-        rng = random.Random(49)
-        for n in range(4):
-            for m in (2 * n + 1, 2 * n + 2):
-                for pure in (True, False):
-                    for _ in range(3):
-                        verts = range(rng.randrange(n + 3, 3 * n + 7))
-                        sizes = [n + 1] * rng.randrange(3, 8)
-                        if not pure:
-                            sizes += [rng.randrange(1, n + 2) for _ in range(3)]
-                        c = SimplicialComplex.from_maximal(
-                            [rng.sample(verts, size) for size in sizes]
-                        )
-                        h = PLMap(c, m, {
-                            v: vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
-                            for v in c.vertices
-                        })
-                        caller[0] = "certificate"
-                        cert = MaximalVerdicts(h)
-                        assert cert.overall
-                        caller[0] = "probe"
-                        for _ in range(2):
-                            z = vec([rng.randrange(-10**6, 10**6) for _ in range(m)])
-                            secant_set(h, z, certificate=cert)
-        seen = shapes["certificate"]
-        assert len(seen) >= 200
-        assert all(k <= f for k, f in seen)
-        assert shapes["probe"] == []
 
 
 def forbid_fraction_kernels(monkeypatch):
